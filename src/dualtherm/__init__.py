@@ -6,16 +6,17 @@ Lorentzian models; converts fitted line positions to temperature through
 linear calibrations; and cross-validates the two channels against each other.
 """
 
-from ._backend import backend_name
 from .crossval import (
     ArtifactReason,
     ArtifactVerdict,
     ConsistencyReport,
     MonitorConfig,
     artifact_monitor,
+    calibration_slope,
     channel_regression,
     consistency_z,
     fuse,
+    pair_z,
     tumbling_verdicts,
     window_z_cutoff,
 )
@@ -40,6 +41,7 @@ from .forward import (
     default_odmr_axis,
     default_pl_axis,
     nv_resonance_of_temperature,
+    odmr_dip_counts,
     odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
@@ -88,8 +90,15 @@ from .thermometry import (
     TemperatureEstimate,
     estimate_noise_floor,
     nv_shot_noise_sensitivity,
+    odmr_readout,
     temperature_from_odmr,
     temperature_from_zpl,
+    zpl_readout,
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the fit-kernel backend; the kernels are plain numpy."""
+    return "numpy"

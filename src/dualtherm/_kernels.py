@@ -1,6 +1,5 @@
 """Numerical kernels for Lorentzian line fitting.
 
-Single-source kernels: plain numpy code that numba can compile unchanged.
 ``kind`` selects the model family:
 
 * ``kind == 0``: absorption dips on a flat baseline,
@@ -19,13 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import jit
-
 KIND_DIPS = 0
 KIND_PEAK = 1
 
 
-def _eval_model(axis, p, kind, m, jac):
+def eval_model(axis, p, kind, m, jac):
     n = axis.shape[0]
     if kind == 0:
         b = p[0]
@@ -61,12 +58,12 @@ def _eval_model(axis, p, kind, m, jac):
         jac[:, 3] = amp * (2.0 / w) * u * u * lor2
 
 
-def _weighted_cost(counts, m, weights):
+def weighted_cost(counts, m, weights):
     r = counts - m
     return np.dot(weights * r, r)
 
 
-def _lm_solve(axis, counts, weights, p0, kind, max_iter, rtol, xtol):
+def lm_solve(axis, counts, weights, p0, kind, max_iter, rtol, xtol):
     """Damped Gauss-Newton minimization of the weighted squared residual.
 
     Returns ``(p, cov_raw, cost, n_iter, converged)`` where ``cov_raw`` is the
@@ -80,8 +77,8 @@ def _lm_solve(axis, counts, weights, p0, kind, max_iter, rtol, xtol):
     m_try = np.empty(n)
     jac_try = np.empty((n, k))
 
-    _eval_model(axis, p, kind, m, jac)
-    cost = _weighted_cost(counts, m, weights)
+    eval_model(axis, p, kind, m, jac)
+    cost = weighted_cost(counts, m, weights)
     lam = 1e-3
     converged = False
     n_iter = 0
@@ -113,8 +110,8 @@ def _lm_solve(axis, counts, weights, p0, kind, max_iter, rtol, xtol):
             small = not (np.abs(delta) > xtol * (np.abs(p) + xtol)).any()
 
             p_try = p + delta
-            _eval_model(axis, p_try, kind, m_try, jac_try)
-            cost_try = _weighted_cost(counts, m_try, weights)
+            eval_model(axis, p_try, kind, m_try, jac_try)
+            cost_try = weighted_cost(counts, m_try, weights)
 
             if cost_try < cost:
                 rel = (cost - cost_try) / max(cost, 1e-300)
@@ -153,24 +150,3 @@ def _lm_solve(axis, counts, weights, p0, kind, max_iter, rtol, xtol):
     cov_raw = np.linalg.inv(nmat)
     return p, cov_raw, cost, n_iter, converged
 
-
-eval_model = jit(_eval_model)
-weighted_cost = jit(_weighted_cost)
-
-# rebind so the compiled solver resolves its helpers to compiled versions
-_eval_model = eval_model
-_weighted_cost = weighted_cost
-lm_solve = jit(_lm_solve)
-
-
-def warmup() -> None:
-    """Trigger kernel compilation so later timing is steady-state."""
-    axis = np.linspace(-1.0, 1.0, 32)
-    counts = 100.0 - 10.0 / (1.0 + (2.0 * axis / 0.5) ** 2)
-    weights = 1.0 / counts
-    p_dip = np.array([100.0, 0.05, 0.4, 0.09])
-    lm_solve(axis, counts, weights, p_dip, KIND_DIPS, 50, 1e-10, 1e-12)
-    peak = 20.0 + 80.0 / (1.0 + (2.0 * (axis - 0.1) / 0.3) ** 2)
-    weights_pk = 1.0 / peak
-    p_peak = np.array([18.0, 75.0, 0.0, 0.35])
-    lm_solve(axis, peak, weights_pk, p_peak, KIND_PEAK, 50, 1e-10, 1e-12)

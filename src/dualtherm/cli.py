@@ -22,9 +22,16 @@ from typing import Any, Sequence
 import numpy as np
 
 from .config import ConfigError, load_config
-from .crossval import MonitorConfig, channel_regression, tumbling_verdicts
+from .crossval import calibration_slope, channel_regression, tumbling_verdicts
 from .fitting import FitResult, fit_odmr_dips, fit_pl_peak, select_dip_count
-from .forward import AxisKind, SpectrumTrace, nv_resonance_of_temperature, siv_zpl_of_temperature, unit_lorentzian
+from .forward import (
+    AxisKind,
+    SpectrumTrace,
+    nv_resonance_of_temperature,
+    odmr_expected_counts,
+    pl_expected_counts,
+    siv_zpl_of_temperature,
+)
 from .noise import sample_poisson_counts, subsystem_generators
 from .records import (
     format_number,
@@ -147,21 +154,14 @@ def _cmd_simulate(cmd: CliCommand) -> int:
     if cmd.options["channel"] == "odmr":
         axis = config.odmr.axis()
         tau_s = config.odmr.sweep_time_s / axis.size
-        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_c)
-        u = 2.0 * (axis - d_mhz) / config.odmr.linewidth_mhz
-        expected = config.odmr.baseline_rate_cps * tau_s * (1.0 - config.odmr.contrast / (1.0 + u * u))
+        model = config.odmr.model(nv_resonance_of_temperature(config.nv_cal, t_c))
+        expected = odmr_expected_counts(model, axis, tau_s)
         rng = gens["odmr"]
         axis_label, exposure_s = "freq_MHz", tau_s
     else:
         axis = config.pl.axis()
-        pos_nm, fwhm_nm = siv_zpl_of_temperature(config.siv_cal, t_c)
-        rate = (
-            config.pl.background_cps
-            + config.pl.peak_amplitude_cps * unit_lorentzian(axis, pos_nm, fwhm_nm)
-            + config.pl.nv_peak_amplitude_cps
-            * unit_lorentzian(axis, config.pl.nv_peak_nm, config.pl.nv_peak_fwhm_nm)
-        )
-        expected = rate * config.pl.exposure_s
+        model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_c))
+        expected = pl_expected_counts(model, axis, config.pl.exposure_s)
         rng = gens["pl"]
         axis_label, exposure_s = "wavelength_nm", config.pl.exposure_s
     counts = expected if noiseless else sample_poisson_counts(expected, rng).astype(np.float64)
@@ -272,10 +272,9 @@ def _cmd_sensitivity(cmd: CliCommand) -> int:
 def _cmd_crossval(cmd: CliCommand) -> int:
     records = parse_records_csv(cmd.options["input"])
     config = _load_or_default(cmd)
-    expected_slope = config.siv_cal.pos_slope_nm_per_c / config.nv_cal.slope_mhz_per_c
     nv = np.array([r.nv_f0_mhz for r in records])
     siv = np.array([r.siv_pos_nm for r in records])
-    report = channel_regression(nv, siv, expected_slope)
+    report = channel_regression(nv, siv, calibration_slope(config.nv_cal, config.siv_cal))
 
     pairs = [
         (

@@ -20,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fitting import RegressionResult, linear_regression
+from .forward import NvCalibration, SivCalibration
 from .thermometry import Channel, TemperatureEstimate
 
 
@@ -82,6 +83,11 @@ class MonitorConfig:
             raise ValueError("window_samples must be >= min_window")
 
 
+def calibration_slope(nv_cal: NvCalibration, siv_cal: SivCalibration) -> float:
+    """SiV line shift per NV resonance shift (nm per MHz) the calibrations predict."""
+    return siv_cal.pos_slope_nm_per_c / nv_cal.slope_mhz_per_c
+
+
 def channel_regression(
     nv_freqs_mhz: NDArray[np.float64],
     siv_positions_nm: NDArray[np.float64],
@@ -108,17 +114,29 @@ def channel_regression(
     )
 
 
-def consistency_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float:
+def pair_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float | None:
     """Agreement score ``(a - b) / sqrt(sigma_a^2 + sigma_b^2)``.
 
-    Antisymmetric under argument swap and zero for equal values.
+    Returns ``None`` when both sigmas are zero.  Every z in the package is
+    this score; its callers differ only in what that degenerate case means.
     """
     denom = math.hypot(a.sigma_c, b.sigma_c)
     if denom == 0.0:
+        return None
+    return (a.value_c - b.value_c) / denom
+
+
+def consistency_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float:
+    """``pair_z``, raising when both sigmas are zero and the values differ.
+
+    Antisymmetric under argument swap and zero for equal values.
+    """
+    z = pair_z(a, b)
+    if z is None:
         if a.value_c == b.value_c:
             return 0.0
         raise ValueError("z undefined: both sigmas zero and values differ")
-    return (a.value_c - b.value_c) / denom
+    return z
 
 
 def fuse(a: TemperatureEstimate, b: TemperatureEstimate) -> TemperatureEstimate:
@@ -142,10 +160,10 @@ def fuse(a: TemperatureEstimate, b: TemperatureEstimate) -> TemperatureEstimate:
 def _pair_z(nv: TemperatureEstimate, siv: TemperatureEstimate) -> float:
     # monitoring variant of consistency_z: degenerate pairs score 0 when the
     # values agree and infinity when they cannot be reconciled
-    denom = math.hypot(nv.sigma_c, siv.sigma_c)
-    if denom == 0.0:
+    z = pair_z(nv, siv)
+    if z is None:
         return 0.0 if nv.value_c == siv.value_c else math.inf
-    return abs(nv.value_c - siv.value_c) / denom
+    return abs(z)
 
 
 def window_z_cutoff(z_threshold: float, n_samples: int) -> float:

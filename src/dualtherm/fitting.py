@@ -4,10 +4,9 @@ Lorentzian dip/peak fits with analytic Jacobians and Poisson-motivated
 weights, dip-count model selection by BIC, ordinary least-squares regression,
 and power-law fitting of precision-vs-integration-time curves.
 
-Fits run through a damped Gauss-Newton loop (:mod:`dualtherm._kernels`) that
-is numba-compiled when available.  Failure is never silent: a fit that does
-not converge comes back with ``converged = False`` and best-effort
-parameters.
+Fits run through a damped Gauss-Newton loop (:mod:`dualtherm._kernels`).
+Failure is never silent: a fit that does not converge comes back with
+``converged = False`` and best-effort parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .forward import AxisKind, SpectrumTrace
+from .forward import AxisKind, SpectrumTrace, unit_lorentzian
 
 FloatArray = NDArray[np.float64]
 
@@ -379,10 +378,11 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
 
     A second dip with a free center can always buy chi-square by swallowing a
     single low-fluctuating sample, so BIC alone picks phantom dips on a few
-    percent of clean spectra.  Both dips must therefore be physical (positive
-    sub-unity contrasts summing below 1, centers inside the scanned span,
-    widths at least one sample step) and detected at ``MIN_DIP_SIGNIFICANCE``
-    sigma, not merely fitted.
+    percent of clean spectra, and a free width can likewise flatten a second
+    dip into a faint tilt of the whole baseline.  Both dips must therefore be
+    physical (positive sub-unity contrasts summing below 1, centers inside
+    the scanned span, widths from one sample step up to the scanned span)
+    and detected at ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
     """
     if not res.converged:
         return False
@@ -398,7 +398,7 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
             return False
         if not lo <= res.params[f"center_{d}"] <= hi:
             return False
-        if res.params[f"fwhm_{d}"] < step:
+        if not step <= res.params[f"fwhm_{d}"] <= hi - lo:
             return False
         total_contrast += contrast
     return total_contrast < 1.0
@@ -427,10 +427,9 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
         width *= _SCREEN_WIDTH_RATIO
     if axis.size * sum(n_centers for _, n_centers in grid) > _SCREEN_MAX_ELEMENTS:
         return None
-    u = np.hstack(
-        [(axis[:, None] - np.linspace(lo, hi, n_centers)) * (2.0 / width) for width, n_centers in grid]
+    shapes = np.hstack(
+        [unit_lorentzian(axis[:, None], np.linspace(lo, hi, n_centers), width) for width, n_centers in grid]
     )
-    shapes = 1.0 / (1.0 + u * u)
     squares = shapes * shapes
     # cached and shared by every caller
     shapes.flags.writeable = False

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -185,18 +186,34 @@ def _check_axis(axis: FloatArray) -> FloatArray:
     return arr
 
 
-def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) -> FloatArray:
-    """Expected counts per sample of a CW ODMR sweep.
+def odmr_dip_counts(
+    axis: FloatArray,
+    baseline_rate: float,
+    dips: Sequence[tuple[float | FloatArray, float, float]],
+    exposure_s: float,
+) -> FloatArray:
+    """Expected counts per sample of a CW ODMR sweep whose dips may move.
 
     ``R * t * (1 - sum_k C_k * L_k(f))`` with ``t`` the per-sample exposure.
+    Each dip is ``(center_mhz, fwhm_mhz, contrast)``; a center is either one
+    value or an array holding the center in effect at each sample, as when
+    the field changes mid-sweep.
     """
     arr = _check_axis(axis)
     if not exposure_s > 0:
         raise ValueError(f"exposure_s must be > 0, got {exposure_s}")
     depth = np.zeros_like(arr)
-    for center, fwhm, contrast in model.dips:
-        depth += contrast * unit_lorentzian(arr, center, fwhm)
-    return model.baseline_rate * exposure_s * (1.0 - depth)
+    for center, fwhm, contrast in dips:
+        # C / (1 + u^2), not C * unit_lorentzian: the two round differently
+        # in the last bit, and recorded spectra are built with this form
+        u = 2.0 * (arr - center) / fwhm
+        depth += contrast / (1.0 + u * u)
+    return baseline_rate * exposure_s * (1.0 - depth)
+
+
+def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) -> FloatArray:
+    """Expected counts per sample of a CW ODMR sweep (see ``odmr_dip_counts``)."""
+    return odmr_dip_counts(axis, model.baseline_rate, model.dips, exposure_s)
 
 
 def pl_expected_counts(model: PlModel, axis: FloatArray, exposure_s: float) -> FloatArray:
@@ -211,12 +228,15 @@ def pl_expected_counts(model: PlModel, axis: FloatArray, exposure_s: float) -> F
 
 
 def zeeman_resonances(
-    d_mhz: float, b_parallel_mt: float, gyromagnetic_mhz_per_mt: float = GYROMAGNETIC_MHZ_PER_MT
-) -> tuple[float, float]:
+    d_mhz: float,
+    b_parallel_mt: float | FloatArray,
+    gyromagnetic_mhz_per_mt: float = GYROMAGNETIC_MHZ_PER_MT,
+) -> tuple[float, float] | tuple[FloatArray, FloatArray]:
     """Resonance pair ``d -/+ gamma * |B_par|`` of a Zeeman-split ODMR spectrum.
 
     The midpoint of the returned pair equals ``d_mhz`` exactly and the result
-    is invariant under a sign flip of the field projection.
+    is invariant under a sign flip of the field projection.  An array of
+    field projections gives arrays of resonances, element by element.
     """
     if not gyromagnetic_mhz_per_mt > 0:
         raise ValueError(f"gyromagnetic ratio must be > 0, got {gyromagnetic_mhz_per_mt}")

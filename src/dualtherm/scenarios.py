@@ -23,19 +23,24 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .crossval import MonitorConfig, artifact_monitor
+from .crossval import MonitorConfig, artifact_monitor, pair_z
 from .fitting import FitResult, fit_odmr_dips, fit_pl_peak, select_dip_count
 from .forward import (
     GYROMAGNETIC_MHZ_PER_MT,
     AxisKind,
     HeatingModel,
     NvCalibration,
+    OdmrModel,
+    PlModel,
     SivCalibration,
     SpectrumTrace,
     nv_resonance_of_temperature,
+    odmr_dip_counts,
+    odmr_expected_counts,
+    pl_expected_counts,
     siv_zpl_of_temperature,
     temperature_of_laser_power,
-    unit_lorentzian,
+    zeeman_resonances,
 )
 from .noise import (
     BFieldProcess,
@@ -47,7 +52,7 @@ from .noise import (
     subsystem_generators,
     validate_seed,
 )
-from .thermometry import Channel, TemperatureEstimate
+from .thermometry import TemperatureEstimate, odmr_readout, zpl_readout
 
 FloatArray = NDArray[np.float64]
 
@@ -87,6 +92,10 @@ class OdmrSettings:
 
     def axis(self) -> FloatArray:
         return np.linspace(self.sweep_start_mhz, self.sweep_stop_mhz, self.sweep_points)
+
+    def model(self, d_mhz: float) -> OdmrModel:
+        """Zero-field spectrum: one dip at the splitting ``d_mhz``."""
+        return OdmrModel(self.baseline_rate_cps, ((d_mhz, self.linewidth_mhz, self.contrast),))
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,17 @@ class PlSettings:
     def axis(self) -> FloatArray:
         n = int(round((self.window_stop_nm - self.window_start_nm) / self.step_nm)) + 1
         return self.window_start_nm + self.step_nm * np.arange(n)
+
+    def model(self, pos_nm: float, fwhm_nm: float) -> PlModel:
+        """The SiV zero-phonon line at ``pos_nm`` plus the static NV line."""
+        return PlModel(
+            self.background_cps,
+            ((pos_nm, fwhm_nm, self.peak_amplitude_cps), self.nv_line().peaks[0]),
+        )
+
+    def nv_line(self) -> PlModel:
+        """The static 637 nm NV line alone, on zero background."""
+        return PlModel(0.0, ((self.nv_peak_nm, self.nv_peak_fwhm_nm, self.nv_peak_amplitude_cps),))
 
 
 @dataclass(frozen=True)
@@ -274,9 +294,12 @@ def _timeseries(
     """Shared record pipeline: generate, fit, invert, score, screen.
 
     ``truth(k, t_k)`` returns the per-channel true temperatures and the laser
-    power for record ``k``.  Temperature estimates use the same calibration
-    inversion as the public readout functions; a non-converged fit still
-    yields a best-effort row rather than dropping the record.
+    power for record ``k``.  Spectra come from the :mod:`dualtherm.forward`
+    count models, temperatures from the :mod:`dualtherm.thermometry`
+    readouts and ``z_score`` from ``crossval.pair_z`` (0 when both sigmas are
+    zero).  The readouts are applied without the convergence check of
+    ``temperature_from_odmr``/``temperature_from_zpl``: a non-converged fit
+    still yields a best-effort row rather than dropping the record.
 
     The 637 nm line is part of every synthesized spectrum, but its in-window
     tail is a static instrument property, so the PL fit runs on counts with
@@ -295,13 +318,9 @@ def _timeseries(
     n_pts = odmr_axis.size
     tau_s = config.odmr.sweep_time_s / n_pts
     w_mhz = config.odmr.linewidth_mhz
-    contrast = config.odmr.contrast
+    half_contrast = 0.5 * config.odmr.contrast
     gyro = config.bfield.gyromagnetic_mhz_per_mt
-    nv_tail_counts = (
-        config.pl.nv_peak_amplitude_cps
-        * unit_lorentzian(pl_axis, config.pl.nv_peak_nm, config.pl.nv_peak_fwhm_nm)
-        * config.pl.exposure_s
-    )
+    nv_tail_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
 
     rows: list[ScenarioRecord] = []
     pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
@@ -317,29 +336,20 @@ def _timeseries(
             # the field can change mid-sweep: each frequency point sees the
             # projection in effect at its own acquisition instant
             bproc, b_points = bfield_sweep(bproc, tau_s, n_pts, gens["bfield"])
-            shift = gyro * np.abs(b_points)
-            um = 2.0 * (odmr_axis - (d_mhz - shift)) / w_mhz
-            up = 2.0 * (odmr_axis - (d_mhz + shift)) / w_mhz
-            depth = 0.5 * contrast / (1.0 + um * um) + 0.5 * contrast / (1.0 + up * up)
+            f_lo, f_hi = zeeman_resonances(d_mhz, b_points, gyro)
+            dips = ((f_lo, w_mhz, half_contrast), (f_hi, w_mhz, half_contrast))
+            odmr_expected = odmr_dip_counts(odmr_axis, config.odmr.baseline_rate_cps, dips, tau_s) * factor
             b_report = float(b_points[0])
         else:
-            u = 2.0 * (odmr_axis - d_mhz) / w_mhz
-            depth = contrast / (1.0 + u * u)
+            odmr_expected = odmr_expected_counts(config.odmr.model(d_mhz), odmr_axis, tau_s) * factor
             b_report = 0.0
-        odmr_expected = config.odmr.baseline_rate_cps * tau_s * (1.0 - depth) * factor
         if config.noiseless:
             odmr_counts = odmr_expected
         else:
             odmr_counts = sample_poisson_counts(odmr_expected, gens["odmr"]).astype(np.float64)
 
-        pos_nm, fwhm_nm = siv_zpl_of_temperature(config.siv_cal, t_siv_true)
-        pl_rate = (
-            config.pl.background_cps
-            + config.pl.peak_amplitude_cps * unit_lorentzian(pl_axis, pos_nm, fwhm_nm)
-            + config.pl.nv_peak_amplitude_cps
-            * unit_lorentzian(pl_axis, config.pl.nv_peak_nm, config.pl.nv_peak_fwhm_nm)
-        )
-        pl_expected = pl_rate * config.pl.exposure_s * factor
+        pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_siv_true))
+        pl_expected = pl_expected_counts(pl_model, pl_axis, config.pl.exposure_s) * factor
         if config.noiseless:
             pl_counts = pl_expected
         else:
@@ -349,28 +359,14 @@ def _timeseries(
         n_dips, nv_fit = select_dip_count(odmr_trace)
         d_center, d_sigma = nv_fit.derived["d_center"]
         nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
-        cal_nv = config.nv_cal
-        est_nv = TemperatureEstimate(
-            value_c=cal_nv.t_ref_c + (d_center - cal_nv.d_ref_mhz) / cal_nv.slope_mhz_per_c,
-            sigma_c=d_sigma / abs(cal_nv.slope_mhz_per_c),
-            channel=Channel.NV_ODMR,
-            timestamp_s=t_k,
-        )
+        est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, t_k)
 
         # clamp: the subtracted tail can undercut sparse low-count samples
         pl_adjusted = np.maximum(pl_counts - nv_tail_counts, 0.0)
         pl_trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted, config.pl.exposure_s, t_k)
         pl_fit = fit_pl_peak(pl_trace)
-        cal_siv = config.siv_cal
-        est_siv = TemperatureEstimate(
-            value_c=cal_siv.t_ref_c + (pl_fit.params["center"] - cal_siv.pos_ref_nm) / cal_siv.pos_slope_nm_per_c,
-            sigma_c=pl_fit.std_errors["center"] / abs(cal_siv.pos_slope_nm_per_c),
-            channel=Channel.SIV_ZPL,
-            timestamp_s=t_k,
-        )
-
-        denom = math.hypot(est_nv.sigma_c, est_siv.sigma_c)
-        z = (est_nv.value_c - est_siv.value_c) / denom if denom > 0 else 0.0
+        est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, t_k)
+        z = pair_z(est_nv, est_siv)
 
         pairs.append((est_nv, est_siv))
         rows.append(
@@ -391,7 +387,7 @@ def _timeseries(
                 t_nv_sigma_c=est_nv.sigma_c,
                 t_siv_c=est_siv.value_c,
                 t_siv_sigma_c=est_siv.sigma_c,
-                z_score=z,
+                z_score=0.0 if z is None else z,
                 artifact_flag=False,
             )
         )
@@ -469,18 +465,12 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
 
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
-    d_mhz = nv_resonance_of_temperature(config.nv_cal, t_fixed)
-    pos_nm, fwhm_nm = siv_zpl_of_temperature(config.siv_cal, t_fixed)
-    u = 2.0 * (odmr_axis - d_mhz) / config.odmr.linewidth_mhz
-    odmr_rate = config.odmr.baseline_rate_cps * (1.0 - config.odmr.contrast / (1.0 + u * u))
-    pl_static_rate = config.pl.nv_peak_amplitude_cps * unit_lorentzian(
-        pl_axis, config.pl.nv_peak_nm, config.pl.nv_peak_fwhm_nm
-    )
-    pl_rate = (
-        config.pl.background_cps
-        + config.pl.peak_amplitude_cps * unit_lorentzian(pl_axis, pos_nm, fwhm_nm)
-        + pl_static_rate
-    )
+    # count rates: expected counts at one second of exposure per sample
+    odmr_model = config.odmr.model(nv_resonance_of_temperature(config.nv_cal, t_fixed))
+    odmr_rate = odmr_expected_counts(odmr_model, odmr_axis, 1.0)
+    pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_fixed))
+    pl_rate = pl_expected_counts(pl_model, pl_axis, 1.0)
+    pl_static_rate = pl_expected_counts(config.pl.nv_line(), pl_axis, 1.0)
 
     results: dict[str, list[tuple[float, float]]] = {ch: [] for ch in p.channels}
     for channel in p.channels:
@@ -493,21 +483,14 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
                     counts = sample_poisson_counts(odmr_rate * tau_s, rng).astype(np.float64)
                     trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, counts, tau_s)
                     fit = fit_odmr_dips(trace, 1)
-                    center = fit.derived["d_center"][0]
-                    values.append(
-                        config.nv_cal.t_ref_c
-                        + (center - config.nv_cal.d_ref_mhz) / config.nv_cal.slope_mhz_per_c
-                    )
+                    estimate = odmr_readout(*fit.derived["d_center"], config.nv_cal)
                 else:
                     counts = sample_poisson_counts(pl_rate * t_int, rng).astype(np.float64)
                     counts = np.maximum(counts - pl_static_rate * t_int, 0.0)
                     trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, counts, t_int)
                     fit = fit_pl_peak(trace)
-                    values.append(
-                        config.siv_cal.t_ref_c
-                        + (fit.params["center"] - config.siv_cal.pos_ref_nm)
-                        / config.siv_cal.pos_slope_nm_per_c
-                    )
+                    estimate = zpl_readout(fit.params["center"], fit.std_errors["center"], config.siv_cal)
+                values.append(estimate.value_c)
             sigma = float(np.std(np.asarray(values), ddof=1))
             results[channel].append((t_int, sigma))
     return results

@@ -37,43 +37,57 @@ class TemperatureEstimate:
             raise ValueError(f"sigma_c must be >= 0, got {self.sigma_c}")
 
 
-def temperature_from_odmr(
-    fit: FitResult, cal: NvCalibration, timestamp_s: float = 0.0
+def odmr_readout(
+    d_center_mhz: float, d_sigma_mhz: float, cal: NvCalibration, timestamp_s: float = 0.0
 ) -> TemperatureEstimate:
-    """Temperature from the midpoint of a fitted ODMR dip pattern.
+    """Temperature from an NV resonance midpoint and its 1-sigma uncertainty.
 
     Exact inverse of the resonance-vs-temperature line:
     ``T = t_ref + (d_center - d_ref) / slope`` with ``sigma_T = sigma_d / |slope|``.
     """
-    if not fit.converged:
-        raise ValueError("ODMR fit did not converge; refusing a temperature readout")
-    if "d_center" not in fit.derived:
-        raise ValueError("fit carries no d_center; expected a dip fit")
-    d_center, d_sigma = fit.derived["d_center"]
-    value = cal.t_ref_c + (d_center - cal.d_ref_mhz) / cal.slope_mhz_per_c
     return TemperatureEstimate(
-        value_c=value,
-        sigma_c=d_sigma / abs(cal.slope_mhz_per_c),
+        value_c=cal.t_ref_c + (d_center_mhz - cal.d_ref_mhz) / cal.slope_mhz_per_c,
+        sigma_c=d_sigma_mhz / abs(cal.slope_mhz_per_c),
         channel=Channel.NV_ODMR,
         timestamp_s=timestamp_s,
     )
 
 
+def zpl_readout(
+    center_nm: float, sigma_nm: float, cal: SivCalibration, timestamp_s: float = 0.0
+) -> TemperatureEstimate:
+    """Temperature from a SiV zero-phonon-line position and its 1-sigma uncertainty.
+
+    ``T = t_ref + (pos - pos_ref) / slope`` with ``sigma_T = sigma_pos / |slope|``.
+    """
+    return TemperatureEstimate(
+        value_c=cal.t_ref_c + (center_nm - cal.pos_ref_nm) / cal.pos_slope_nm_per_c,
+        sigma_c=sigma_nm / abs(cal.pos_slope_nm_per_c),
+        channel=Channel.SIV_ZPL,
+        timestamp_s=timestamp_s,
+    )
+
+
+def temperature_from_odmr(
+    fit: FitResult, cal: NvCalibration, timestamp_s: float = 0.0
+) -> TemperatureEstimate:
+    """Temperature from the midpoint of a converged ODMR dip fit (``odmr_readout``)."""
+    if not fit.converged:
+        raise ValueError("ODMR fit did not converge; refusing a temperature readout")
+    if "d_center" not in fit.derived:
+        raise ValueError("fit carries no d_center; expected a dip fit")
+    return odmr_readout(*fit.derived["d_center"], cal, timestamp_s)
+
+
 def temperature_from_zpl(
     fit: FitResult, cal: SivCalibration, timestamp_s: float = 0.0
 ) -> TemperatureEstimate:
-    """Temperature from a fitted zero-phonon-line position."""
+    """Temperature from the center of a converged zero-phonon-line fit (``zpl_readout``)."""
     if not fit.converged:
         raise ValueError("ZPL fit did not converge; refusing a temperature readout")
     if "center" not in fit.params:
         raise ValueError("fit carries no center parameter; expected a peak fit")
-    value = cal.t_ref_c + (fit.params["center"] - cal.pos_ref_nm) / cal.pos_slope_nm_per_c
-    return TemperatureEstimate(
-        value_c=value,
-        sigma_c=fit.std_errors["center"] / abs(cal.pos_slope_nm_per_c),
-        channel=Channel.SIV_ZPL,
-        timestamp_s=timestamp_s,
-    )
+    return zpl_readout(fit.params["center"], fit.std_errors["center"], cal, timestamp_s)
 
 
 def nv_shot_noise_sensitivity(
@@ -85,7 +99,10 @@ def nv_shot_noise_sensitivity(
     """Shot-noise-limited ODMR temperature sensitivity in K per root Hz.
 
     ``eta = linewidth / (contrast * sqrt(rate) * |dD/dT|)``: linear in the
-    linewidth, inverse in contrast, inverse square root in photon rate.
+    linewidth, inverse in contrast, inverse square root in photon rate.  It
+    omits the Lorentzian line-shape prefactor ``4 / (3 sqrt(3))`` of Dreau et
+    al. (PRB 84, 195204, 2011), so it reads ``3 sqrt(3) / 4`` (about 1.30)
+    times their optimum-slope figure.
     """
     for name, v in (
         ("contrast", contrast),

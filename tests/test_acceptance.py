@@ -134,7 +134,8 @@ def test_precision_scales_as_root_time_with_155_mk_floor():
 
 def test_shot_noise_sensitivity_value_and_exact_scalings():
     eta = nv_shot_noise_sensitivity(0.12, 12.0, 1e7, 0.07379)
-    # hand arithmetic: (4 / (3 sqrt(3))) * 12 / (0.12 * sqrt(1e7) * 0.07379)
+    # hand arithmetic: 12 / (0.12 * sqrt(1e7) * 0.07379); the Lorentzian
+    # prefactor 4 / (3 sqrt(3)) is not part of this figure
     assert eta == pytest.approx(0.4286, rel=1e-3)
     assert eta == pytest.approx(0.4285509771199863575, rel=1e-12)
     # doubling the linewidth doubles eta; doubling contrast or quadrupling

@@ -4,9 +4,16 @@ import json
 
 import pytest
 
+from dualtherm import (
+    ScenarioConfig,
+    nv_resonance_of_temperature,
+    odmr_expected_counts,
+    pl_expected_counts,
+    siv_zpl_of_temperature,
+)
 from dualtherm.cli import main
 from dualtherm.config import default_config_dict
-from dualtherm.records import CSV_HEADER
+from dualtherm.records import CSV_HEADER, format_number
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -70,6 +77,22 @@ def test_simulate_noiseless_json_places_dip_at_calibration(capsys):
     # default temperature 25 degC sits exactly on the 2870 MHz grid point
     dip_index = min(range(201), key=lambda i: payload["counts"][i])
     assert payload["axis"][dip_index] == 2870.0
+
+
+@pytest.mark.parametrize("channel", ["odmr", "pl"])
+def test_simulate_noiseless_prints_the_forward_model(channel, capsys):
+    assert main(["simulate", "--channel", channel, "--noiseless", "--temperature", "41.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    cfg = ScenarioConfig()
+    if channel == "odmr":
+        axis = cfg.odmr.axis()
+        model = cfg.odmr.model(nv_resonance_of_temperature(cfg.nv_cal, 41.5))
+        expected = odmr_expected_counts(model, axis, cfg.odmr.sweep_time_s / axis.size)
+    else:
+        axis = cfg.pl.axis()
+        model = cfg.pl.model(*siv_zpl_of_temperature(cfg.siv_cal, 41.5))
+        expected = pl_expected_counts(model, axis, cfg.pl.exposure_s)
+    assert lines == [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, expected)]
 
 
 def test_fit_recovers_noiseless_odmr_center(tmp_path, capsys):

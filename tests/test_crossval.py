@@ -15,6 +15,7 @@ from dualtherm import (
     channel_regression,
     consistency_z,
     fuse,
+    pair_z,
     tumbling_verdicts,
     window_z_cutoff,
 )
@@ -52,6 +53,12 @@ def test_consistency_z_degenerate_sigmas():
     assert consistency_z(_nv(25.0, 0.0), _siv(25.0, 0.0)) == 0.0
     with pytest.raises(ValueError):
         consistency_z(_nv(25.0, 0.0), _siv(26.0, 0.0))
+
+
+def test_pair_z_is_undefined_only_for_two_zero_sigmas():
+    assert pair_z(_nv(26.0, 0.3), _siv(25.0, 0.4)) == consistency_z(_nv(26.0, 0.3), _siv(25.0, 0.4))
+    assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.0)) is None
+    assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.5)) == -2.0
 
 
 def test_fuse_inverse_variance_oracle():

@@ -11,6 +11,7 @@ from dualtherm import (
     OdmrModel,
     PlModel,
     SpectrumTrace,
+    backend_name,
     fit_odmr_dips,
     fit_pl_peak,
     fit_power_law,
@@ -313,3 +314,8 @@ def test_screened_dip_count_agrees_with_unscreened_selector():
     for trace in clean:
         skipped += _second_dip_score(trace, fit_odmr_dips(trace, 1)) < margin
     assert skipped >= 36, skipped
+
+
+def test_backend_name_reports_numpy():
+    # the fit kernels are plain numpy; benchmark output records this name
+    assert backend_name() == "numpy"

@@ -15,6 +15,7 @@ from dualtherm import (
     default_odmr_axis,
     default_pl_axis,
     nv_resonance_of_temperature,
+    odmr_dip_counts,
     odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
@@ -62,6 +63,21 @@ def test_odmr_expected_counts_two_dips_add():
     np.testing.assert_allclose(depth_both, depth_a + depth_b, rtol=1e-12)
 
 
+def test_odmr_dip_counts_takes_per_sample_centers():
+    # each sample of a moving-dip sweep is the static model with the dip
+    # parked at that sample's center
+    rng = np.random.default_rng(5)
+    axis = default_odmr_axis()
+    b_points = rng.uniform(-0.5, 0.5, axis.size)
+    lo, hi = zeeman_resonances(2870.0, b_points)
+    moving = odmr_dip_counts(axis, 5e8, ((lo, 12.0, 0.06), (hi, 12.0, 0.06)), 0.0075)
+    for i in (0, 57, 100, 200):
+        static = OdmrModel(baseline_rate=5e8, dips=((lo[i], 12.0, 0.06), (hi[i], 12.0, 0.06)))
+        assert moving[i] == odmr_expected_counts(static, axis, 0.0075)[i]
+    with pytest.raises(ValueError):
+        odmr_dip_counts(axis, 5e8, ((2870.0, 12.0, 0.12),), 0.0)
+
+
 def test_pl_expected_counts_hand_values():
     model = PlModel(background_rate=50.0, peaks=((737.0, 5.0, 200.0),))
     axis = np.array([737.0])
@@ -97,6 +113,13 @@ def test_zeeman_resonances_hand_values():
 def test_zeeman_resonances_depend_on_magnitude_only():
     for b in (0.0, 0.3, 1.7):
         assert zeeman_resonances(2868.0, b) == zeeman_resonances(2868.0, -b)
+
+
+def test_zeeman_resonances_of_a_field_array_match_scalar_calls():
+    b = np.array([-0.4, 0.0, 0.13, 0.5])
+    lo, hi = zeeman_resonances(2869.5, b)
+    for i, b_i in enumerate(b):
+        assert (lo[i], hi[i]) == zeeman_resonances(2869.5, float(b_i))
 
 
 def test_zeeman_midpoint_recovers_splitting_center():

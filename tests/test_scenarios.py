@@ -8,12 +8,15 @@ from dualtherm import (
     RampParams,
     ScenarioConfig,
     ScenarioKind,
+    odmr_readout,
+    pair_z,
     recovered_step_amplitude,
     run_bfield_artifact,
     run_laser_modulation,
     run_precision_sweep,
     run_ramp,
     run_scenario,
+    zpl_readout,
 )
 from dualtherm.scenarios import ScenarioRecord
 
@@ -189,3 +192,37 @@ def test_ramp_params_validation():
         RampParams(n_steps=0)
     with pytest.raises(ValueError):
         ScenarioConfig(sample_period_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(kind=ScenarioKind.RAMP, seed=2),
+        ScenarioConfig(
+            kind=ScenarioKind.BFIELD_ARTIFACT, seed=9, duration_s=45.0, bfield=BfieldSettings(b_max_mt=0.5)
+        ),
+    ],
+    ids=["noisy_ramp", "field_0.5mT"],
+)
+def test_record_temperatures_and_z_come_from_the_one_readout(cfg):
+    # every temperature column is the thermometry readout of the fitted line
+    # columns, and z is the crossval score of those estimates, bit for bit
+    records = run_scenario(cfg)
+    assert any(r.nv_n_dips == 2 for r in records) == (cfg.bfield.b_max_mt > 0)
+    for r in records:
+        nv = odmr_readout(r.nv_f0_mhz, r.nv_f0_sigma_mhz, cfg.nv_cal, r.time_s)
+        siv = zpl_readout(r.siv_pos_nm, r.siv_pos_sigma_nm, cfg.siv_cal, r.time_s)
+        assert (r.t_nv_c, r.t_nv_sigma_c) == (nv.value_c, nv.sigma_c)
+        assert (r.t_siv_c, r.t_siv_sigma_c) == (siv.value_c, siv.sigma_c)
+        assert r.z_score == pair_z(nv, siv)
+
+
+def test_second_dip_wider_than_the_sweep_is_rejected():
+    # on this field-off run the two-dip fit of record 25 (t = 37.5 s) pairs
+    # the true dip with a 119 MHz-wide, 0.17% dip across the 100 MHz sweep;
+    # admitted, it read T_nv = 78 degC against a true 25 degC
+    cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=784315707, duration_s=120.0)
+    record = run_bfield_artifact(cfg)[25]
+    assert record.time_s == 37.5
+    assert record.nv_n_dips == 1
+    assert abs(record.t_nv_c - 25.0) < 1.0
