@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -126,8 +126,6 @@ def parse_args(argv: Sequence[str] | None = None) -> CliCommand:
 def _load_or_default(cmd: CliCommand) -> ScenarioConfig:
     config = load_config(cmd.config_path) if cmd.config_path else ScenarioConfig()
     if cmd.seed is not None:
-        from dataclasses import replace
-
         try:
             config = replace(config, seed=cmd.seed)
         except ValueError as exc:
@@ -183,14 +181,15 @@ def _cmd_simulate(cmd: CliCommand) -> int:
 
 def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    cell = first.split(",")[0].strip()
-    try:
-        float(cell)
-        skip = 0
-    except ValueError:
-        skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        lines = [line for line in fh if line.strip()]
+    if lines:
+        try:
+            float(lines[0].split(",")[0])
+        except ValueError:
+            lines = lines[1:]
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
+    data = np.loadtxt(lines, delimiter=",", ndmin=2)
     if data.shape[1] < 2:
         raise ValueError(f"{path}: expected at least 2 columns, got {data.shape[1]}")
     return data[:, 0], data[:, 1]
@@ -274,7 +273,19 @@ def _cmd_crossval(cmd: CliCommand) -> int:
     config = _load_or_default(cmd)
     nv = np.array([r.nv_f0_mhz for r in records])
     siv = np.array([r.siv_pos_nm for r in records])
-    report = channel_regression(nv, siv, calibration_slope(config.nv_cal, config.siv_cal))
+    expected_slope = calibration_slope(config.nv_cal, config.siv_cal)
+    try:
+        report = channel_regression(nv, siv, expected_slope)
+    except ValueError:
+        # fewer than 3 records, or one NV frequency throughout: no line to fit
+        fitted = dict.fromkeys(("slope_nm_per_mhz", "intercept_nm", "r_squared", "slope_z"))
+    else:
+        fitted = {
+            "slope_nm_per_mhz": _round9(report.regression.slope),
+            "intercept_nm": _round9(report.regression.intercept),
+            "r_squared": _round9(report.regression.r_squared),
+            "slope_z": _round9(report.slope_z),
+        }
 
     pairs = [
         (
@@ -286,11 +297,8 @@ def _cmd_crossval(cmd: CliCommand) -> int:
     verdicts = list(tumbling_verdicts(pairs, config.detection))
     payload = {
         "n_records": len(records),
-        "expected_slope_nm_per_mhz": _round9(report.expected_slope),
-        "slope_nm_per_mhz": _round9(report.regression.slope),
-        "intercept_nm": _round9(report.regression.intercept),
-        "r_squared": _round9(report.regression.r_squared),
-        "slope_z": _round9(report.slope_z),
+        "expected_slope_nm_per_mhz": _round9(expected_slope),
+        **fitted,
         "windows": {
             "count": len(verdicts),
             "flagged": sum(1 for v in verdicts if v.flagged),

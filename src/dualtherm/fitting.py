@@ -4,7 +4,17 @@ Lorentzian dip/peak fits with analytic Jacobians and Poisson-motivated
 weights, dip-count model selection by BIC, ordinary least-squares regression,
 and power-law fitting of precision-vs-integration-time curves.
 
-Fits run through a damped Gauss-Newton loop (:mod:`dualtherm._kernels`).
+Both line shapes use the unit-height Lorentzian
+``L(x; c, w) = 1 / (1 + (2 (x - c) / w)^2)`` with ``w`` the full width at
+half maximum:
+
+* ODMR dips on a flat baseline, ``m(f) = b * (1 - sum_d C_d * L(f; c_d, w_d))``,
+  parameter vector ``[b, c_1, w_1, C_1, ..., c_n, w_n, C_n]``;
+* one PL peak on a flat background, ``m(x) = bg + A * L(x; c, w)``,
+  parameter vector ``[bg, A, c, w]``.
+
+Both fits run through one damped Gauss-Newton (Levenberg-Marquardt) loop,
+``_fit``, with analytic Jacobians and fixed weights ``1 / max(counts, 1)``.
 Failure is never silent: a fit that does not converge comes back with
 ``converged = False`` and best-effort parameters.
 """
@@ -13,12 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
 from .forward import AxisKind, SpectrumTrace, unit_lorentzian
 
 FloatArray = NDArray[np.float64]
@@ -146,47 +156,127 @@ def _clip_window(trace: SpectrumTrace, window: tuple[float, float] | None) -> tu
     return axis[mask], counts[mask]
 
 
-def _run_solver(
+def _dips_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """ODMR dip model and its Jacobian at ``p = [b, c_1, w_1, C_1, ...]``."""
+    b = p[0]
+    s = np.zeros(axis.size)
+    jac = np.empty((axis.size, p.size))
+    for j in range(1, p.size, 3):
+        c, w, cn = p[j], p[j + 1], p[j + 2]
+        dx = axis - c
+        u = dx * (2.0 / w)
+        lor = 1.0 / (1.0 + u * u)
+        lor2 = lor * lor
+        s += cn * lor
+        jac[:, j] = -b * cn * (8.0 / (w * w)) * dx * lor2
+        jac[:, j + 1] = -b * cn * (2.0 / w) * u * u * lor2
+        jac[:, j + 2] = -b * lor
+    jac[:, 0] = 1.0 - s
+    return b * (1.0 - s), jac
+
+
+def _peak_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """PL peak model and its Jacobian at ``p = [bg, A, c, w]``."""
+    bg, amp, c, w = p
+    dx = axis - c
+    u = dx * (2.0 / w)
+    lor = 1.0 / (1.0 + u * u)
+    lor2 = lor * lor
+    jac = np.empty((axis.size, 4))
+    jac[:, 0] = 1.0
+    jac[:, 1] = lor
+    jac[:, 2] = amp * (8.0 / (w * w)) * dx * lor2
+    jac[:, 3] = amp * (2.0 / w) * u * u * lor2
+    return bg + amp * lor, jac
+
+
+def _weighted_cost(counts: FloatArray, model: FloatArray, weights: FloatArray) -> float:
+    r = counts - model
+    return np.dot(weights * r, r)
+
+
+def _fit(
+    model: Callable[[FloatArray, FloatArray], tuple[FloatArray, FloatArray]],
     axis: FloatArray,
     counts: FloatArray,
     p0: FloatArray,
-    kind: int,
     max_iterations: int,
-) -> tuple[FloatArray, FloatArray, float, int, bool, FloatArray]:
+) -> tuple[FloatArray, FloatArray, float, float, int, bool]:
+    """Damped Gauss-Newton minimisation of the weighted squared residual.
+
+    Returns ``(p, cov, residual_rms, reduced_chi2, iterations, converged)``;
+    ``cov`` is the inverse weighted normal matrix at the solution scaled by
+    the reduced chi-square.  Never raises on a bad fit: failure shows as
+    ``converged = False``.
+    """
     weights = 1.0 / np.maximum(counts, 1.0)
+    diag = np.diag_indices(p0.size)
     with np.errstate(all="ignore"):
-        p, cov_raw, cost, n_iter, converged = _kernels.lm_solve(
-            np.ascontiguousarray(axis),
-            np.ascontiguousarray(counts),
-            weights,
-            np.ascontiguousarray(p0),
-            kind,
-            max_iterations,
-            COST_RTOL,
-            _STEP_XTOL,
-        )
-    return p, cov_raw, cost, n_iter, bool(converged), weights
+        p = p0
+        m, jac = model(axis, p)
+        cost = _weighted_cost(counts, m, weights)
+        lam = 1e-3
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iterations + 1):
+            wj = jac * weights[:, None]
+            nmat = jac.T @ wj
+            grad = wj.T @ (counts - m)
+            # ridge keeps the damped system solvable when a parameter is inert
+            ridge = 1e-14 * np.trace(nmat) / p.size + 1e-300
 
+            accepted = False
+            step_small = False
+            for _ in range(60):
+                damped = nmat.copy()
+                damped[diag] = nmat[diag] * (1.0 + lam) + ridge
+                delta = np.linalg.solve(damped, grad)
+                if np.isfinite(delta).all():
+                    small = not (np.abs(delta) > _STEP_XTOL * (np.abs(p) + _STEP_XTOL)).any()
+                    p_try = p + delta
+                    m_try, jac_try = model(axis, p_try)
+                    cost_try = _weighted_cost(counts, m_try, weights)
+                    if cost_try < cost:
+                        rel = (cost - cost_try) / max(cost, 1e-300)
+                        p, m, jac, cost = p_try, m_try, jac_try, cost_try
+                        lam = max(lam * 0.3, 1e-12)
+                        accepted = True
+                        if rel < COST_RTOL or small:
+                            converged = True
+                        break
+                    if small:
+                        # no downhill direction and the proposed move is
+                        # negligible: the iterate sits at the floor of the cost
+                        step_small = True
+                        break
+                lam *= 10.0
+                if lam > 1e14:
+                    break
 
-def _finish(
-    axis: FloatArray,
-    counts: FloatArray,
-    p: FloatArray,
-    cov_raw: FloatArray,
-    cost: float,
-    kind: int,
-) -> tuple[FloatArray, float, float]:
-    n, k = axis.size, p.size
-    model = np.empty(n)
-    jac = np.empty((n, k))
-    with np.errstate(all="ignore"):
-        _kernels.eval_model(np.ascontiguousarray(axis), p, kind, model, jac)
-    residual_rms = float(np.sqrt(np.mean((counts - model) ** 2)))
-    dof = n - k
+            if step_small or cost == 0.0:
+                converged = True
+                break
+            if converged or not accepted:
+                break
+
+        nmat = jac.T @ (jac * weights[:, None])
+        nmat[diag] += 1e-14 * np.trace(nmat) / p.size + 1e-300
+        cov = np.linalg.inv(nmat)
+        residual_rms = float(np.sqrt(np.mean((counts - m) ** 2)))
+    dof = axis.size - p.size
     reduced_chi2 = cost / dof if dof > 0 else math.inf
-    cov = cov_raw * (reduced_chi2 if dof > 0 else 1.0)
-    cov = 0.5 * (cov + cov.T)
-    return cov, residual_rms, reduced_chi2
+    if dof > 0:
+        cov = cov * reduced_chi2
+    return p, 0.5 * (cov + cov.T), residual_rms, reduced_chi2, iterations, converged
+
+
+def _fold_widths(p: FloatArray, cov: FloatArray, widths: Iterable[int]) -> None:
+    """The models are even in each width: fold negative widths onto the positive branch."""
+    for j in widths:
+        if p[j] < 0.0:
+            p[j] = -p[j]
+            cov[j, :] *= -1.0
+            cov[:, j] *= -1.0
 
 
 def fit_pl_peak(
@@ -227,19 +317,13 @@ def fit_pl_peak(
         start.update(init)
 
     p0 = np.array([start["background"], start["amplitude"], start["center"], start["fwhm"]])
-    p, cov_raw, cost, n_iter, converged, _ = _run_solver(axis, counts, p0, _kernels.KIND_PEAK, max_iterations)
-    cov_k, residual_rms, reduced_chi2 = _finish(axis, counts, p, cov_raw, cost, _kernels.KIND_PEAK)
+    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(_peak_model, axis, counts, p0, max_iterations)
+    _fold_widths(p, cov, (3,))
 
-    # model is even in the width, so fold sign into the canonical branch
-    if p[3] < 0.0:
-        p[3] = -p[3]
-        cov_k[3, :] *= -1.0
-        cov_k[:, 3] *= -1.0
-
-    # kernel order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
+    # model order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
     perm = np.array([2, 3, 1, 0])
     values = p[perm]
-    cov = cov_k[np.ix_(perm, perm)]
+    cov = cov[np.ix_(perm, perm)]
     if converged and not (axis[0] <= values[0] <= axis[-1]):
         converged = False
 
@@ -253,7 +337,7 @@ def fit_pl_peak(
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
         converged=converged,
-        iterations=n_iter,
+        iterations=iterations,
     )
 
 
@@ -323,33 +407,15 @@ def fit_odmr_dips(
             raise ValueError(f"unknown init keys: {sorted(unknown)}")
         start.update(init)
 
-    p0 = np.empty(1 + 3 * n_dips)
-    p0[0] = start["baseline"]
-    for d in range(n_dips):
-        p0[1 + 3 * d] = start[f"center_{d + 1}"]
-        p0[2 + 3 * d] = start[f"fwhm_{d + 1}"]
-        p0[3 + 3 * d] = start[f"contrast_{d + 1}"]
-
-    p, cov_raw, cost, n_iter, converged, _ = _run_solver(axis, counts, p0, _kernels.KIND_DIPS, max_iterations)
-    cov, residual_rms, reduced_chi2 = _finish(axis, counts, p, cov_raw, cost, _kernels.KIND_DIPS)
-
-    # model is even in each width, so fold sign into the canonical branch
-    for j in range(2, 1 + 3 * n_dips, 3):
-        if p[j] < 0.0:
-            p[j] = -p[j]
-            cov[j, :] *= -1.0
-            cov[:, j] *= -1.0
-
+    p0 = np.array([start[name] for name in names], dtype=np.float64)
+    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(_dips_model, axis, counts, p0, max_iterations)
+    _fold_widths(p, cov, range(2, p.size, 3))
     if n_dips == 2 and p[1] > p[4]:
         perm = np.array([0, 4, 5, 6, 1, 2, 3])
         p = p[perm]
         cov = cov[np.ix_(perm, perm)]
 
-    params = {"baseline": float(p[0])}
-    for d in range(n_dips):
-        params[f"center_{d + 1}"] = float(p[1 + 3 * d])
-        params[f"fwhm_{d + 1}"] = float(p[2 + 3 * d])
-        params[f"contrast_{d + 1}"] = float(p[3 + 3 * d])
+    params = dict(zip(names, (float(v) for v in p)))
     std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(names)}
 
     if n_dips == 1:
@@ -368,7 +434,7 @@ def fit_odmr_dips(
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
         converged=converged,
-        iterations=n_iter,
+        iterations=iterations,
         derived={"d_center": (d_center, d_sigma)},
     )
 
@@ -450,19 +516,16 @@ def _second_dip_score(trace: SpectrumTrace, one: FitResult) -> float:
     nonlinear two-dip fit can gain somewhat more.  Returns ``inf`` when the
     grid cannot be built for this axis.
     """
-    axis = np.ascontiguousarray(trace.axis, dtype=np.float64)
     counts = trace.counts
-    shapes = _screen_shapes(axis.tobytes())
+    shapes = _screen_shapes(trace.axis.tobytes())
     if shapes is None:
         return math.inf
     lor, lor2 = shapes
     p = np.array([one.params[name] for name in one.param_names])
-    model = np.empty(axis.size)
-    jac = np.empty((axis.size, p.size))
     weights = 1.0 / np.maximum(counts, 1.0)
     root_w = np.sqrt(weights)
     with np.errstate(all="ignore"):
-        _kernels.eval_model(axis, p, _kernels.KIND_DIPS, model, jac)
+        model, jac = _dips_model(trace.axis, p)
         # orthonormal basis of the weighted one-dip Jacobian
         q, _ = np.linalg.qr(jac * root_w[:, None])
         s = root_w * (counts - model)

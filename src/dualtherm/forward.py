@@ -169,6 +169,10 @@ class SpectrumTrace:
             raise ValueError(
                 f"counts length {counts.shape} does not match axis length {axis.shape}"
             )
+        for name, values in (("axis", axis), ("counts", counts)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {values[bad[0]]} at sample {bad[0]}")
         if not np.all(np.diff(axis) > 0):
             raise ValueError("axis must be strictly increasing")
         if np.any(counts < 0):

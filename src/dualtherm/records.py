@@ -68,19 +68,14 @@ def write_records_csv(records: Sequence[ScenarioRecord], stream: TextIO) -> None
 def write_records_json(records: Sequence[ScenarioRecord], stream: TextIO) -> None:
     if not records:
         raise ValueError("refusing to write an empty record list")
-    rows = []
-    for record in records:
-        row: dict[str, object] = {}
-        for column, attr in _COLUMNS:
-            value = getattr(record, attr)
-            if attr == "nv_n_dips":
-                row[column] = int(value)
-            elif attr == "artifact_flag":
-                row[column] = 1 if value else 0
-            else:
-                # same 9-significant-digit rendering as the CSV path
-                row[column] = float(format_number(float(value)))
-        rows.append(row)
+    # the CSV cells, read back as JSON numbers
+    rows = [
+        {
+            column: (int if attr in ("nv_n_dips", "artifact_flag") else float)(_cell(record, attr))
+            for column, attr in _COLUMNS
+        }
+        for record in records
+    ]
     json.dump(rows, stream, indent=2)
     stream.write("\n")
 

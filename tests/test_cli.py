@@ -132,6 +132,28 @@ def test_fit_rejects_single_column_input(tmp_path, capsys):
     assert "expected at least 2 columns" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bad_count,message",
+    [("nan", "counts must be finite, got nan"), ("inf", "counts must be finite, got inf"), (None, "no data rows")],
+)
+def test_fit_rejects_non_finite_or_empty_input(tmp_path, capsys, bad_count, message):
+    spectrum = tmp_path / "odmr.csv"
+    assert main(["simulate", "--channel", "odmr", "--seed", "3", "--out", str(spectrum)]) == 0
+    lines = spectrum.read_text(encoding="utf-8").splitlines()
+    if bad_count is None:
+        lines = lines[:1]
+    else:
+        lines[100] = lines[100].split(",")[0] + "," + bad_count
+    spectrum.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", "--input", str(spectrum), "--kind", "odmr"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_scenario_requires_config(capsys):
     assert main(["scenario"]) == 3
     assert "scenario requires --config" in capsys.readouterr().err
@@ -218,6 +240,26 @@ def test_crossval_reports_regression_and_windows(tmp_path, capsys):
     assert verdict["flagged"] is False
     assert isinstance(verdict["reason"], str)
     assert verdict["window_end_s"] > verdict["window_start_s"]
+
+
+@pytest.mark.parametrize("n_records", [None, 2])
+def test_crossval_without_a_regression_line_reports_windows(tmp_path, capsys, n_records):
+    # noiseless field-off run: every record has the same NV frequency
+    config = tmp_path / "config.json"
+    config.write_text('{"kind":"bfield_artifact","noiseless":true,"duration_s":45}', encoding="utf-8")
+    records = tmp_path / "records.csv"
+    assert main(["scenario", "--config", str(config), "--out", str(records)]) == 0
+    if n_records is not None:
+        lines = records.read_text(encoding="utf-8").splitlines()
+        records.write_text("\n".join(lines[: 1 + n_records]) + "\n", encoding="utf-8")
+    assert main(["crossval", "--input", str(records), "--config", str(config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_records"] == (n_records or 30)
+    assert payload["expected_slope_nm_per_mhz"] == pytest.approx(-0.113836563, rel=1e-6)
+    for key in ("slope_nm_per_mhz", "intercept_nm", "r_squared", "slope_z"):
+        assert payload[key] is None
+    assert payload["windows"]["count"] == (0 if n_records else 1)
+    assert payload["windows"]["flagged"] == 0
 
 
 def test_crossval_missing_input_is_io_error(tmp_path, capsys):

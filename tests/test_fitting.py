@@ -20,8 +20,13 @@ from dualtherm import (
     pl_expected_counts,
     select_dip_count,
 )
-from dualtherm import _kernels
-from dualtherm.fitting import _second_dip_score, _select_dip_count_unscreened
+from dualtherm.fitting import (
+    _dips_model,
+    _peak_model,
+    _second_dip_score,
+    _select_dip_count_unscreened,
+    _weighted_cost,
+)
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
 PL_AXIS = np.arange(715.0, 760.05, 0.1)
@@ -40,30 +45,22 @@ def _pl_trace(model: PlModel, exposure_s: float = 1.0, rng=None) -> SpectrumTrac
 
 
 @pytest.mark.parametrize(
-    "kind,params",
+    "model,params",
     [
-        (_kernels.KIND_DIPS, np.array([3.7e6, 2869.0, 11.5, 0.118])),
-        (_kernels.KIND_DIPS, np.array([2.1e6, 2852.0, 9.0, 0.05, 2887.0, 14.0, 0.07])),
-        (_kernels.KIND_PEAK, np.array([2.6e4, 1.7e5, 737.3, 4.9])),
+        (_dips_model, np.array([3.7e6, 2869.0, 11.5, 0.118])),
+        (_dips_model, np.array([2.1e6, 2852.0, 9.0, 0.05, 2887.0, 14.0, 0.07])),
+        (_peak_model, np.array([2.6e4, 1.7e5, 737.3, 4.9])),
     ],
 )
-def test_analytic_jacobian_matches_finite_differences(kind, params):
-    axis = ODMR_AXIS if kind == _kernels.KIND_DIPS else PL_AXIS
-    k = params.size
-    model = np.empty(axis.size)
-    jac = np.empty((axis.size, k))
-    _kernels.eval_model(axis, params, kind, model, jac)
-    for j in range(k):
+def test_analytic_jacobian_matches_finite_differences(model, params):
+    axis = ODMR_AXIS if model is _dips_model else PL_AXIS
+    _, jac = model(axis, params)
+    for j in range(params.size):
         h = 1e-6 * max(abs(params[j]), 1.0)
         up, dn = params.copy(), params.copy()
         up[j] += h
         dn[j] -= h
-        mu = np.empty(axis.size)
-        md = np.empty(axis.size)
-        scratch = np.empty((axis.size, k))
-        _kernels.eval_model(axis, up, kind, mu, scratch)
-        _kernels.eval_model(axis, dn, kind, md, scratch)
-        fd = (mu - md) / (2 * h)
+        fd = (model(axis, up)[0] - model(axis, dn)[0]) / (2 * h)
         scale = np.max(np.abs(fd)) + 1e-12
         np.testing.assert_allclose(jac[:, j], fd, atol=3e-5 * scale)
 
@@ -267,7 +264,7 @@ def test_weighted_cost_matches_explicit_sum(zero_counts):
     assert (counts == 0).any() == zero_counts
     weights = 1.0 / np.maximum(counts, 1.0)
     explicit = math.fsum(w * (c - m) ** 2 for c, m, w in zip(counts, model, weights))
-    assert _kernels.weighted_cost(counts, model, weights) == pytest.approx(explicit, rel=1e-12)
+    assert _weighted_cost(counts, model, weights) == pytest.approx(explicit, rel=1e-12)
 
 
 def test_screened_dip_count_agrees_with_unscreened_selector():

@@ -184,3 +184,7 @@ def test_trace_validation():
         SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, -2.0, 3.0]), 0.5)
     with pytest.raises(ValueError):
         SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, 0.0)
+    with pytest.raises(ValueError, match="axis must be finite, got nan at sample 1"):
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, np.array([1.0, np.nan, 3.0]), counts, 0.5)
+    with pytest.raises(ValueError, match="counts must be finite, got inf at sample 2"):
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, 2.0, np.inf]), 0.5)
