@@ -39,6 +39,9 @@ COST_RTOL = 1e-10
 _STEP_XTOL = 1e-12
 #: each dip of a two-dip candidate must clear this many sigma of contrast
 MIN_DIP_SIGNIFICANCE = 5.0
+#: the two lines of a Zeeman pair carry half the contrast each, so a two-dip
+#: candidate whose contrasts differ by more than this factor is no such pair
+MAX_DIP_CONTRAST_RATIO = 3.0
 #: score-screen candidate widths step by sqrt(2) from one sample step up to
 #: twice the scanned span
 _SCREEN_WIDTH_RATIO = math.sqrt(2.0)
@@ -378,6 +381,39 @@ def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> dict[str, f
     return start
 
 
+def _two_dip_start(axis: FloatArray, counts: FloatArray, one: FitResult) -> dict[str, float]:
+    """Start of the two-dip fit, built from the one-dip fit ``one``.
+
+    Splits the fitted dip into a Zeeman pair: centers a quarter width either
+    side of its center, 0.7 of its width and 0.6 of its contrast each, on
+    the same baseline.  Partially resolved pairs started from the samples
+    alone (``_odmr_init``) fall into degenerate minima with one dip of
+    negative contrast and hit the iteration cap, but on a well-resolved pair
+    the split of one broad dip lies far from either line.  Of the two starts
+    the one with the lower weighted cost is returned; ties go to the pair.
+    """
+    baseline, center, fwhm, contrast = (one.params[name] for name in _odmr_param_names(1))
+    pair = {
+        "baseline": baseline,
+        "center_1": center - 0.25 * fwhm,
+        "fwhm_1": 0.7 * fwhm,
+        "contrast_1": 0.6 * contrast,
+        "center_2": center + 0.25 * fwhm,
+        "fwhm_2": 0.7 * fwhm,
+        "contrast_2": 0.6 * contrast,
+    }
+    samples = _odmr_init(axis, counts, 2)
+    weights = 1.0 / np.maximum(counts, 1.0)
+
+    def cost(start: dict[str, float]) -> float:
+        p = np.array([start[name] for name in _odmr_param_names(2)])
+        with np.errstate(all="ignore"):
+            return _weighted_cost(counts, _dips_model(axis, p)[0], weights)
+
+    # a non-finite pair cost fails this test and falls back to the samples
+    return pair if cost(pair) <= cost(samples) else samples
+
+
 def fit_odmr_dips(
     trace: SpectrumTrace,
     n_dips: int,
@@ -390,6 +426,11 @@ def fit_odmr_dips(
     Dips have independent center/width/contrast.  For ``n_dips = 2`` the dips
     are reported in ascending center order, and ``derived["d_center"]`` holds
     the midpoint of the dip pattern with its propagated 1-sigma uncertainty.
+
+    ``init`` overrides individual starting values by parameter name.  A
+    two-dip fit that is not given every starting value first fits one dip and
+    starts from ``_two_dip_start`` of that fit, the start ``select_dip_count``
+    uses too.
     """
     if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
         raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
@@ -400,12 +441,17 @@ def fit_odmr_dips(
         raise ValueError(f"need at least 8 samples, got {axis.size}")
 
     names = _odmr_param_names(n_dips)
-    start = _odmr_init(axis, counts, n_dips)
-    if init:
-        unknown = set(init) - set(names)
-        if unknown:
-            raise ValueError(f"unknown init keys: {sorted(unknown)}")
-        start.update(init)
+    init = init or {}
+    unknown = set(init) - set(names)
+    if unknown:
+        raise ValueError(f"unknown init keys: {sorted(unknown)}")
+    if len(init) == len(names):
+        start = init
+    elif n_dips == 1:
+        start = {**_odmr_init(axis, counts, 1), **init}
+    else:
+        one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
+        start = {**_two_dip_start(axis, counts, one), **init}
 
     p0 = np.array([start[name] for name in names], dtype=np.float64)
     p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(_dips_model, axis, counts, p0, max_iterations)
@@ -446,15 +492,15 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
     single low-fluctuating sample, so BIC alone picks phantom dips on a few
     percent of clean spectra, and a free width can likewise flatten a second
     dip into a faint tilt of the whole baseline.  Both dips must therefore be
-    physical (positive sub-unity contrasts summing below 1, centers inside
-    the scanned span, widths from one sample step up to the scanned span)
-    and detected at ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
+    physical (positive sub-unity contrasts summing below 1 and within
+    ``MAX_DIP_CONTRAST_RATIO`` of each other, centers inside the scanned
+    span, widths from one sample step up to the scanned span) and detected
+    at ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
     """
     if not res.converged:
         return False
     step = float(np.median(np.diff(trace.axis)))
     lo, hi = float(trace.axis[0]), float(trace.axis[-1])
-    total_contrast = 0.0
     for d in (1, 2):
         contrast = res.params[f"contrast_{d}"]
         sigma = res.std_errors[f"contrast_{d}"]
@@ -466,8 +512,10 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
             return False
         if not step <= res.params[f"fwhm_{d}"] <= hi - lo:
             return False
-        total_contrast += contrast
-    return total_contrast < 1.0
+    c1, c2 = res.params["contrast_1"], res.params["contrast_2"]
+    if max(c1, c2) > MAX_DIP_CONTRAST_RATIO * min(c1, c2):
+        return False
+    return c1 + c2 < 1.0
 
 
 @functools.lru_cache(maxsize=2)
@@ -548,7 +596,8 @@ def _bic_choice(
 ) -> tuple[int, FitResult]:
     """Fit the two-dip candidate and keep it only if it wins BIC and is admissible."""
     n = trace.axis.size
-    two = fit_odmr_dips(trace, 2, max_iterations=max_iterations)
+    start = _two_dip_start(trace.axis, trace.counts, one)
+    two = fit_odmr_dips(trace, 2, init=start, max_iterations=max_iterations)
     bic = {}
     for n_dips, res in ((1, one), (2, two)):
         k = len(res.param_names)
@@ -583,6 +632,10 @@ def select_dip_count(trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIO
     perturbation and the score underestimates the gain, so such spectra
     always get the two-dip fit.  The screen is meant to save the two-dip fit
     without changing the decision.
+
+    The two-dip fit starts from ``_two_dip_start`` of the one-dip fit made
+    here: the fitted dip split into a Zeeman pair, or the sample-based start
+    of ``fit_odmr_dips`` when that sits lower on the weighted cost.
     """
     one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
     margin = 3.0 * math.log(trace.axis.size)

@@ -21,6 +21,8 @@ from dualtherm import (
     select_dip_count,
 )
 from dualtherm.fitting import (
+    MAX_DIP_CONTRAST_RATIO,
+    _dip_pair_admissible,
     _dips_model,
     _peak_model,
     _second_dip_score,
@@ -212,6 +214,57 @@ def test_select_dip_count_spurious_rate_on_clean_spectra():
         n, _ = select_dip_count(trace)
         hits += n == 2
     assert hits == 0
+
+
+def test_partially_resolved_pairs_fit_as_two_positive_dips():
+    """Pairs split by about one width must not fall into degenerate minima.
+
+    Started from the samples alone, the two-dip fit of these pairs ran to the
+    iteration cap with contrasts such as +1.98 and -1.94 (the 14 MHz split),
+    and the selector kept one dip.
+    """
+    rng = np.random.default_rng(1)
+    for split in (8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0):
+        model = OdmrModel(
+            baseline_rate=5e8, dips=((2870.0 - split / 2, 12.0, 0.06), (2870.0 + split / 2, 12.0, 0.06))
+        )
+        trace = _odmr_trace(model, 1.5 / 201, rng)
+        n, selected = select_dip_count(trace)
+        assert n == 2, split
+        for fit in (selected, fit_odmr_dips(trace, 2)):
+            assert fit.converged, split
+            assert 0.0 < fit.params["contrast_1"] < 0.5, split
+            assert 0.0 < fit.params["contrast_2"] < 0.5, split
+            d_center, d_sigma = fit.derived["d_center"]
+            assert abs(d_center - 2870.0) < 4.0 * d_sigma, split
+
+
+def _pair_fit(contrast_1: float, contrast_2: float) -> FitResult:
+    # a converged two-dip fit with every dip detected far above 5 sigma
+    names = ("baseline", "center_1", "fwhm_1", "contrast_1", "center_2", "fwhm_2", "contrast_2")
+    values = (3.7e6, 2866.0, 12.0, contrast_1, 2874.0, 12.0, contrast_2)
+    sigmas = (10.0, 0.01, 0.01, 1e-4, 0.01, 0.01, 1e-4)
+    return FitResult(
+        param_names=names,
+        params=dict(zip(names, values)),
+        std_errors=dict(zip(names, sigmas)),
+        covariance=np.diag(np.square(sigmas)),
+        residual_rms=1.0,
+        reduced_chi2=1.0,
+        converged=True,
+        iterations=5,
+    )
+
+
+def test_dip_pair_admissible_limits_the_contrast_ratio():
+    # the lines of a Zeeman pair carry half the contrast each; a 12% dip
+    # beside a 0.11% one (11 sigma) is no such pair
+    trace = _odmr_trace(OdmrModel(baseline_rate=5e8, dips=((2870.0, 12.0, 0.12),)))
+    assert not _dip_pair_admissible(trace, _pair_fit(0.12, 0.0011))
+    assert not _dip_pair_admissible(trace, _pair_fit(0.0011, 0.12))
+    assert _dip_pair_admissible(trace, _pair_fit(0.06, 0.06))
+    assert _dip_pair_admissible(trace, _pair_fit(0.0299 * MAX_DIP_CONTRAST_RATIO, 0.03))
+    assert not _dip_pair_admissible(trace, _pair_fit(0.0301 * MAX_DIP_CONTRAST_RATIO, 0.03))
 
 
 def test_linear_regression_matches_polyfit():

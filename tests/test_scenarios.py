@@ -18,6 +18,7 @@ from dualtherm import (
     run_scenario,
     zpl_readout,
 )
+from dualtherm import fitting
 from dualtherm.scenarios import ScenarioRecord
 
 
@@ -226,3 +227,44 @@ def test_second_dip_wider_than_the_sweep_is_rejected():
     assert record.time_s == 37.5
     assert record.nv_n_dips == 1
     assert abs(record.t_nv_c - 25.0) < 1.0
+
+
+def test_second_dip_far_weaker_than_the_first_is_rejected():
+    # on this field-off run the two-dip fit at t = 181.5 s paired the true
+    # 12% dip with a 0.11% dip 10 MHz away; admitted, it read
+    # T_nv = -41.5 degC against a true 25 degC and flagged its window
+    cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=1003, duration_s=300.0)
+    records = run_bfield_artifact(cfg)
+    k = 121
+    assert records[k].time_s == 181.5
+    assert records[k].nv_n_dips == 1
+    assert abs(records[k].t_nv_c - 25.0) < 1.0
+    first = k - k % cfg.detection.window_samples
+    assert not any(r.artifact_flag for r in records[first : first + cfg.detection.window_samples])
+
+
+def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
+    """A count, not a timing: field spectra must not run the two-dip fit to the cap.
+
+    Started from the samples alone, 75 of these 378 two-dip fits stopped at
+    ``MAX_ITERATIONS``.
+    """
+    fit_odmr_dips = fitting.fit_odmr_dips
+    iterations = []
+
+    def counted(trace, n_dips, **kwargs):
+        fit = fit_odmr_dips(trace, n_dips, **kwargs)
+        if n_dips == 2:
+            iterations.append(fit.iterations)
+        return fit
+
+    monkeypatch.setattr(fitting, "fit_odmr_dips", counted)
+    for seed in range(10):
+        run_bfield_artifact(
+            ScenarioConfig(
+                kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=60.0, bfield=BfieldSettings(b_max_mt=0.5)
+            )
+        )
+    assert len(iterations) == 378
+    capped = sum(n >= fitting.MAX_ITERATIONS for n in iterations)
+    assert capped <= 10, capped
