@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -57,11 +58,27 @@ def _suggest(key: str, known: list[str]) -> str:
     return f"; did you mean {matches[0]!r}?" if matches else ""
 
 
+def _show(key: str) -> str:
+    # keys are echoed as written unless that would break the one-line message
+    return key if key.isprintable() else repr(key)
+
+
+def _number(path: str, value: Any) -> float:
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    # strict JSON has no NaN or Infinity, and no field means anything by them
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _coerce(path: str, value: Any, annotation: str) -> Any:
     if annotation == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        return _number(path, value)
     if annotation == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -75,7 +92,7 @@ def _coerce(path: str, value: Any, annotation: str) -> Any:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
             raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-        return tuple(float(v) for v in value)
+        return tuple(_number(f"{path}[{i}]", v) for i, v in enumerate(value))
     if annotation.startswith("tuple[str"):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{path}: expected a list of strings, got {value!r}")
@@ -90,7 +107,7 @@ def _build_section(name: str, cls: type, data: Any) -> Any:
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key not in known:
-            raise ConfigError(f"unknown key {name}.{key}{_suggest(key, known)}")
+            raise ConfigError(f"unknown key {name}.{_show(key)}{_suggest(key, known)}")
         annotation = next(f.type for f in fields(cls) if f.name == key)
         kwargs[key] = _coerce(f"{name}.{key}", value, annotation)
     try:
@@ -107,7 +124,7 @@ def scenario_config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key not in known:
-            raise ConfigError(f"unknown key {key}{_suggest(key, known)}")
+            raise ConfigError(f"unknown key {_show(key)}{_suggest(key, known)}")
         if key in _SECTIONS:
             kwargs[key] = _build_section(key, _SECTIONS[key], value)
         elif key == "kind":
@@ -138,9 +155,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return scenario_config_from_dict(data)
 

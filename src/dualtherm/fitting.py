@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +53,11 @@ _SCREEN_MAX_ELEMENTS = 2_000_000
 #: product wakes its thread pool, which stalls when other processes hold
 #: the cores
 _SCREEN_BLOCK_MADDS = 1 << 18
+#: the screen scores this many records per pass over its candidate grid
+SCREEN_BLOCK_RECORDS = 8
+#: candidate columns the screen reduces at a time, so that it never holds a
+#: records x candidates array
+_SCREEN_SUPER_BLOCK = 256
 #: the score screen is trusted only when the one-dip contrast chi-square
 #: (C / sigma_C)^2 exceeds the BIC margin this many times
 _SCREEN_MIN_DIP_CHI2_RATIO = 100.0
@@ -524,9 +529,15 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
 
     Widths run from one median sample step to twice the span in ratios of
     ``_SCREEN_WIDTH_RATIO``; centers cover the span at a quarter width apart,
-    but never closer than half a step.  Returns ``(L, L**2)`` as ``(n, M)``
-    arrays, or ``None`` when the axis has no positive median step or the
-    grid would exceed ``_SCREEN_MAX_ELEMENTS``.
+    but never closer than half a step.  Returns ``(L, L**2)``, or ``None``
+    when the axis has no positive median step or the grid would exceed
+    ``_SCREEN_MAX_ELEMENTS``.
+
+    The ``(n, M)`` candidate columns are stored as contiguous slabs, in
+    ``(n_slabs, n, width)`` arrays.  A slab is as wide as keeps its product
+    with the ``5 * SCREEN_BLOCK_RECORDS`` rows of a full block within
+    ``_SCREEN_BLOCK_MADDS``.  The last slab is padded with zero columns,
+    which score no gain.
     """
     axis = np.frombuffer(axis_bytes, dtype=np.float64)
     step = float(np.median(np.diff(axis)))
@@ -539,11 +550,17 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
         n_centers = int(math.floor((hi - lo) / max(0.25 * width, 0.5 * step))) + 1
         grid.append((width, n_centers))
         width *= _SCREEN_WIDTH_RATIO
-    if axis.size * sum(n_centers for _, n_centers in grid) > _SCREEN_MAX_ELEMENTS:
+    n_candidates = sum(n_centers for _, n_centers in grid)
+    if axis.size * n_candidates > _SCREEN_MAX_ELEMENTS:
         return None
-    shapes = np.hstack(
-        [unit_lorentzian(axis[:, None], np.linspace(lo, hi, n_centers), width) for width, n_centers in grid]
-    )
+    slab = max(1, _SCREEN_BLOCK_MADDS // (5 * SCREEN_BLOCK_RECORDS * axis.size))
+    n_slabs = -(-n_candidates // slab)
+    shapes = np.zeros((axis.size, n_slabs * slab))
+    j = 0
+    for width, n_centers in grid:
+        shapes[:, j : j + n_centers] = unit_lorentzian(axis[:, None], np.linspace(lo, hi, n_centers), width)
+        j += n_centers
+    shapes = np.ascontiguousarray(shapes.reshape(axis.size, n_slabs, slab).transpose(1, 0, 2))
     squares = shapes * shapes
     # cached and shared by every caller
     shapes.flags.writeable = False
@@ -551,44 +568,87 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     return shapes, squares
 
 
-def _second_dip_score(trace: SpectrumTrace, one: FitResult) -> float:
-    """Rao score estimate of the chi-square a second dip can buy.
+def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]) -> FloatArray:
+    """Rao score estimates of the chi-square a second dip can buy, one per trace.
 
-    Linearises the two-dip model about the one-dip fit with the second
-    contrast at zero.  For a second dip of fixed center and width the
-    chi-square gain is then ``(g' W r)^2 / (g' W g)``, with ``g`` the
+    ``ones[i]`` is the one-dip fit of ``traces[i]``; every trace must share
+    one sample axis.  Linearises the two-dip model about the one-dip fit with
+    the second contrast at zero.  For a second dip of fixed center and width
+    the chi-square gain is then ``(g' W r)^2 / (g' W g)``, with ``g`` the
     contrast derivative projected off the one-dip Jacobian in the weight
-    metric and ``r`` the one-dip residuals.  The score is the largest gain
-    over the ``_screen_shapes`` grid, plus whatever the one-dip parameters
+    metric and ``r`` the one-dip residuals.  A score is the largest gain over
+    the ``_screen_shapes`` grid, plus whatever the one-dip parameters
     themselves could still gain.  It is an estimate, not a bound: the
-    nonlinear two-dip fit can gain somewhat more.  Returns ``inf`` when the
-    grid cannot be built for this axis.
+    nonlinear two-dip fit can gain somewhat more.
+
+    The score is trusted only around a converged one-dip fit whose contrast
+    chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the BIC
+    margin ``3 ln n`` (see ``select_dip_count``).  Any other record is not
+    scored and reads ``inf``, as does every record when the grid cannot be
+    built for the axis.
+
+    Trusted records are scored ``SCREEN_BLOCK_RECORDS`` at a time, so that
+    each pass over the cached grid, the screen's main memory traffic, serves
+    the whole block.
     """
-    counts = trace.counts
-    shapes = _screen_shapes(trace.axis.tobytes())
+    scores = np.full(len(traces), math.inf)
+    if len(ones) != len(traces):
+        raise ValueError(f"got {len(ones)} one-dip fits for {len(traces)} traces")
+    if not traces:
+        return scores
+    axis = traces[0].axis
+    if any(not np.array_equal(trace.axis, axis) for trace in traces):
+        raise ValueError("traces must share one sample axis")
+    shapes = _screen_shapes(axis.tobytes())
     if shapes is None:
-        return math.inf
-    lor, lor2 = shapes
-    p = np.array([one.params[name] for name in one.param_names])
+        return scores
+    margin = 3.0 * math.log(axis.size)
+    trusted = [
+        i
+        for i, one in enumerate(ones)
+        if one.converged
+        and one.params["contrast_1"] ** 2 >= _SCREEN_MIN_DIP_CHI2_RATIO * margin * one.std_errors["contrast_1"] ** 2
+    ]
+    for start in range(0, len(trusted), SCREEN_BLOCK_RECORDS):
+        block = trusted[start : start + SCREEN_BLOCK_RECORDS]
+        scores[block] = _block_scores(axis, [traces[i].counts for i in block], [ones[i] for i in block], *shapes)
+    return scores
+
+
+def _block_scores(
+    axis: FloatArray, counts: Sequence[FloatArray], ones: Sequence[FitResult], lor: FloatArray, lor2: FloatArray
+) -> FloatArray:
+    """``second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
+    n_records = len(ones)
+    counts = np.asarray(counts)
     weights = 1.0 / np.maximum(counts, 1.0)
     root_w = np.sqrt(weights)
     with np.errstate(all="ignore"):
-        model, jac = _dips_model(trace.axis, p)
-        # orthonormal basis of the weighted one-dip Jacobian
-        q, _ = np.linalg.qr(jac * root_w[:, None])
-        s = root_w * (counts - model)
-        qs = q.T @ s
-        rows = np.vstack([root_w * s, (q * root_w[:, None]).T])
-        block = max(1, _SCREEN_BLOCK_MADDS // rows.size)
-        proj = np.hstack([rows @ lor[:, j : j + block] for j in range(0, lor.shape[1], block)])
-        num = proj[0] - qs @ proj[1:]
-        # einsum, not a BLAS matrix-vector product, for the same reason
-        norm2 = np.einsum("i,ij->j", weights, lor2)
-        den = norm2 - np.einsum("ij,ij->j", proj[1:], proj[1:])
-        # a candidate the one-dip Jacobian already spans adds nothing
-        gain = np.where(den > 1e-9 * norm2, num * num / den, 0.0)
-        score = float(qs @ qs + np.max(gain))
-    return score if math.isfinite(score) else math.inf
+        fits = [_dips_model(axis, np.array([one.params[name] for name in one.param_names])) for one in ones]
+        # orthonormal bases of the weighted one-dip Jacobians
+        q, _ = np.linalg.qr(np.array([jac for _, jac in fits]) * root_w[:, :, None])
+        s = root_w * (counts - np.array([model for model, _ in fits]))
+        qs = np.matmul(s[:, None, :], q)[:, 0]
+        # five rows per record: the weighted residual and the basis, each
+        # weighted once more
+        rows = np.concatenate([(root_w * s)[:, None, :], np.swapaxes(q * root_w[:, :, None], 1, 2)], axis=1)
+        rows = rows.reshape(5 * n_records, axis.size)
+        # BLAS hands a one-row product to its matrix-vector kernel, which
+        # sums in another order; two rows keep a block of one summing alike
+        weight_rows = weights if n_records > 1 else np.vstack([weights, weights])
+        best = np.zeros(n_records)
+        step = max(1, _SCREEN_SUPER_BLOCK // lor.shape[2])
+        for k in range(0, lor.shape[0], step):
+            # one BLAS product per slab: (slabs, records, 5, slab width)
+            proj = np.matmul(rows, lor[k : k + step]).reshape(-1, n_records, 5, lor.shape[2])
+            norm2 = np.matmul(weight_rows, lor2[k : k + step])[:, :n_records]
+            num = proj[:, :, 0] - np.matmul(qs[:, None, :], proj[:, :, 1:])[:, :, 0]
+            den = norm2 - np.einsum("sbij,sbij->sbj", proj[:, :, 1:], proj[:, :, 1:])
+            # a candidate the one-dip Jacobian already spans adds nothing
+            gain = np.where(den > 1e-9 * norm2, num * num / den, 0.0)
+            best = np.maximum(best, gain.max(axis=(0, 2)))
+        scores = np.einsum("bi,bi->b", qs, qs) + best
+    return np.where(np.isfinite(scores), scores, math.inf)
 
 
 def _bic_choice(
@@ -614,7 +674,13 @@ def _select_dip_count_unscreened(
     return _bic_choice(trace, fit_odmr_dips(trace, 1, max_iterations=max_iterations), max_iterations)
 
 
-def select_dip_count(trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIONS) -> tuple[int, FitResult]:
+def select_dip_count(
+    trace: SpectrumTrace,
+    *,
+    one: FitResult | None = None,
+    score: float | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> tuple[int, FitResult]:
     """Choose between the one- and two-dip models by BIC.
 
     BIC = weighted chi-square + n_params * ln(n_samples); the lower value
@@ -624,26 +690,29 @@ def select_dip_count(trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIO
 
     The second dip costs ``3 ln(n_samples)`` of BIC, so the two-dip fit is
     skipped when the linearised chi-square gain of any second dip
-    (``_second_dip_score``) stays below that margin.  The linearisation is
+    (``second_dip_scores``) stays below that margin.  The linearisation is
     only trusted around a converged one-dip fit whose own contrast
     chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the margin:
     a two-dip model within reach of the margin is then a small perturbation
     of the fitted dip.  Around a weak dip, splitting it in two is no small
     perturbation and the score underestimates the gain, so such spectra
-    always get the two-dip fit.  The screen is meant to save the two-dip fit
-    without changing the decision.
+    score ``inf`` and always get the two-dip fit.  The screen is meant to
+    save the two-dip fit without changing the decision.
 
-    The two-dip fit starts from ``_two_dip_start`` of the one-dip fit made
-    here: the fitted dip split into a Zeeman pair, or the sample-based start
-    of ``fit_odmr_dips`` when that sits lower on the weighted cost.
+    ``one`` is the one-dip fit of ``trace`` and ``score`` its entry of
+    ``second_dip_scores``; a caller that scored a block of records passes
+    both.  Without them the one-dip fit is made here and scored as a block
+    of one.
+
+    The two-dip fit starts from ``_two_dip_start`` of the one-dip fit: the
+    fitted dip split into a Zeeman pair, or the sample-based start of
+    ``fit_odmr_dips`` when that sits lower on the weighted cost.
     """
-    one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
-    margin = 3.0 * math.log(trace.axis.size)
-    strong = (
-        one.params["contrast_1"] ** 2
-        >= _SCREEN_MIN_DIP_CHI2_RATIO * margin * one.std_errors["contrast_1"] ** 2
-    )
-    if one.converged and strong and _second_dip_score(trace, one) < margin:
+    if one is None:
+        one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
+    if score is None:
+        score = float(second_dip_scores([trace], [one])[0])
+    if score < 3.0 * math.log(trace.axis.size):
         return 1, one
     return _bic_choice(trace, one, max_iterations)
 

@@ -16,15 +16,23 @@ optical channel's draws are structurally independent of the field amplitude.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .crossval import MonitorConfig, artifact_monitor, pair_z
-from .fitting import FitResult, fit_odmr_dips, fit_pl_peak, select_dip_count
+from .fitting import (
+    SCREEN_BLOCK_RECORDS,
+    FitResult,
+    fit_odmr_dips,
+    fit_pl_peak,
+    second_dip_scores,
+    select_dip_count,
+)
 from .forward import (
     GYROMAGNETIC_MHZ_PER_MT,
     AxisKind,
@@ -133,7 +141,11 @@ class PlSettings:
             raise ValueError(f"nv_peak_fwhm_nm must be > 0, got {self.nv_peak_fwhm_nm}")
         if not self.nv_peak_amplitude_cps > 0:
             raise ValueError(f"nv_peak_amplitude_cps must be > 0, got {self.nv_peak_amplitude_cps}")
-        if self.axis().size < 8:
+        # counted, not built: a tiny step would make the axis huge
+        n_steps = (self.window_stop_nm - self.window_start_nm) / self.step_nm
+        if not math.isfinite(n_steps):
+            raise ValueError(f"PL window holds no finite number of {self.step_nm} nm steps")
+        if round(n_steps) + 1 < 8:
             raise ValueError("PL window must contain at least 8 samples")
 
     def axis(self) -> FloatArray:
@@ -286,20 +298,24 @@ def _nv_summary(fit: FitResult, n_dips: int) -> tuple[float, float]:
     return contrast, fwhm
 
 
-def _timeseries(
+@dataclass(frozen=True)
+class _Spectra:
+    """One record's synthesised spectra and the truth they were drawn from."""
+
+    time_s: float
+    true_t_c: float
+    laser_mw: float
+    b_par_mt: float
+    odmr: SpectrumTrace
+    pl: SpectrumTrace
+
+
+def _synthesise(
     config: ScenarioConfig,
     n_records: int,
     truth: Callable[[int, float], tuple[float, float, float]],
-) -> list[ScenarioRecord]:
-    """Shared record pipeline: generate, fit, invert, score, screen.
-
-    ``truth(k, t_k)`` returns the per-channel true temperatures and the laser
-    power for record ``k``.  Spectra come from the :mod:`dualtherm.forward`
-    count models, temperatures from the :mod:`dualtherm.thermometry`
-    readouts and ``z_score`` from ``crossval.pair_z`` (0 when both sigmas are
-    zero).  The readouts are applied without the convergence check of
-    ``temperature_from_odmr``/``temperature_from_zpl``: a non-converged fit
-    still yields a best-effort row rather than dropping the record.
+) -> Iterator[_Spectra]:
+    """Both channels' spectra for each record, drawn in record order.
 
     The 637 nm line is part of every synthesized spectrum, but its in-window
     tail is a static instrument property, so the PL fit runs on counts with
@@ -322,8 +338,6 @@ def _timeseries(
     gyro = config.bfield.gyromagnetic_mhz_per_mt
     nv_tail_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
 
-    rows: list[ScenarioRecord] = []
-    pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
     for k in range(n_records):
         t_k = k * config.sample_period_s
         t_nv_true, t_siv_true, laser_mw = truth(k, t_k)
@@ -354,43 +368,81 @@ def _timeseries(
             pl_counts = pl_expected
         else:
             pl_counts = sample_poisson_counts(pl_expected, gens["pl"]).astype(np.float64)
-
-        odmr_trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts, tau_s, t_k)
-        n_dips, nv_fit = select_dip_count(odmr_trace)
-        d_center, d_sigma = nv_fit.derived["d_center"]
-        nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
-        est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, t_k)
-
         # clamp: the subtracted tail can undercut sparse low-count samples
         pl_adjusted = np.maximum(pl_counts - nv_tail_counts, 0.0)
-        pl_trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted, config.pl.exposure_s, t_k)
-        pl_fit = fit_pl_peak(pl_trace)
-        est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, t_k)
-        z = pair_z(est_nv, est_siv)
 
-        pairs.append((est_nv, est_siv))
-        rows.append(
-            ScenarioRecord(
-                time_s=t_k,
-                true_t_c=t_nv_true,
-                laser_mw=laser_mw,
-                b_par_mt=b_report,
-                nv_n_dips=n_dips,
-                nv_f0_mhz=d_center,
-                nv_f0_sigma_mhz=d_sigma,
-                nv_contrast=nv_contrast,
-                nv_fwhm_mhz=nv_fwhm,
-                siv_pos_nm=pl_fit.params["center"],
-                siv_pos_sigma_nm=pl_fit.std_errors["center"],
-                siv_fwhm_nm=pl_fit.params["fwhm"],
-                t_nv_c=est_nv.value_c,
-                t_nv_sigma_c=est_nv.sigma_c,
-                t_siv_c=est_siv.value_c,
-                t_siv_sigma_c=est_siv.sigma_c,
-                z_score=0.0 if z is None else z,
-                artifact_flag=False,
-            )
+        yield _Spectra(
+            time_s=t_k,
+            true_t_c=t_nv_true,
+            laser_mw=laser_mw,
+            b_par_mt=b_report,
+            odmr=SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts, tau_s, t_k),
+            pl=SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted, config.pl.exposure_s, t_k),
         )
+
+
+def _timeseries(
+    config: ScenarioConfig,
+    n_records: int,
+    truth: Callable[[int, float], tuple[float, float, float]],
+) -> list[ScenarioRecord]:
+    """Shared record pipeline: generate, fit, invert, score, screen.
+
+    ``truth(k, t_k)`` returns the per-channel true temperatures and the laser
+    power for record ``k``.  Spectra come from the :mod:`dualtherm.forward`
+    count models, temperatures from the :mod:`dualtherm.thermometry`
+    readouts and ``z_score`` from ``crossval.pair_z`` (0 when both sigmas are
+    zero).  The readouts are applied without the convergence check of
+    ``temperature_from_odmr``/``temperature_from_zpl``: a non-converged fit
+    still yields a best-effort row rather than dropping the record.
+
+    Records are synthesised in order, so each subsystem generator is drawn
+    in record order, and are then handled in blocks of
+    ``SCREEN_BLOCK_RECORDS``: each record's one-dip fit, one
+    ``second_dip_scores`` call for the block, then per record the dip-count
+    choice, the PL fit and the readouts.  The block only shares the score
+    screen's pass over its candidate grid; every record comes out as if
+    handled alone.
+    """
+    rows: list[ScenarioRecord] = []
+    pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
+    spectra = _synthesise(config, n_records, truth)
+    while block := list(itertools.islice(spectra, SCREEN_BLOCK_RECORDS)):
+        ones = [fit_odmr_dips(rec.odmr, 1) for rec in block]
+        scores = second_dip_scores([rec.odmr for rec in block], ones)
+        for rec, one, score in zip(block, ones, scores):
+            n_dips, nv_fit = select_dip_count(rec.odmr, one=one, score=float(score))
+            d_center, d_sigma = nv_fit.derived["d_center"]
+            nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
+            est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, rec.time_s)
+
+            pl_fit = fit_pl_peak(rec.pl)
+            est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, rec.time_s)
+            z = pair_z(est_nv, est_siv)
+
+            pairs.append((est_nv, est_siv))
+            rows.append(
+                ScenarioRecord(
+                    time_s=rec.time_s,
+                    true_t_c=rec.true_t_c,
+                    laser_mw=rec.laser_mw,
+                    b_par_mt=rec.b_par_mt,
+                    nv_n_dips=n_dips,
+                    nv_f0_mhz=d_center,
+                    nv_f0_sigma_mhz=d_sigma,
+                    nv_contrast=nv_contrast,
+                    nv_fwhm_mhz=nv_fwhm,
+                    siv_pos_nm=pl_fit.params["center"],
+                    siv_pos_sigma_nm=pl_fit.std_errors["center"],
+                    siv_fwhm_nm=pl_fit.params["fwhm"],
+                    t_nv_c=est_nv.value_c,
+                    t_nv_sigma_c=est_nv.sigma_c,
+                    t_siv_c=est_siv.value_c,
+                    t_siv_sigma_c=est_siv.sigma_c,
+                    z_score=0.0 if z is None else z,
+                    artifact_flag=False,
+                )
+            )
 
     # tumbling-window artifact screen; records in a flagged window are marked
     win = config.detection.window_samples

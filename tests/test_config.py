@@ -1,10 +1,19 @@
 """JSON config loading: defaults round trip, strict typing, key suggestions."""
 
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualtherm.cli import main
 from dualtherm.config import (
+    _SECTIONS,
     ConfigError,
     default_config_dict,
     load_config,
@@ -136,3 +145,111 @@ def test_load_config_rejects_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+def test_non_finite_and_out_of_range_numbers_are_rejected():
+    with pytest.raises(ConfigError, match="duration_s: expected a finite number"):
+        scenario_config_from_dict({"duration_s": float("inf")})
+    with pytest.raises(ConfigError, match=r"odmr\.contrast: expected a finite number"):
+        scenario_config_from_dict({"odmr": {"contrast": float("nan")}})
+    with pytest.raises(ConfigError, match=r"integration_times_s\[1\]: expected a finite number"):
+        scenario_config_from_dict({"precision": {"integration_times_s": [1.0, 10**400]}})
+    # a window that spans no finite number of steps is refused before any
+    # axis is built
+    with pytest.raises(ConfigError, match="no finite number"):
+        scenario_config_from_dict({"pl": {"window_start_nm": -1e308, "window_stop_nm": 1e308}})
+
+
+def test_load_config_rejects_undecodable_text(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "ramp", "x": "\xff"}')
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        load_config(path)
+    # json refuses integers past Python's digit limit with a plain ValueError
+    path.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    # past float range, past the 64-bit seed range, negative
+    st.sampled_from([10**400, -(10**400), 2**64, -1, 0]),
+    st.floats(),
+    st.text(max_size=6),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _section_dicts(cls: type) -> st.SearchStrategy:
+    # mostly the section's own field names, so values reach the validators
+    names = st.sampled_from([f.name for f in fields(cls)]) | st.text(max_size=6)
+    return st.dictionaries(names, _json_values, max_size=4)
+
+
+_config_dicts = st.fixed_dictionaries(
+    {},
+    optional={
+        **{name: _json_values for name in ("kind", "seed", "duration_s", "sample_period_s", "noiseless")},
+        **{name: _section_dicts(cls) | _json_values for name, cls in _SECTIONS.items()},
+    },
+)
+_config_inputs = _config_dicts | _json_values | st.dictionaries(st.text(max_size=10), _json_values, max_size=3)
+
+
+def _cli_scenario(text: bytes) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scenario", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    return code, err.getvalue()
+
+
+def _assert_one_line_config_error(code: int, err: str) -> None:
+    assert code == 3, err
+    assert err.startswith("config error: ") and err.endswith("\n"), err
+    assert len(err.splitlines()) == 1, err
+
+
+@FUZZ
+@given(data=_config_inputs)
+def test_fuzzed_configs_are_accepted_or_rejected_with_a_config_error(data):
+    """Any JSON value either validates or ends as one ``ConfigError`` line, exit 3.
+
+    A config that validates is not run: it may describe an arbitrarily long
+    session.
+    """
+    try:
+        scenario_config_from_dict(data)
+    except ConfigError as exc:
+        assert len(str(exc).splitlines()) == 1, str(exc)
+    else:
+        return
+    _assert_one_line_config_error(*_cli_scenario(json.dumps(data).encode()))
+
+
+@FUZZ
+@given(text=st.binary(max_size=40) | st.text(max_size=40).map(str.encode))
+def test_fuzzed_config_files_are_accepted_or_rejected_with_a_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(text)
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+        else:
+            return
+    _assert_one_line_config_error(*_cli_scenario(text))

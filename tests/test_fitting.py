@@ -1,6 +1,7 @@
 """Solver layer: Jacobians, round trips, model selection, regression."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,16 +19,19 @@ from dualtherm import (
     linear_regression,
     odmr_expected_counts,
     pl_expected_counts,
+    sample_poisson_counts,
     select_dip_count,
+    subsystem_generators,
 )
 from dualtherm.fitting import (
     MAX_DIP_CONTRAST_RATIO,
     _dip_pair_admissible,
     _dips_model,
     _peak_model,
-    _second_dip_score,
+    _screen_shapes,
     _select_dip_count_unscreened,
     _weighted_cost,
+    second_dip_scores,
 )
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
@@ -362,10 +366,141 @@ def test_screened_dip_count_agrees_with_unscreened_selector():
     # ... and the screen must skip the two-dip fit on clean spectra
     skipped = 0
     for trace in clean:
-        skipped += _second_dip_score(trace, fit_odmr_dips(trace, 1)) < margin
+        skipped += second_dip_scores([trace], [fit_odmr_dips(trace, 1)])[0] < margin
     assert skipped >= 36, skipped
 
 
 def test_backend_name_reports_numpy():
     # the fit kernels are plain numpy; benchmark output records this name
     assert backend_name() == "numpy"
+
+
+def _reference_score(trace: SpectrumTrace, one: FitResult) -> float:
+    """The score of one trace as a per-trace loop over the candidate grid.
+
+    Trusts the fit as ``second_dip_scores`` does and projects with one
+    vector product per candidate; the batched screen must agree with it.
+    """
+    margin = 3.0 * math.log(trace.axis.size)
+    c, sigma = one.params["contrast_1"], one.std_errors["contrast_1"]
+    if not (one.converged and c * c >= 100.0 * margin * sigma * sigma):
+        return math.inf
+    lor, _ = _screen_shapes(trace.axis.tobytes())
+    candidates = lor.transpose(1, 0, 2).reshape(trace.axis.size, -1)
+    weights = 1.0 / np.maximum(trace.counts, 1.0)
+    root_w = np.sqrt(weights)
+    model, jac = _dips_model(trace.axis, np.array([one.params[name] for name in one.param_names]))
+    q, _ = np.linalg.qr(jac * root_w[:, None])
+    s = root_w * (trace.counts - model)
+    best = 0.0
+    for g in candidates.T:
+        norm2 = float(np.dot(weights, g * g))
+        if norm2 == 0.0:
+            # padding of the grid
+            continue
+        gq = q.T @ (root_w * g)
+        num = float(np.dot(root_w * g, s) - gq @ (q.T @ s))
+        den = norm2 - float(gq @ gq)
+        if den > 1e-9 * norm2:
+            best = max(best, num * num / den)
+    qs = q.T @ s
+    return float(qs @ qs) + best
+
+
+def _screen_corpus() -> tuple[list[SpectrumTrace], list[FitResult], list[str]]:
+    """Quiet, field-split, faint-pair, weak-pair and non-converged one-dip fits."""
+    tau = 1.5 / 201
+    rng = np.random.default_rng(7301)
+    traces, ones, kinds = [], [], []
+
+    def add(kind, dips, max_iterations=200):
+        trace = _odmr_trace(OdmrModel(baseline_rate=5e8, dips=dips), tau, rng)
+        traces.append(trace)
+        ones.append(fit_odmr_dips(trace, 1, max_iterations=max_iterations))
+        kinds.append(kind)
+
+    for k in range(4):
+        add("quiet", ((2866.0 + 3.0 * k, 12.0, 0.12),))
+        mid = 2868.0 + k
+        for shift in rng.uniform(1.0, 7.0, 2):
+            add("split", ((mid - shift, 12.0, 0.06), (mid + shift, 12.0, 0.06)))
+        # faint pairs are trusted, and some of their candidates lie close to
+        # the span of the one-dip Jacobian, where the score is most sensitive
+        # to rounding
+        add("faint", ((mid - 4.5, 12.0, 0.005), (mid + 4.5, 12.0, 0.005)))
+        # too faint for the score to be trusted
+        add("weak", ((mid - 3.0, 12.0, 0.0015), (mid + 3.0, 12.0, 0.0015)))
+        add("stopped", ((2862.0 + 4.0 * k, 12.0, 0.12),), max_iterations=1)
+    return traces, ones, kinds
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_block_scores_equal_single_trace_scores(block):
+    traces, ones, kinds = _screen_corpus()
+    margin = 3.0 * math.log(ODMR_AXIS.size)
+    single = np.array([second_dip_scores([t], [o])[0] for t, o in zip(traces, ones)])
+    scores = np.concatenate(
+        [second_dip_scores(traces[i : i + block], ones[i : i + block]) for i in range(0, len(traces), block)]
+    )
+    reference = np.array([_reference_score(t, o) for t, o in zip(traces, ones)])
+    assert [o.converged for o in ones] == [kind != "stopped" for kind in kinds]
+    # the weak and the non-converged fits are not trusted, and not scored
+    untrusted = np.array([kind in ("weak", "stopped") for kind in kinds])
+    assert np.array_equal(np.isinf(reference), untrusted)
+    assert np.array_equal(np.isinf(scores), untrusted)
+    assert np.array_equal(np.isinf(single), untrusted)
+    np.testing.assert_allclose(scores[~untrusted], single[~untrusted], rtol=1e-12, atol=0.0)
+    assert np.array_equal(scores < margin, single < margin)
+    # the reference sums in another order; a gain counts only where its
+    # denominator keeps 1e-9 of the candidate norm, so rounding moves it by
+    # at most about 1e9 * 2.2e-16
+    np.testing.assert_allclose(scores[~untrusted], reference[~untrusted], rtol=1e-6, atol=0.0)
+    assert np.array_equal(scores < margin, reference < margin)
+    # both decisions occur among the trusted records
+    assert 0 < (scores < margin).sum() < (~untrusted).sum()
+
+
+def test_block_scores_validate_their_inputs():
+    traces, ones, _ = _screen_corpus()
+    assert second_dip_scores([], []).shape == (0,)
+    with pytest.raises(ValueError, match="one-dip fits"):
+        second_dip_scores(traces[:2], ones[:1])
+    shifted = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS + 1.0, traces[1].counts, traces[1].exposure_s)
+    with pytest.raises(ValueError, match="share one sample axis"):
+        second_dip_scores([traces[0], shifted], ones[:2])
+
+
+def test_block_score_memory_stays_small():
+    # the screen reduces the grid a few hundred candidates at a time; the
+    # cached grid itself (about 7 MB) is built before measuring
+    traces, ones, kinds = _screen_corpus()
+    trusted = [i for i, kind in enumerate(kinds) if kind in ("quiet", "split", "faint")][:8]
+    block_traces, block_ones = [traces[i] for i in trusted], [ones[i] for i in trusted]
+    second_dip_scores(block_traces[:1], block_ones[:1])
+    tracemalloc.start()
+    try:
+        second_dip_scores(block_traces, block_ones)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"block of 8 peaked at {peak / 1e6:.2f} MB"
+
+
+def test_two_dip_center_errors_match_monte_carlo_scatter():
+    # 200 seeded fits of a 6% + 6% pair split by 20 MHz: the seed-to-seed
+    # scatter of the fitted pattern midpoint must sit within [0.67, 1.5]
+    # times the mean reported standard error
+    model = OdmrModel(baseline_rate=5e8, dips=((2860.0, 12.0, 0.06), (2880.0, 12.0, 0.06)))
+    expected = odmr_expected_counts(model, ODMR_AXIS, 1.5 / 201)
+    centers = []
+    errors = []
+    for seed in range(200):
+        rng = subsystem_generators(seed)["odmr"]
+        counts = sample_poisson_counts(expected, rng).astype(np.float64)
+        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.5 / 201), 2)
+        assert fit.converged
+        d_center, d_sigma = fit.derived["d_center"]
+        centers.append(d_center)
+        errors.append(d_sigma)
+    ratio = float(np.std(centers, ddof=1) / np.mean(errors))
+    assert 0.67 <= ratio <= 1.5, f"scatter/reported ratio {ratio:.3f}"

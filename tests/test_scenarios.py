@@ -1,13 +1,19 @@
 """Scenario engine: determinism, truth tracking, channel structure."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dualtherm import (
     BfieldSettings,
+    PrecisionParams,
     RampParams,
     ScenarioConfig,
     ScenarioKind,
+    nv_resonance_of_temperature,
+    odmr_expected_counts,
     odmr_readout,
     pair_z,
     recovered_step_amplitude,
@@ -16,6 +22,7 @@ from dualtherm import (
     run_precision_sweep,
     run_ramp,
     run_scenario,
+    unit_lorentzian,
     zpl_readout,
 )
 from dualtherm import fitting
@@ -268,3 +275,72 @@ def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
     assert len(iterations) == 378
     capped = sum(n >= fitting.MAX_ITERATIONS for n in iterations)
     assert capped <= 10, capped
+
+
+@pytest.mark.parametrize("b_max_mt", [0.0, 0.5])
+def test_records_do_not_depend_on_the_screen_blocks(b_max_mt):
+    """A session whose length is no multiple of the score block reads as the start of a longer one."""
+
+    def session(duration_s):
+        return run_bfield_artifact(
+            ScenarioConfig(
+                kind=ScenarioKind.BFIELD_ARTIFACT,
+                seed=5,
+                duration_s=duration_s,
+                bfield=BfieldSettings(b_max_mt=b_max_mt),
+            )
+        )
+
+    short, full = session(46.5), session(60.0)
+    assert len(short) == 31 and len(full) == 40
+    assert len(short) % fitting.SCREEN_BLOCK_RECORDS != 0
+    # only the first window is complete in the short session; the rest of
+    # its records are unscreened
+    win = ScenarioConfig().detection.window_samples
+    assert win < len(short) < 2 * win
+    for k, (a, b) in enumerate(zip(short, full)):
+        if k < win:
+            assert a == b, k
+        else:
+            assert replace(a, artifact_flag=False) == replace(b, artifact_flag=False), k
+
+
+def _nv_temperature_crb(cfg: ScenarioConfig) -> float:
+    """NV temperature Cramér-Rao bound for 1 s of sweep, in K/rtHz.
+
+    Poisson Fisher information of the forward ODMR model with the baseline,
+    center, width and contrast free, at the ambient temperature the sweep
+    runs at.
+    """
+    axis = cfg.odmr.axis()
+    center = nv_resonance_of_temperature(cfg.nv_cal, cfg.heating_nv.t_ambient_c)
+    width, contrast = cfg.odmr.linewidth_mhz, cfg.odmr.contrast
+    rate = cfg.odmr.baseline_rate_cps / axis.size
+    mu = odmr_expected_counts(cfg.odmr.model(center), axis, 1.0 / axis.size)
+    lor = unit_lorentzian(axis, center, width)
+    u = 2.0 * (axis - center) / width
+    jac = np.column_stack(
+        [
+            1.0 - contrast * lor,
+            -rate * contrast * 4.0 * u * lor * lor / width,
+            -rate * contrast * 2.0 * u * u * lor * lor / width,
+            -rate * lor,
+        ]
+    )
+    fisher = jac.T @ (jac / mu[:, None])
+    return math.sqrt(np.linalg.inv(fisher)[1, 1]) / abs(cfg.nv_cal.slope_mhz_per_c)
+
+
+def test_precision_sweep_nv_floor_matches_the_cramer_rao_bound():
+    """The NV series is shot-noise efficient: pooled sigma^2 t sits at the CRB^2."""
+    cfg = ScenarioConfig(kind=ScenarioKind.PRECISION_SWEEP, seed=42, precision=PrecisionParams(channels=("nv",)))
+    crb = _nv_temperature_crb(cfg)
+    assert crb == pytest.approx(0.1345, rel=1e-3)
+    series = run_precision_sweep(cfg)["nv"]
+    times = np.array([t for t, _ in series])
+    sigmas = np.array([s for _, s in series])
+    assert list(times) == list(cfg.precision.integration_times_s)
+    ratio = float(np.mean(sigmas**2 * times / crb**2))
+    # each sample variance over n repetitions has relative SD sqrt(2 / (n - 1))
+    standard_error = math.sqrt(2.0 / (cfg.precision.repetitions - 1)) / math.sqrt(times.size)
+    assert abs(ratio - 1.0) < 5.0 * standard_error, f"sigma^2 t / CRB^2 = {ratio:.3f} +/- {standard_error:.3f}"
