@@ -15,15 +15,18 @@ half maximum:
 
 Both fits run through one damped Gauss-Newton (Levenberg-Marquardt) loop,
 ``_fit``, with analytic Jacobians and fixed weights ``1 / max(counts, 1)``.
-Failure is never silent: a fit that does not converge comes back with
-``converged = False`` and best-effort parameters.
+The loop fits a stack of spectra that share an axis, each row with its own
+damping and stopping, and a single fit is a stack of one; a row comes out
+bit for bit the same in any stack.  Failure is never silent: a fit that
+does not converge comes back with ``converged = False`` and best-effort
+parameters.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,9 @@ from .forward import AxisKind, SpectrumTrace, unit_lorentzian
 FloatArray = NDArray[np.float64]
 
 MAX_ITERATIONS = 200
+#: rows of a stacked fit in flight at once; a row that finishes makes room
+#: for the next queued one
+FIT_STACK_ROWS = 16
 #: stop when the relative decrease of the weighted cost falls below this
 COST_RTOL = 1e-10
 _STEP_XTOL = 1e-12
@@ -114,7 +120,10 @@ class RegressionResult:
 def _edge_median(counts: FloatArray) -> float:
     # flat-level estimate from the outer 10% of samples (5% per end, >= 3 each)
     n_edge = max(3, int(math.ceil(0.05 * counts.size)))
-    return float(np.median(np.concatenate([counts[:n_edge], counts[-n_edge:]])))
+    edges = np.sort(np.concatenate([counts[:n_edge], counts[-n_edge:]]))
+    # the mean of the middle pair, as np.median takes it; a NaN sorts last
+    # and makes the median NaN
+    return float(edges[-1] if math.isnan(edges[-1]) else (edges[n_edge - 1] + edges[n_edge]) / 2)
 
 
 def _half_prominence_fwhm(
@@ -165,42 +174,98 @@ def _clip_window(trace: SpectrumTrace, window: tuple[float, float] | None) -> tu
 
 
 def _dips_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """ODMR dip model and its Jacobian at ``p = [b, c_1, w_1, C_1, ...]``."""
-    b = p[0]
-    s = np.zeros(axis.size)
-    jac = np.empty((axis.size, p.size))
-    for j in range(1, p.size, 3):
-        c, w, cn = p[j], p[j + 1], p[j + 2]
+    """ODMR dip model and its Jacobian at ``p[..., :] = [b, c_1, w_1, C_1, ...]``.
+
+    A stack of parameter vectors gives a stack of models ``(..., n)`` and
+    Jacobians ``(..., n, k)``.
+    """
+    b = p[..., 0, None]
+    s = np.zeros(p.shape[:-1] + axis.shape)
+    jac = np.empty(s.shape + p.shape[-1:])
+    for j in range(1, p.shape[-1], 3):
+        c, w, cn = p[..., j, None], p[..., j + 1, None], p[..., j + 2, None]
         dx = axis - c
-        u = dx * (2.0 / w)
+        two_w = 2.0 / w
+        u = dx * two_w
         lor = 1.0 / (1.0 + u * u)
         lor2 = lor * lor
         s += cn * lor
-        jac[:, j] = -b * cn * (8.0 / (w * w)) * dx * lor2
-        jac[:, j + 1] = -b * cn * (2.0 / w) * u * u * lor2
-        jac[:, j + 2] = -b * lor
-    jac[:, 0] = 1.0 - s
-    return b * (1.0 - s), jac
+        depth = -b * cn
+        jac[..., j] = depth * (8.0 / (w * w)) * dx * lor2
+        jac[..., j + 1] = depth * two_w * u * u * lor2
+        jac[..., j + 2] = -b * lor
+    flat = 1.0 - s
+    jac[..., 0] = flat
+    return b * flat, jac
 
 
 def _peak_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """PL peak model and its Jacobian at ``p = [bg, A, c, w]``."""
-    bg, amp, c, w = p
+    """PL peak model and its Jacobian at ``p[..., :] = [bg, A, c, w]``, stacked like ``_dips_model``."""
+    bg, amp, c, w = p[..., 0, None], p[..., 1, None], p[..., 2, None], p[..., 3, None]
     dx = axis - c
-    u = dx * (2.0 / w)
+    two_w = 2.0 / w
+    u = dx * two_w
     lor = 1.0 / (1.0 + u * u)
     lor2 = lor * lor
-    jac = np.empty((axis.size, 4))
-    jac[:, 0] = 1.0
-    jac[:, 1] = lor
-    jac[:, 2] = amp * (8.0 / (w * w)) * dx * lor2
-    jac[:, 3] = amp * (2.0 / w) * u * u * lor2
+    jac = np.empty(dx.shape + (4,))
+    jac[..., 0] = 1.0
+    jac[..., 1] = lor
+    jac[..., 2] = amp * (8.0 / (w * w)) * dx * lor2
+    jac[..., 3] = amp * two_w * u * u * lor2
     return bg + amp * lor, jac
 
 
-def _weighted_cost(counts: FloatArray, model: FloatArray, weights: FloatArray) -> float:
+def _weighted_cost(counts: FloatArray, model: FloatArray, weights: FloatArray) -> FloatArray:
+    """Weighted squared residual over the last axis, one per stacked spectrum."""
     r = counts - model
-    return np.dot(weights * r, r)
+    return np.vecdot(weights * r, r)
+
+
+def _normal_equations(
+    jac: FloatArray, weights: FloatArray, resid: FloatArray | None = None
+) -> tuple[FloatArray, FloatArray | None]:
+    """Stacked weighted normal matrices ``J' W J`` and, given residuals, gradients ``J' W r``."""
+    wj = jac * weights[:, :, None]
+    nmat = np.matmul(jac.swapaxes(1, 2), wj)
+    grad = None if resid is None else np.matmul(wj.swapaxes(1, 2), resid[:, :, None])
+    return nmat, grad
+
+
+def _diagonals(mats: FloatArray) -> FloatArray:
+    """Writable view of the diagonals of a contiguous ``(B, k, k)`` stack, as ``(B, k)``."""
+    return mats.reshape(mats.shape[0], -1)[:, :: mats.shape[-1] + 1]
+
+
+def _ridges(nmat: FloatArray) -> list[float]:
+    """Diagonal ridges that keep stacked normal matrices solvable when a parameter is inert."""
+    k = nmat.shape[-1]
+    return [1e-14 * t / k + 1e-300 for t in nmat.trace(axis1=1, axis2=2).tolist()]
+
+
+def _solution_stats(
+    counts: FloatArray, weights: FloatArray, model: FloatArray, jac: FloatArray, cost: FloatArray, dof: int
+) -> tuple[FloatArray, list[float], list[float]]:
+    """Covariances, residual RMS and reduced chi-squares of stacked solutions.
+
+    A covariance is the inverse of the ridged normal matrix, scaled by the
+    reduced chi-square when there are degrees of freedom left.
+    """
+    nmat, _ = _normal_equations(jac, weights)
+    diag = _diagonals(nmat)
+    diag += np.array(_ridges(nmat))[:, None]
+    cov = np.linalg.inv(nmat)
+    if dof > 0:
+        chi2 = cost / dof
+        cov = cov * chi2[:, None, None]
+    else:
+        chi2 = np.full(cost.shape, math.inf)
+    rms = np.sqrt(((counts - model) ** 2).sum(axis=1) / counts.shape[1])
+    return 0.5 * (cov + cov.swapaxes(1, 2)), rms.tolist(), chi2.tolist()
+
+
+#: one row's result from ``_fit``: ``(p, cov, residual_rms, reduced_chi2,
+#: iterations, converged)``
+_RowFit = tuple[FloatArray, FloatArray, float, float, int, bool]
 
 
 def _fit(
@@ -209,73 +274,128 @@ def _fit(
     counts: FloatArray,
     p0: FloatArray,
     max_iterations: int,
-) -> tuple[FloatArray, FloatArray, float, float, int, bool]:
-    """Damped Gauss-Newton minimisation of the weighted squared residual.
+) -> list[_RowFit]:
+    """Damped Gauss-Newton minimisation of the weighted squared residual, for a stack of spectra.
 
-    Returns ``(p, cov, residual_rms, reduced_chi2, iterations, converged)``;
+    Row ``i`` fits ``counts[i]`` (``(B, n)``) from ``p0[i]`` (``(B, k)``) and
+    gets ``(p, cov, residual_rms, reduced_chi2, iterations, converged)``;
     ``cov`` is the inverse weighted normal matrix at the solution scaled by
     the reduced chi-square.  Never raises on a bad fit: failure shows as
     ``converged = False``.
+
+    Each row keeps its own damping, iteration count and retries.  At most
+    ``FIT_STACK_ROWS`` rows are in flight; a row that converges, stalls or
+    reaches ``max_iterations`` takes its covariance and leaves, and the next
+    queued row takes its place.  Every product, solve and inverse is a
+    stacked ``np.matmul`` / ``np.linalg`` call, which makes one BLAS or
+    LAPACK call per row, so a row comes out bit for bit as when fitted
+    alone.
     """
-    weights = 1.0 / np.maximum(counts, 1.0)
-    diag = np.diag_indices(p0.size)
-    with np.errstate(all="ignore"):
-        p = p0
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    n_rows, k = p0.shape
+    dof = axis.size - k
+    results: list[_RowFit | None] = [None] * n_rows
+
+    def start(lo: int, hi: int) -> tuple[FloatArray, ...]:
+        # copies: the state of the rows in flight is updated in place
+        c = counts[lo:hi].copy()
+        w = 1.0 / np.maximum(c, 1.0)
+        p = p0[lo:hi].copy()
         m, jac = model(axis, p)
-        cost = _weighted_cost(counts, m, weights)
-        lam = 1e-3
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            wj = jac * weights[:, None]
-            nmat = jac.T @ wj
-            grad = wj.T @ (counts - m)
-            # ridge keeps the damped system solvable when a parameter is inert
-            ridge = 1e-14 * np.trace(nmat) / p.size + 1e-300
+        return c, w, p, m, jac, _weighted_cost(c, m, w)
 
-            accepted = False
-            step_small = False
-            for _ in range(60):
-                damped = nmat.copy()
-                damped[diag] = nmat[diag] * (1.0 + lam) + ridge
-                delta = np.linalg.solve(damped, grad)
-                if np.isfinite(delta).all():
-                    small = not (np.abs(delta) > _STEP_XTOL * (np.abs(p) + _STEP_XTOL)).any()
-                    p_try = p + delta
-                    m_try, jac_try = model(axis, p_try)
-                    cost_try = _weighted_cost(counts, m_try, weights)
-                    if cost_try < cost:
-                        rel = (cost - cost_try) / max(cost, 1e-300)
-                        p, m, jac, cost = p_try, m_try, jac_try, cost_try
-                        lam = max(lam * 0.3, 1e-12)
-                        accepted = True
-                        if rel < COST_RTOL or small:
-                            converged = True
-                        break
-                    if small:
-                        # no downhill direction and the proposed move is
-                        # negligible: the iterate sits at the floor of the cost
-                        step_small = True
-                        break
-                lam *= 10.0
-                if lam > 1e14:
-                    break
+    with np.errstate(all="ignore"):
+        # the rows in flight, one slot each, and their state
+        rows = list(range(min(n_rows, FIT_STACK_ROWS)))
+        queued = len(rows)
+        c, w, p, m, jac, cost = start(0, queued)
+        lam = [1e-3] * len(rows)
+        ridge = [0.0] * len(rows)
+        it = [1] * len(rows)
+        # slots that start an iteration and need their normal equations
+        fresh = rows[:]
+        while rows:
+            if len(fresh) == len(rows):
+                nmat, grad = _normal_equations(jac, w, c - m)
+                ridge = _ridges(nmat)
+            elif fresh:
+                nmat[fresh], grad[fresh] = _normal_equations(jac[fresh], w[fresh], c[fresh] - m[fresh])
+                for s, r in zip(fresh, _ridges(nmat[fresh])):
+                    ridge[s] = r
 
-            if step_small or cost == 0.0:
-                converged = True
+            # one trial step per row at its current damping
+            scale = np.array([(1.0 + lam_s, ridge_s) for lam_s, ridge_s in zip(lam, ridge)])
+            damped = nmat.copy()
+            diag = _diagonals(damped)
+            diag *= scale[:, :1]
+            diag += scale[:, 1:]
+            delta = np.linalg.solve(damped, grad)[:, :, 0]
+            finite = np.isfinite(delta).all(axis=1).tolist()
+            small = (~(np.abs(delta) > _STEP_XTOL * (np.abs(p) + _STEP_XTOL)).any(axis=1)).tolist()
+            p_try = p + delta
+            m_try, jac_try = model(axis, p_try)
+            cost_try = _weighted_cost(c, m_try, w)
+
+            better: list[int] = []
+            fresh = []
+            done: list[tuple[int, bool]] = []
+            for s, (now, trial) in enumerate(zip(cost.tolist(), cost_try.tolist())):
+                if finite[s] and trial < now:
+                    better.append(s)
+                    lam[s] = max(lam[s] * 0.3, 1e-12)
+                    if (now - trial) / max(now, 1e-300) < COST_RTOL or small[s] or trial == 0.0:
+                        done.append((s, True))
+                    elif it[s] == max_iterations:
+                        done.append((s, False))
+                    else:
+                        it[s] += 1
+                        fresh.append(s)
+                elif finite[s] and small[s]:
+                    # no downhill direction and the proposed move is
+                    # negligible: the row sits at the floor of its cost
+                    done.append((s, True))
+                else:
+                    lam[s] *= 10.0
+                    if lam[s] > 1e14:
+                        done.append((s, now == 0.0))
+            if len(better) == len(rows):
+                p, m, jac, cost = p_try, m_try, jac_try, cost_try
+            elif better:
+                p[better], m[better], jac[better], cost[better] = (
+                    p_try[better], m_try[better], jac_try[better], cost_try[better]
+                )
+            if not done:
+                continue
+
+            # finished rows take their covariance and leave; once no row is
+            # queued, rows that all leave together are read in place
+            leave = [s for s, _ in done]
+            last = len(leave) == len(rows) and queued == n_rows
+            sel = slice(None) if last else leave
+            cov, rms, chi2 = _solution_stats(c[sel], w[sel], m[sel], jac[sel], cost[sel], dof)
+            for i, (p_row, (s, converged)) in enumerate(zip(p[sel], done)):
+                results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], converged)
+            if last:
                 break
-            if converged or not accepted:
-                break
 
-        nmat = jac.T @ (jac * weights[:, None])
-        nmat[diag] += 1e-14 * np.trace(nmat) / p.size + 1e-300
-        cov = np.linalg.inv(nmat)
-        residual_rms = float(np.sqrt(np.mean((counts - m) ** 2)))
-    dof = axis.size - p.size
-    reduced_chi2 = cost / dof if dof > 0 else math.inf
-    if dof > 0:
-        cov = cov * reduced_chi2
-    return p, 0.5 * (cov + cov.T), residual_rms, reduced_chi2, iterations, converged
+            # queued rows take the freed slots; without them the stack shrinks
+            n_new = min(len(leave), n_rows - queued)
+            if n_new:
+                slots = leave[:n_new]
+                c[slots], w[slots], p[slots], m[slots], jac[slots], cost[slots] = start(queued, queued + n_new)
+                for i, s in enumerate(slots):
+                    rows[s], lam[s], it[s] = queued + i, 1e-3, 1
+                queued += n_new
+                fresh += slots
+            if n_new < len(leave):
+                gone = set(leave[n_new:])
+                keep = [s for s in range(len(rows)) if s not in gone]
+                slot_of = {s: i for i, s in enumerate(keep)}
+                fresh = [slot_of[s] for s in fresh]
+                rows, lam, ridge, it = ([a[s] for s in keep] for a in (rows, lam, ridge, it))
+                c, w, p, m, jac, cost, nmat, grad = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad))
+    return results  # type: ignore[return-value]
 
 
 def _fold_widths(p: FloatArray, cov: FloatArray, widths: Iterable[int]) -> None:
@@ -324,17 +444,16 @@ def fit_pl_peak(
             raise ValueError(f"unknown init keys: {sorted(unknown)}")
         start.update(init)
 
-    p0 = np.array([start["background"], start["amplitude"], start["center"], start["fwhm"]])
-    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(_peak_model, axis, counts, p0, max_iterations)
+    p0 = np.array([[start["background"], start["amplitude"], start["center"], start["fwhm"]]])
+    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(
+        _peak_model, axis, counts[None], p0, max_iterations
+    )[0]
     _fold_widths(p, cov, (3,))
 
     # model order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
-    perm = np.array([2, 3, 1, 0])
+    perm = [2, 3, 1, 0]
     values = p[perm]
-    cov = cov[np.ix_(perm, perm)]
-    if converged and not (axis[0] <= values[0] <= axis[-1]):
-        converged = False
-
+    cov = cov[perm][:, perm]
     params = dict(zip(PL_PARAM_NAMES, (float(v) for v in values)))
     std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(PL_PARAM_NAMES)}
     return FitResult(
@@ -344,12 +463,14 @@ def fit_pl_peak(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged,
+        converged=converged and bool(axis[0] <= values[0] <= axis[-1]),
         iterations=iterations,
     )
 
 
 def _odmr_param_names(n_dips: int) -> tuple[str, ...]:
+    if n_dips not in (1, 2):
+        raise ValueError(f"n_dips must be 1 or 2, got {n_dips}")
     names = ["baseline"]
     for d in range(1, n_dips + 1):
         names += [f"center_{d}", f"fwhm_{d}", f"contrast_{d}"]
@@ -419,6 +540,21 @@ def _two_dip_start(axis: FloatArray, counts: FloatArray, one: FitResult) -> dict
     return pair if cost(pair) <= cost(samples) else samples
 
 
+def _check_odmr_trace(trace: SpectrumTrace) -> None:
+    if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
+        raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
+    if trace.axis.size < 8:
+        raise ValueError(f"need at least 8 samples, got {trace.axis.size}")
+
+
+def _odmr_starts(traces: Sequence[SpectrumTrace], n_dips: int, max_iterations: int) -> list[dict[str, float]]:
+    """Default starts: one dip from the samples, two from ``_two_dip_start`` of a one-dip fit."""
+    if n_dips == 1:
+        return [_odmr_init(trace.axis, trace.counts, 1) for trace in traces]
+    ones = fit_odmr_stack(traces, 1, max_iterations=max_iterations)
+    return [_two_dip_start(trace.axis, trace.counts, one) for trace, one in zip(traces, ones)]
+
+
 def fit_odmr_dips(
     trace: SpectrumTrace,
     n_dips: int,
@@ -435,33 +571,64 @@ def fit_odmr_dips(
     ``init`` overrides individual starting values by parameter name.  A
     two-dip fit that is not given every starting value first fits one dip and
     starts from ``_two_dip_start`` of that fit, the start ``select_dip_count``
-    uses too.
+    uses too.  The fit is a stack of one (``fit_odmr_stack``).
     """
-    if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
-        raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
-    if n_dips not in (1, 2):
-        raise ValueError(f"n_dips must be 1 or 2, got {n_dips}")
-    axis, counts = trace.axis, trace.counts
-    if axis.size < 8:
-        raise ValueError(f"need at least 8 samples, got {axis.size}")
-
+    _check_odmr_trace(trace)
     names = _odmr_param_names(n_dips)
     init = init or {}
     unknown = set(init) - set(names)
     if unknown:
         raise ValueError(f"unknown init keys: {sorted(unknown)}")
-    if len(init) == len(names):
-        start = init
-    elif n_dips == 1:
-        start = {**_odmr_init(axis, counts, 1), **init}
-    else:
-        one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
-        start = {**_two_dip_start(axis, counts, one), **init}
+    start = init if len(init) == len(names) else {**_odmr_starts([trace], n_dips, max_iterations)[0], **init}
+    return fit_odmr_stack([trace], n_dips, [start], max_iterations=max_iterations)[0]
 
-    p0 = np.array([start[name] for name in names], dtype=np.float64)
-    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(_dips_model, axis, counts, p0, max_iterations)
+
+def fit_odmr_stack(
+    traces: Sequence[SpectrumTrace],
+    n_dips: int,
+    starts: Sequence[Mapping[str, float]] | None = None,
+    *,
+    max_iterations: int = MAX_ITERATIONS,
+) -> list[FitResult]:
+    """``fit_odmr_dips`` of every trace, fitted as one stack by ``_fit``.
+
+    The traces share one sample axis.  ``starts[i]`` holds every starting
+    value of ``traces[i]`` by parameter name; without ``starts`` each trace
+    starts as in ``fit_odmr_dips`` without ``init``.  Each result equals the
+    one ``fit_odmr_dips`` returns for its trace and start, bit for bit.
+    """
+    names = _odmr_param_names(n_dips)
+    for trace in traces:
+        _check_odmr_trace(trace)
+    if not traces:
+        return []
+    axis = traces[0].axis
+    if any(not np.array_equal(trace.axis, axis) for trace in traces[1:]):
+        raise ValueError("traces must share one sample axis")
+    if starts is None:
+        starts = _odmr_starts(traces, n_dips, max_iterations)
+    if len(starts) != len(traces):
+        raise ValueError(f"got {len(starts)} starts for {len(traces)} traces")
+    for start in starts:
+        if set(start) != set(names):
+            raise ValueError(f"a start must set exactly {list(names)}, got {sorted(start)}")
+    p0 = np.array([[start[name] for name in names] for start in starts], dtype=np.float64)
+    counts = np.array([trace.counts for trace in traces], dtype=np.float64)
+    return [_dips_result(names, *row) for row in _fit(_dips_model, axis, counts, p0, max_iterations)]
+
+
+def _dips_result(
+    names: tuple[str, ...],
+    p: FloatArray,
+    cov: FloatArray,
+    residual_rms: float,
+    reduced_chi2: float,
+    iterations: int,
+    converged: bool,
+) -> FitResult:
+    """A dip fit's ``FitResult``: widths folded, dips in center order, ``d_center`` derived."""
     _fold_widths(p, cov, range(2, p.size, 3))
-    if n_dips == 2 and p[1] > p[4]:
+    if p.size == 7 and p[1] > p[4]:
         perm = np.array([0, 4, 5, 6, 1, 2, 3])
         p = p[perm]
         cov = cov[np.ix_(perm, perm)]
@@ -469,7 +636,7 @@ def fit_odmr_dips(
     params = dict(zip(names, (float(v) for v in p)))
     std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(names)}
 
-    if n_dips == 1:
+    if p.size == 4:
         d_center = params["center_1"]
         d_sigma = std["center_1"]
     else:
@@ -602,7 +769,7 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
     shapes = _screen_shapes(axis.tobytes())
     if shapes is None:
         return scores
-    margin = 3.0 * math.log(axis.size)
+    margin = _bic_margin(axis.size)
     trusted = [
         i
         for i, one in enumerate(ones)
@@ -651,13 +818,14 @@ def _block_scores(
     return np.where(np.isfinite(scores), scores, math.inf)
 
 
-def _bic_choice(
-    trace: SpectrumTrace, one: FitResult, max_iterations: int
-) -> tuple[int, FitResult]:
-    """Fit the two-dip candidate and keep it only if it wins BIC and is admissible."""
+def _bic_margin(n_samples: int) -> float:
+    """BIC cost of a second dip's three parameters."""
+    return 3.0 * math.log(n_samples)
+
+
+def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[int, FitResult]:
+    """Keep the two-dip candidate ``two`` only if it wins BIC and is admissible."""
     n = trace.axis.size
-    start = _two_dip_start(trace.axis, trace.counts, one)
-    two = fit_odmr_dips(trace, 2, init=start, max_iterations=max_iterations)
     bic = {}
     for n_dips, res in ((1, one), (2, two)):
         k = len(res.param_names)
@@ -671,7 +839,33 @@ def _select_dip_count_unscreened(
     trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIONS
 ) -> tuple[int, FitResult]:
     """``select_dip_count`` without the score screen: always fits two dips."""
-    return _bic_choice(trace, fit_odmr_dips(trace, 1, max_iterations=max_iterations), max_iterations)
+    return select_dip_count(trace, score=math.inf, max_iterations=max_iterations)
+
+
+def fit_two_dip_candidates(
+    traces: Sequence[SpectrumTrace],
+    ones: Sequence[FitResult],
+    scores: Sequence[float] | FloatArray,
+    *,
+    max_iterations: int = MAX_ITERATIONS,
+) -> list[FitResult | None]:
+    """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
+
+    ``ones[i]`` is the one-dip fit of ``traces[i]`` and ``scores[i]`` its
+    ``second_dip_scores`` entry.  A record the score screens out gets
+    ``None``; every other record's candidate starts from ``_two_dip_start``
+    of its one-dip fit, and all of them are fitted by one
+    ``fit_odmr_stack``.
+    """
+    if not len(ones) == len(scores) == len(traces):
+        raise ValueError(f"got {len(ones)} one-dip fits and {len(scores)} scores for {len(traces)} traces")
+    picked = [i for i, trace in enumerate(traces) if not scores[i] < _bic_margin(trace.axis.size)]
+    starts = [_two_dip_start(traces[i].axis, traces[i].counts, ones[i]) for i in picked]
+    fits = fit_odmr_stack([traces[i] for i in picked], 2, starts, max_iterations=max_iterations)
+    twos: list[FitResult | None] = [None] * len(traces)
+    for i, fit in zip(picked, fits):
+        twos[i] = fit
+    return twos
 
 
 def select_dip_count(
@@ -679,6 +873,7 @@ def select_dip_count(
     *,
     one: FitResult | None = None,
     score: float | None = None,
+    two: FitResult | None = None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[int, FitResult]:
     """Choose between the one- and two-dip models by BIC.
@@ -699,10 +894,12 @@ def select_dip_count(
     score ``inf`` and always get the two-dip fit.  The screen is meant to
     save the two-dip fit without changing the decision.
 
-    ``one`` is the one-dip fit of ``trace`` and ``score`` its entry of
-    ``second_dip_scores``; a caller that scored a block of records passes
-    both.  Without them the one-dip fit is made here and scored as a block
-    of one.
+    ``one`` is the one-dip fit of ``trace``, ``score`` its entry of
+    ``second_dip_scores`` and ``two`` its two-dip candidate; a caller that
+    fitted and scored a run of records passes them (see
+    ``fit_two_dip_candidates``).  What is not passed is made here: the
+    one-dip fit, a score as a block of one, and the candidate when the score
+    does not screen it out.
 
     The two-dip fit starts from ``_two_dip_start`` of the one-dip fit: the
     fitted dip split into a Zeeman pair, or the sample-based start of
@@ -712,9 +909,11 @@ def select_dip_count(
         one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
     if score is None:
         score = float(second_dip_scores([trace], [one])[0])
-    if score < 3.0 * math.log(trace.axis.size):
+    if score < _bic_margin(trace.axis.size):
         return 1, one
-    return _bic_choice(trace, one, max_iterations)
+    if two is None:
+        two = fit_two_dip_candidates([trace], [one], [score], max_iterations=max_iterations)[0]
+    return _bic_choice(trace, one, two)
 
 
 def linear_regression(xs: FloatArray, ys: FloatArray) -> RegressionResult:

@@ -24,13 +24,18 @@ from dualtherm import (
     subsystem_generators,
 )
 from dualtherm.fitting import (
+    FIT_STACK_ROWS,
     MAX_DIP_CONTRAST_RATIO,
     _dip_pair_admissible,
     _dips_model,
+    _fit,
+    _odmr_init,
+    _odmr_param_names,
     _peak_model,
     _screen_shapes,
     _select_dip_count_unscreened,
     _weighted_cost,
+    fit_odmr_stack,
     second_dip_scores,
 )
 
@@ -504,3 +509,109 @@ def test_two_dip_center_errors_match_monte_carlo_scatter():
         errors.append(d_sigma)
     ratio = float(np.std(centers, ddof=1) / np.mean(errors))
     assert 0.67 <= ratio <= 1.5, f"scatter/reported ratio {ratio:.3f}"
+
+
+def _stack_corpus(n_dips: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and sample starts of a mixed ODMR stack.
+
+    Quiet and field-split spectra at the pipeline's exposure, a sparse row of
+    at most 10 counts per bin, and a noiseless row started at its own
+    parameters, whose weighted cost is 0 from the start.
+    """
+    tau = 1.5 / 201
+    rng = np.random.default_rng(8101)
+    counts = []
+    for k in range(5):
+        counts.append(_odmr_trace(OdmrModel(5e8, ((2866.0 + 2.0 * k, 12.0, 0.12),)), tau, rng).counts)
+        shift = 2.0 + 1.5 * k
+        pair = ((2870.0 - shift, 12.0, 0.06), (2870.0 + shift, 12.0, 0.06))
+        counts.append(_odmr_trace(OdmrModel(5e8, pair), tau, rng).counts)
+    counts.append(_odmr_trace(OdmrModel(5e8, ((2870.0, 12.0, 0.12),)), 5e-9, rng).counts)
+    assert counts[-1].max() <= 10
+    starts = [[_odmr_init(ODMR_AXIS, c, n_dips)[name] for name in _odmr_param_names(n_dips)] for c in counts]
+    truth = np.array(starts[0])
+    counts.append(_dips_model(ODMR_AXIS, truth)[0])
+    starts.append(truth)
+    return np.array(counts), np.array(starts)
+
+
+def _fitted(model, axis, counts, starts, max_iterations) -> list[tuple]:
+    """Each row of a stacked ``_fit``, as bytes."""
+    return [
+        (p.tobytes(), cov.tobytes(), np.float64(rms).tobytes(), np.float64(chi2).tobytes(), iterations, converged)
+        for p, cov, rms, chi2, iterations, converged in _fit(model, axis, counts, starts, max_iterations)
+    ]
+
+
+def _fitted_alone(model, axis, counts, starts, max_iterations) -> list[tuple]:
+    """Each row fitted as a stack of one, as bytes."""
+    return [_fitted(model, axis, counts[i : i + 1], starts[i : i + 1], max_iterations)[0] for i in range(len(counts))]
+
+
+@pytest.mark.parametrize("max_iterations", [200, 3])
+@pytest.mark.parametrize("n_dips", [1, 2])
+def test_stacked_fit_rows_equal_fits_of_one(n_dips, max_iterations):
+    counts, starts = _stack_corpus(n_dips)
+    alone = _fitted_alone(_dips_model, ODMR_AXIS, counts, starts, max_iterations)
+    assert _fitted(_dips_model, ODMR_AXIS, counts, starts, max_iterations) == alone
+    assert _fitted(_dips_model, ODMR_AXIS, counts[::-1], starts[::-1], max_iterations) == alone[::-1]
+    # more rows than fit in flight at once: finished rows make room for queued ones
+    tiled = np.concatenate([counts, counts[::-1], counts])
+    assert len(tiled) > FIT_STACK_ROWS
+    long_rows = _fitted(_dips_model, ODMR_AXIS, tiled, np.concatenate([starts, starts[::-1], starts]), max_iterations)
+    assert long_rows == alone + alone[::-1] + alone
+    # the corpus reaches the paths it is meant to: the noiseless row ends at
+    # zero cost, rows leave the stack at different iterations, and a small
+    # cap stops rows that would have gone on
+    assert alone[-1][3] == np.float64(0.0).tobytes() and alone[-1][5]
+    assert len({row[4] for row in alone}) > 1
+    assert max_iterations > 3 or any(n == 3 and not converged for *_, n, converged in alone)
+
+
+def test_stacked_peak_fits_equal_fits_of_one():
+    rng = np.random.default_rng(8102)
+    peaks = [PlModel(background_rate=2e4, peaks=((735.0 + 0.5 * k, 4.8, 1.3e5),)) for k in range(9)]
+    # and a sparse spectrum of a few counts per bin
+    peaks.append(PlModel(background_rate=2.0, peaks=((737.0, 4.8, 6.0),)))
+    counts = np.array([_pl_trace(model, 1.3, rng).counts for model in peaks])
+    starts = np.array([[c[:20].mean(), c.max() - c[:20].mean(), PL_AXIS[np.argmax(c)], 4.0] for c in counts])
+    tiled, tiled_starts = np.concatenate([counts, counts[::-1]]), np.concatenate([starts, starts[::-1]])
+    for max_iterations in (200, 2):
+        alone = _fitted_alone(_peak_model, PL_AXIS, counts, starts, max_iterations)
+        assert _fitted(_peak_model, PL_AXIS, tiled, tiled_starts, max_iterations) == alone + alone[::-1]
+
+
+def test_fit_odmr_stack_equals_fit_odmr_dips():
+    counts, starts = _stack_corpus(2)
+    traces = [SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, c, 1.5 / 201) for c in counts]
+    for n_dips in (1, 2):
+        names = _odmr_param_names(n_dips)
+        inits = [dict(zip(names, map(float, start[: len(names)]))) for start in starts]
+        for stacked, trace, init in zip(fit_odmr_stack(traces, n_dips, inits), traces, inits):
+            alone = fit_odmr_dips(trace, n_dips, init=init)
+            assert stacked.params == alone.params and stacked.std_errors == alone.std_errors
+            assert stacked.covariance.tobytes() == alone.covariance.tobytes()
+            assert (stacked.residual_rms, stacked.reduced_chi2) == (alone.residual_rms, alone.reduced_chi2)
+            assert (stacked.iterations, stacked.converged) == (alone.iterations, alone.converged)
+            assert stacked.derived == alone.derived
+        # without starts, each trace starts as fit_odmr_dips starts it
+        defaults = fit_odmr_stack(traces[:4], n_dips)
+        assert [fit.params for fit in defaults] == [fit_odmr_dips(trace, n_dips).params for trace in traces[:4]]
+
+
+def test_fit_odmr_stack_validates_its_inputs():
+    counts, starts = _stack_corpus(1)
+    traces = [SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, c, 1.5 / 201) for c in counts[:2]]
+    inits = [dict(zip(_odmr_param_names(1), map(float, start))) for start in starts[:2]]
+    assert fit_odmr_stack([], 1) == []
+    with pytest.raises(ValueError, match="2 traces"):
+        fit_odmr_stack(traces, 1, inits[:1])
+    with pytest.raises(ValueError, match="a start must set"):
+        fit_odmr_stack(traces, 1, [inits[0], {"baseline": 1.0}])
+    with pytest.raises(ValueError, match="n_dips"):
+        fit_odmr_stack(traces, 3)
+    shifted = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS + 1.0, counts[1], 1.5 / 201)
+    with pytest.raises(ValueError, match="share one sample axis"):
+        fit_odmr_stack([traces[0], shifted], 1)
+    with pytest.raises(ValueError, match="max_iterations"):
+        fit_odmr_dips(traces[0], 1, max_iterations=0)

@@ -23,6 +23,7 @@ from dualtherm import (
     odmr_expected_counts,
     pl_expected_counts,
 )
+from dualtherm.fitting import FIT_STACK_ROWS, _dips_model, _fit, _odmr_init
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
 PL_AXIS = np.arange(715.0, 760.05, 0.1)
@@ -159,3 +160,43 @@ def test_two_dip_fit_orders_centers_whatever_the_start(seed, mid, split, widths,
     assert abs(fit.derived["d_center"][1] - ref.derived["d_center"][1]) <= TOL * ref.derived["d_center"][1]
 
     _assert_width_folded(fit_odmr_dips(trace, 2, init={**start, negative: -start[negative]}), ref, negative)
+
+
+@PROPERTY
+@given(
+    spectra=st.lists(
+        st.tuples(seeds, dip_centers, st.floats(0.0, 10.0), contrasts, st.sampled_from((1e-4, 0.01, 1.0))),
+        min_size=FIT_STACK_ROWS - 6,
+        max_size=FIT_STACK_ROWS + 6,
+    ),
+    n_dips=st.sampled_from((1, 2)),
+    max_iterations=st.sampled_from((2, 200)),
+)
+def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, n_dips, max_iterations):
+    """Each row of a stacked fit comes out bit for bit as the fit of that row alone.
+
+    The spectra mix single dips and Zeeman-split pairs at several count
+    levels; stacks longer than ``FIT_STACK_ROWS`` refill as rows finish.
+    """
+    counts = np.array(
+        [
+            _odmr_counts(((center - split, 12.0, 0.5 * contrast), (center + split, 12.0, 0.5 * contrast)), seed) * level
+            for seed, center, split, contrast, level in spectra
+        ]
+    )
+    counts = np.round(counts)
+    names = list(_odmr_init(ODMR_AXIS, counts[0], n_dips))
+    starts = np.array([[_odmr_init(ODMR_AXIS, c, n_dips)[name] for name in names] for c in counts])
+
+    def fitted(rows):
+        return [
+            (p.tobytes(), cov.tobytes(), np.float64(rms).tobytes(), np.float64(chi2).tobytes(), iterations, converged)
+            for p, cov, rms, chi2, iterations, converged in _fit(
+                _dips_model, ODMR_AXIS, counts[rows], starts[rows], max_iterations
+            )
+        ]
+
+    alone = [fitted([i])[0] for i in range(len(counts))]
+    assert fitted(slice(None)) == alone
+    order = np.random.default_rng(spectra[0][0]).permutation(len(counts))
+    assert fitted(order) == [alone[i] for i in order]

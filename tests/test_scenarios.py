@@ -1,13 +1,16 @@
 """Scenario engine: determinism, truth tracking, channel structure."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dualtherm import (
     BfieldSettings,
+    LaserParams,
+    OdmrSettings,
+    PlSettings,
     PrecisionParams,
     RampParams,
     ScenarioConfig,
@@ -25,7 +28,7 @@ from dualtherm import (
     unit_lorentzian,
     zpl_readout,
 )
-from dualtherm import fitting
+from dualtherm import fitting, scenarios
 from dualtherm.scenarios import ScenarioRecord
 
 
@@ -254,18 +257,20 @@ def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
     """A count, not a timing: field spectra must not run the two-dip fit to the cap.
 
     Started from the samples alone, 75 of these 378 two-dip fits stopped at
-    ``MAX_ITERATIONS``.
+    ``MAX_ITERATIONS``.  The pipeline fits the two-dip candidates of a chunk
+    of records as one stack, so the iterations are read off the stacked
+    fits' results.
     """
-    fit_odmr_dips = fitting.fit_odmr_dips
+    fit_odmr_stack = fitting.fit_odmr_stack
     iterations = []
 
-    def counted(trace, n_dips, **kwargs):
-        fit = fit_odmr_dips(trace, n_dips, **kwargs)
+    def counted(traces, n_dips, *args, **kwargs):
+        fits = fit_odmr_stack(traces, n_dips, *args, **kwargs)
         if n_dips == 2:
-            iterations.append(fit.iterations)
-        return fit
+            iterations.extend(fit.iterations for fit in fits)
+        return fits
 
-    monkeypatch.setattr(fitting, "fit_odmr_dips", counted)
+    monkeypatch.setattr(fitting, "fit_odmr_stack", counted)
     for seed in range(10):
         run_bfield_artifact(
             ScenarioConfig(
@@ -279,7 +284,7 @@ def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
 
 @pytest.mark.parametrize("b_max_mt", [0.0, 0.5])
 def test_records_do_not_depend_on_the_screen_blocks(b_max_mt):
-    """A session whose length is no multiple of the score block reads as the start of a longer one."""
+    """A session whose length is no multiple of the score block or the fit chunk reads as the start of a longer one."""
 
     def session(duration_s):
         return run_bfield_artifact(
@@ -291,18 +296,21 @@ def test_records_do_not_depend_on_the_screen_blocks(b_max_mt):
             )
         )
 
-    short, full = session(46.5), session(60.0)
-    assert len(short) == 31 and len(full) == 40
-    assert len(short) % fitting.SCREEN_BLOCK_RECORDS != 0
-    # only the first window is complete in the short session; the rest of
-    # its records are unscreened
     win = ScenarioConfig().detection.window_samples
-    assert win < len(short) < 2 * win
-    for k, (a, b) in enumerate(zip(short, full)):
-        if k < win:
-            assert a == b, k
-        else:
-            assert replace(a, artifact_flag=False) == replace(b, artifact_flag=False), k
+    for short_s, full_s, n_short, n_full in ((46.5, 60.0, 31, 40), (100.5, 150.0, 67, 100)):
+        short, full = session(short_s), session(full_s)
+        assert len(short) == n_short and len(full) == n_full
+        assert len(short) % fitting.SCREEN_BLOCK_RECORDS != 0
+        # only the complete windows of the short session are screened
+        screened = len(short) - len(short) % win
+        assert screened < len(short)
+        for k, (a, b) in enumerate(zip(short, full)):
+            if k < screened:
+                assert a == b, k
+            else:
+                assert replace(a, artifact_flag=False) == replace(b, artifact_flag=False), k
+    # the second pair crosses a chunk boundary of the stacked fits
+    assert n_short > scenarios.FIT_CHUNK_RECORDS and n_short % scenarios.FIT_CHUNK_RECORDS != 0
 
 
 def _nv_temperature_crb(cfg: ScenarioConfig) -> float:
@@ -344,3 +352,34 @@ def test_precision_sweep_nv_floor_matches_the_cramer_rao_bound():
     # each sample variance over n repetitions has relative SD sqrt(2 / (n - 1))
     standard_error = math.sqrt(2.0 / (cfg.precision.repetitions - 1)) / math.sqrt(times.size)
     assert abs(ratio - 1.0) < 5.0 * standard_error, f"sigma^2 t / CRB^2 = {ratio:.3f} +/- {standard_error:.3f}"
+
+
+def _float_fields():
+    """``(settings class, field name, whether the field is a tuple)`` for every float field of the settings."""
+    return [
+        (cls, f.name, f.type != "float")
+        for cls in (ScenarioConfig, OdmrSettings, PlSettings, BfieldSettings, RampParams, PrecisionParams, LaserParams)
+        for f in fields(cls)
+        if f.type in ("float", "tuple[float, ...]")
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "cls,name,is_tuple", [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}") for case in _float_fields()]
+)
+def test_settings_reject_non_finite_numbers(cls, name, is_tuple, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        cls(**{name: (1.0, value) if is_tuple else value})
+
+
+def test_settings_cover_every_float_field():
+    names = {(cls.__name__, name) for cls, name, _ in _float_fields()}
+    assert ("ScenarioConfig", "duration_s") in names and ("PrecisionParams", "integration_times_s") in names
+    assert len(names) == 26
+
+
+def test_infinite_duration_is_refused_before_the_run():
+    # an infinite session used to pass validation and overflow in the run
+    with pytest.raises(ValueError, match="duration_s must be a finite number"):
+        ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, duration_s=math.inf)
