@@ -507,37 +507,47 @@ def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> dict[str, f
     return start
 
 
-def _two_dip_start(axis: FloatArray, counts: FloatArray, one: FitResult) -> dict[str, float]:
-    """Start of the two-dip fit, built from the one-dip fit ``one``.
+def _two_dip_starts(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]) -> list[dict[str, float]]:
+    """Starts of the two-dip fits of ``traces``, built from their one-dip fits ``ones``.
 
-    Splits the fitted dip into a Zeeman pair: centers a quarter width either
-    side of its center, 0.7 of its width and 0.6 of its contrast each, on
-    the same baseline.  Partially resolved pairs started from the samples
-    alone (``_odmr_init``) fall into degenerate minima with one dip of
-    negative contrast and hit the iteration cap, but on a well-resolved pair
-    the split of one broad dip lies far from either line.  Of the two starts
-    the one with the lower weighted cost is returned; ties go to the pair.
+    Splits each fitted dip into a Zeeman pair: centers a quarter width
+    either side of its center, 0.7 of its width and 0.6 of its contrast
+    each, on the same baseline.  Partially resolved pairs started from the
+    samples alone (``_odmr_init``) fall into degenerate minima with one dip
+    of negative contrast and hit the iteration cap, but on a well-resolved
+    pair the split of one broad dip lies far from either line.  Of the two
+    starts of a spectrum the one with the lower weighted cost is returned;
+    ties go to the pair.  Every start is costed in one stacked model call.
     """
-    baseline, center, fwhm, contrast = (one.params[name] for name in _odmr_param_names(1))
-    pair = {
-        "baseline": baseline,
-        "center_1": center - 0.25 * fwhm,
-        "fwhm_1": 0.7 * fwhm,
-        "contrast_1": 0.6 * contrast,
-        "center_2": center + 0.25 * fwhm,
-        "fwhm_2": 0.7 * fwhm,
-        "contrast_2": 0.6 * contrast,
-    }
-    samples = _odmr_init(axis, counts, 2)
+    if not traces:
+        return []
+    axis = _shared_axis(traces)
+    counts = np.array([trace.counts for trace in traces])
+    names = _odmr_param_names(2)
+    pairs, samples = [], []
+    for one, row in zip(ones, counts):
+        baseline, center, fwhm, contrast = (one.params[name] for name in _odmr_param_names(1))
+        split = (0.7 * fwhm, 0.6 * contrast)
+        pairs.append((baseline, center - 0.25 * fwhm, *split, center + 0.25 * fwhm, *split))
+        sample = _odmr_init(axis, row, 2)
+        samples.append(tuple(sample[name] for name in names))
     weights = 1.0 / np.maximum(counts, 1.0)
-
-    def cost(start: dict[str, float]) -> float:
-        p = np.array([start[name] for name in _odmr_param_names(2)])
-        with np.errstate(all="ignore"):
-            return _weighted_cost(counts, _dips_model(axis, p)[0], weights)
-
+    with np.errstate(all="ignore"):
+        model, _ = _dips_model(axis, np.array([pairs, samples]))
+        pair_costs, sample_costs = _weighted_cost(counts, model, weights).tolist()
     # a non-finite pair cost fails this test and falls back to the samples
-    return pair if cost(pair) <= cost(samples) else samples
+    return [
+        dict(zip(names, pair if pair_cost <= sample_cost else sample))
+        for pair, sample, pair_cost, sample_cost in zip(pairs, samples, pair_costs, sample_costs)
+    ]
+
+
+def _shared_axis(traces: Sequence[SpectrumTrace]) -> FloatArray:
+    """The sample axis of ``traces``, which must all share it."""
+    axis = traces[0].axis
+    if any(not np.array_equal(trace.axis, axis) for trace in traces[1:]):
+        raise ValueError("traces must share one sample axis")
+    return axis
 
 
 def _check_odmr_trace(trace: SpectrumTrace) -> None:
@@ -548,11 +558,11 @@ def _check_odmr_trace(trace: SpectrumTrace) -> None:
 
 
 def _odmr_starts(traces: Sequence[SpectrumTrace], n_dips: int, max_iterations: int) -> list[dict[str, float]]:
-    """Default starts: one dip from the samples, two from ``_two_dip_start`` of a one-dip fit."""
+    """Default starts: one dip from the samples, two from ``_two_dip_starts`` of one-dip fits."""
     if n_dips == 1:
         return [_odmr_init(trace.axis, trace.counts, 1) for trace in traces]
     ones = fit_odmr_stack(traces, 1, max_iterations=max_iterations)
-    return [_two_dip_start(trace.axis, trace.counts, one) for trace, one in zip(traces, ones)]
+    return _two_dip_starts(traces, ones)
 
 
 def fit_odmr_dips(
@@ -570,7 +580,7 @@ def fit_odmr_dips(
 
     ``init`` overrides individual starting values by parameter name.  A
     two-dip fit that is not given every starting value first fits one dip and
-    starts from ``_two_dip_start`` of that fit, the start ``select_dip_count``
+    starts from ``_two_dip_starts`` of that fit, the start ``select_dip_count``
     uses too.  The fit is a stack of one (``fit_odmr_stack``).
     """
     _check_odmr_trace(trace)
@@ -602,9 +612,7 @@ def fit_odmr_stack(
         _check_odmr_trace(trace)
     if not traces:
         return []
-    axis = traces[0].axis
-    if any(not np.array_equal(trace.axis, axis) for trace in traces[1:]):
-        raise ValueError("traces must share one sample axis")
+    axis = _shared_axis(traces)
     if starts is None:
         starts = _odmr_starts(traces, n_dips, max_iterations)
     if len(starts) != len(traces):
@@ -752,7 +760,12 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
     chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the BIC
     margin ``3 ln n`` (see ``select_dip_count``).  Any other record is not
     scored and reads ``inf``, as does every record when the grid cannot be
-    built for the axis.
+    built for the axis.  Within that gate the fit is linear enough that the
+    chi-square a second dip buys equals its Wald statistic
+    ``(C / sigma_C)^2``; an admissible dip, at ``MIN_DIP_SIGNIFICANCE`` (5)
+    sigma or more, buys at least 25.  So a score below
+    ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)`` rules the two-dip fit out
+    (``_screened_out``).
 
     Trusted records are scored ``SCREEN_BLOCK_RECORDS`` at a time, so that
     each pass over the cached grid, the screen's main memory traffic, serves
@@ -763,9 +776,7 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
         raise ValueError(f"got {len(ones)} one-dip fits for {len(traces)} traces")
     if not traces:
         return scores
-    axis = traces[0].axis
-    if any(not np.array_equal(trace.axis, axis) for trace in traces):
-        raise ValueError("traces must share one sample axis")
+    axis = _shared_axis(traces)
     shapes = _screen_shapes(axis.tobytes())
     if shapes is None:
         return scores
@@ -791,10 +802,10 @@ def _block_scores(
     weights = 1.0 / np.maximum(counts, 1.0)
     root_w = np.sqrt(weights)
     with np.errstate(all="ignore"):
-        fits = [_dips_model(axis, np.array([one.params[name] for name in one.param_names])) for one in ones]
+        model, jac = _dips_model(axis, np.array([[one.params[name] for name in one.param_names] for one in ones]))
         # orthonormal bases of the weighted one-dip Jacobians
-        q, _ = np.linalg.qr(np.array([jac for _, jac in fits]) * root_w[:, :, None])
-        s = root_w * (counts - np.array([model for model, _ in fits]))
+        q, _ = np.linalg.qr(jac * root_w[:, :, None])
+        s = root_w * (counts - model)
         qs = np.matmul(s[:, None, :], q)[:, 0]
         # five rows per record: the weighted residual and the basis, each
         # weighted once more
@@ -821,6 +832,16 @@ def _block_scores(
 def _bic_margin(n_samples: int) -> float:
     """BIC cost of a second dip's three parameters."""
     return 3.0 * math.log(n_samples)
+
+
+def _screened_out(score: float | FloatArray, n_samples: int) -> bool | NDArray[np.bool_]:
+    """Whether a ``second_dip_scores`` score rules out a kept second dip, so that the two-dip fit can be skipped.
+
+    The score must reach the BIC margin ``3 ln n`` and the chi-square
+    ``MIN_DIP_SIGNIFICANCE**2`` that an admissible dip buys (see
+    ``select_dip_count``); that is 25 up to about 4,160 samples.
+    """
+    return score < max(_bic_margin(n_samples), MIN_DIP_SIGNIFICANCE**2)
 
 
 def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[int, FitResult]:
@@ -852,16 +873,18 @@ def fit_two_dip_candidates(
     """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
 
     ``ones[i]`` is the one-dip fit of ``traces[i]`` and ``scores[i]`` its
-    ``second_dip_scores`` entry.  A record the score screens out gets
-    ``None``; every other record's candidate starts from ``_two_dip_start``
-    of its one-dip fit, and all of them are fitted by one
-    ``fit_odmr_stack``.
+    ``second_dip_scores`` entry.  A record the score screens out, one whose
+    score stays below ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)`` (see
+    ``_screened_out``), gets ``None``.  Every other record's candidate
+    starts from ``_two_dip_starts`` of its one-dip fit, and all of them are
+    fitted by one ``fit_odmr_stack``.
     """
     if not len(ones) == len(scores) == len(traces):
         raise ValueError(f"got {len(ones)} one-dip fits and {len(scores)} scores for {len(traces)} traces")
-    picked = [i for i, trace in enumerate(traces) if not scores[i] < _bic_margin(trace.axis.size)]
-    starts = [_two_dip_start(traces[i].axis, traces[i].counts, ones[i]) for i in picked]
-    fits = fit_odmr_stack([traces[i] for i in picked], 2, starts, max_iterations=max_iterations)
+    picked = [i for i, trace in enumerate(traces) if not _screened_out(scores[i], trace.axis.size)]
+    picked_traces = [traces[i] for i in picked]
+    starts = _two_dip_starts(picked_traces, [ones[i] for i in picked])
+    fits = fit_odmr_stack(picked_traces, 2, starts, max_iterations=max_iterations)
     twos: list[FitResult | None] = [None] * len(traces)
     for i, fit in zip(picked, fits):
         twos[i] = fit
@@ -883,13 +906,18 @@ def select_dip_count(
     eligible when it passes the physical-admissibility screen (see
     ``_dip_pair_admissible``).
 
-    The second dip costs ``3 ln(n_samples)`` of BIC, so the two-dip fit is
-    skipped when the linearised chi-square gain of any second dip
-    (``second_dip_scores``) stays below that margin.  The linearisation is
-    only trusted around a converged one-dip fit whose own contrast
-    chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the margin:
-    a two-dip model within reach of the margin is then a small perturbation
-    of the fitted dip.  Around a weak dip, splitting it in two is no small
+    The second dip costs ``3 ln(n_samples)`` of BIC, and an admissible one
+    must clear ``MIN_DIP_SIGNIFICANCE`` (5) sigma of contrast.  In the
+    linear regime the chi-square a dip buys equals its Wald statistic
+    ``(C / sigma_C)^2``, so an admissible pair buys at least 25.  The
+    two-dip fit is therefore skipped when the linearised chi-square gain of
+    any second dip (``second_dip_scores``) stays below
+    ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)``: 25 up to about 4,160 samples,
+    the BIC margin beyond (``_screened_out``).  The linearisation is only
+    trusted around a converged one-dip fit whose own contrast chi-square is
+    at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the margin: a two-dip
+    model within reach of the threshold is then a small perturbation of the
+    fitted dip.  Around a weak dip, splitting it in two is no small
     perturbation and the score underestimates the gain, so such spectra
     score ``inf`` and always get the two-dip fit.  The screen is meant to
     save the two-dip fit without changing the decision.
@@ -901,7 +929,7 @@ def select_dip_count(
     one-dip fit, a score as a block of one, and the candidate when the score
     does not screen it out.
 
-    The two-dip fit starts from ``_two_dip_start`` of the one-dip fit: the
+    The two-dip fit starts from ``_two_dip_starts`` of the one-dip fit: the
     fitted dip split into a Zeeman pair, or the sample-based start of
     ``fit_odmr_dips`` when that sits lower on the weighted cost.
     """
@@ -909,7 +937,7 @@ def select_dip_count(
         one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
     if score is None:
         score = float(second_dip_scores([trace], [one])[0])
-    if score < _bic_margin(trace.axis.size):
+    if _screened_out(score, trace.axis.size):
         return 1, one
     if two is None:
         two = fit_two_dip_candidates([trace], [one], [score], max_iterations=max_iterations)[0]

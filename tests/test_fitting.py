@@ -26,6 +26,7 @@ from dualtherm import (
 from dualtherm.fitting import (
     FIT_STACK_ROWS,
     MAX_DIP_CONTRAST_RATIO,
+    _bic_margin,
     _dip_pair_admissible,
     _dips_model,
     _fit,
@@ -33,7 +34,9 @@ from dualtherm.fitting import (
     _odmr_param_names,
     _peak_model,
     _screen_shapes,
+    _screened_out,
     _select_dip_count_unscreened,
+    _two_dip_starts,
     _weighted_cost,
     fit_odmr_stack,
     second_dip_scores,
@@ -354,7 +357,6 @@ def test_screened_dip_count_agrees_with_unscreened_selector():
             group.append(_odmr_trace(model, tau, rng))
         pairs.append(group)
 
-    margin = 3.0 * math.log(ODMR_AXIS.size)
     for g, group in enumerate([clean] + pairs):
         chosen = []
         for i, trace in enumerate(group):
@@ -371,8 +373,45 @@ def test_screened_dip_count_agrees_with_unscreened_selector():
     # ... and the screen must skip the two-dip fit on clean spectra
     skipped = 0
     for trace in clean:
-        skipped += second_dip_scores([trace], [fit_odmr_dips(trace, 1)])[0] < margin
+        skipped += _screened_out(second_dip_scores([trace], [fit_odmr_dips(trace, 1)])[0], ODMR_AXIS.size)
     assert skipped >= 36, skipped
+
+
+def test_screen_threshold_is_the_admissible_significance_or_the_bic_margin():
+    # 5 sigma of contrast buys a chi-square of 25, which exceeds the BIC
+    # margin 3 ln n up to n = exp(25 / 3), about 4,160 samples
+    assert not _screened_out(25.0, 201)
+    assert _screened_out(np.nextafter(25.0, 0.0), 201)
+    assert _screened_out(24.99, 4150) and not _screened_out(25.0, 4150)
+    margin = _bic_margin(4170)
+    assert margin > 25.0
+    assert _screened_out(np.nextafter(margin, 0.0), 4170) and not _screened_out(margin, 4170)
+    assert _screened_out(np.array([15.0, 24.0, 25.0, math.inf]), 201).tolist() == [True, True, False, False]
+
+
+def test_screen_at_the_admissible_significance_keeps_every_choice():
+    """Nearly unresolved pairs score around the threshold; skipping their fits changes no choice."""
+    tau = 1.5 / 201
+    rng = np.random.default_rng(7401)
+    n = ODMR_AXIS.size
+    scores, chosen = [], []
+    for i in range(40):
+        mid, half = rng.uniform(2860.0, 2880.0), rng.uniform(0.0, 3.0)
+        model = OdmrModel(baseline_rate=5e8, dips=((mid - half, 12.0, 0.06), (mid + half, 12.0, 0.06)))
+        trace = _odmr_trace(model, tau, rng)
+        n_screened, fit_screened = select_dip_count(trace)
+        n_full, fit_full = _select_dip_count_unscreened(trace)
+        assert n_screened == n_full, f"spectrum {i}"
+        assert fit_screened.params == fit_full.params, f"spectrum {i}"
+        scores.append(float(second_dip_scores([trace], [fit_odmr_dips(trace, 1)])[0]))
+        chosen.append(n_full)
+    scores = np.array(scores)
+    kept = np.array(chosen) == 2
+    # some fits the BIC margin alone would run are skipped ...
+    assert ((scores >= _bic_margin(n)) & (scores < 25.0)).any()
+    # ... and every kept pair clears the threshold
+    assert 0 < kept.sum() < kept.size
+    assert not _screened_out(scores[kept], n).any()
 
 
 def test_backend_name_reports_numpy():
@@ -442,7 +481,7 @@ def _screen_corpus() -> tuple[list[SpectrumTrace], list[FitResult], list[str]]:
 @pytest.mark.parametrize("block", [1, 3, 8])
 def test_block_scores_equal_single_trace_scores(block):
     traces, ones, kinds = _screen_corpus()
-    margin = 3.0 * math.log(ODMR_AXIS.size)
+    n = ODMR_AXIS.size
     single = np.array([second_dip_scores([t], [o])[0] for t, o in zip(traces, ones)])
     scores = np.concatenate(
         [second_dip_scores(traces[i : i + block], ones[i : i + block]) for i in range(0, len(traces), block)]
@@ -455,14 +494,14 @@ def test_block_scores_equal_single_trace_scores(block):
     assert np.array_equal(np.isinf(scores), untrusted)
     assert np.array_equal(np.isinf(single), untrusted)
     np.testing.assert_allclose(scores[~untrusted], single[~untrusted], rtol=1e-12, atol=0.0)
-    assert np.array_equal(scores < margin, single < margin)
+    assert np.array_equal(_screened_out(scores, n), _screened_out(single, n))
     # the reference sums in another order; a gain counts only where its
     # denominator keeps 1e-9 of the candidate norm, so rounding moves it by
     # at most about 1e9 * 2.2e-16
     np.testing.assert_allclose(scores[~untrusted], reference[~untrusted], rtol=1e-6, atol=0.0)
-    assert np.array_equal(scores < margin, reference < margin)
+    assert np.array_equal(_screened_out(scores, n), _screened_out(reference, n))
     # both decisions occur among the trusted records
-    assert 0 < (scores < margin).sum() < (~untrusted).sum()
+    assert 0 < _screened_out(scores, n).sum() < (~untrusted).sum()
 
 
 def test_block_scores_validate_their_inputs():
@@ -597,6 +636,23 @@ def test_fit_odmr_stack_equals_fit_odmr_dips():
         # without starts, each trace starts as fit_odmr_dips starts it
         defaults = fit_odmr_stack(traces[:4], n_dips)
         assert [fit.params for fit in defaults] == [fit_odmr_dips(trace, n_dips).params for trace in traces[:4]]
+
+
+def test_two_dip_starts_do_not_depend_on_the_stack():
+    # the screen corpus starts from the Zeeman pair, well resolved pairs
+    # from the samples
+    traces, ones, _ = _screen_corpus()
+    rng = np.random.default_rng(7501)
+    for shift in (12.0, 16.0, 20.0):
+        model = OdmrModel(baseline_rate=5e8, dips=((2870.0 - shift, 8.0, 0.06), (2870.0 + shift, 8.0, 0.06)))
+        trace = _odmr_trace(model, 1.5 / 201, rng)
+        traces.append(trace)
+        ones.append(fit_odmr_dips(trace, 1))
+    stacked = _two_dip_starts(traces, ones)
+    assert stacked == [_two_dip_starts([trace], [one])[0] for trace, one in zip(traces, ones)]
+    from_pair = [start["fwhm_1"] == 0.7 * one.params["fwhm_1"] for start, one in zip(stacked, ones)]
+    assert 0 < sum(from_pair) < len(from_pair)
+    assert _two_dip_starts([], []) == []
 
 
 def test_fit_odmr_stack_validates_its_inputs():
