@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fitting import RegressionResult, linear_regression
-from .forward import NvCalibration, SivCalibration
+from .forward import NvCalibration, SivCalibration, check_finite
 from .thermometry import Channel, TemperatureEstimate
 
 
@@ -73,6 +73,7 @@ class MonitorConfig:
     window_samples: int = 20
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.variance_ratio_threshold > 0:
             raise ValueError("variance_ratio_threshold must be > 0")
         if not self.z_threshold > 0:

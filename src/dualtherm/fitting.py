@@ -754,18 +754,16 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
     metric and ``r`` the one-dip residuals.  A score is the largest gain over
     the ``_screen_shapes`` grid, plus whatever the one-dip parameters
     themselves could still gain.  It is an estimate, not a bound: the
-    nonlinear two-dip fit can gain somewhat more.
+    nonlinear two-dip fit can gain somewhat more.  ``_screened_out`` says
+    which scores rule the two-dip fit out.
 
     The score is trusted only around a converged one-dip fit whose contrast
     chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the BIC
-    margin ``3 ln n`` (see ``select_dip_count``).  Any other record is not
-    scored and reads ``inf``, as does every record when the grid cannot be
-    built for the axis.  Within that gate the fit is linear enough that the
-    chi-square a second dip buys equals its Wald statistic
-    ``(C / sigma_C)^2``; an admissible dip, at ``MIN_DIP_SIGNIFICANCE`` (5)
-    sigma or more, buys at least 25.  So a score below
-    ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)`` rules the two-dip fit out
-    (``_screened_out``).
+    margin ``3 ln n``: a two-dip model within reach of the threshold is then
+    a small perturbation of the fitted dip.  Around a weak dip, splitting it
+    in two is no small perturbation and the score underestimates the gain.
+    So any other record is not scored and reads ``inf``, as does every
+    record when the grid cannot be built for the axis.
 
     Trusted records are scored ``SCREEN_BLOCK_RECORDS`` at a time, so that
     each pass over the cached grid, the screen's main memory traffic, serves
@@ -835,11 +833,17 @@ def _bic_margin(n_samples: int) -> float:
 
 
 def _screened_out(score: float | FloatArray, n_samples: int) -> bool | NDArray[np.bool_]:
-    """Whether a ``second_dip_scores`` score rules out a kept second dip, so that the two-dip fit can be skipped.
+    """Whether a ``second_dip_scores`` score rules the two-dip fit out, leaving the choice at one dip.
 
-    The score must reach the BIC margin ``3 ln n`` and the chi-square
-    ``MIN_DIP_SIGNIFICANCE**2`` that an admissible dip buys (see
-    ``select_dip_count``); that is 25 up to about 4,160 samples.
+    A second dip costs the BIC margin ``3 ln n``, and a kept pair must also
+    clear ``MIN_DIP_SIGNIFICANCE`` (5) sigma of contrast in each dip
+    (``_dip_pair_admissible``).  Where the score is trusted the fit is
+    linear enough that the chi-square a dip buys equals its Wald statistic
+    ``(C / sigma_C)^2``, so an admissible dip buys at least
+    ``MIN_DIP_SIGNIFICANCE**2``.  A score below ``max(3 ln n,
+    MIN_DIP_SIGNIFICANCE**2)``, 25 up to about 4,160 samples and the BIC
+    margin beyond, therefore skips the two-dip fit without changing the
+    choice.
     """
     return score < max(_bic_margin(n_samples), MIN_DIP_SIGNIFICANCE**2)
 
@@ -860,27 +864,26 @@ def _select_dip_count_unscreened(
     trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIONS
 ) -> tuple[int, FitResult]:
     """``select_dip_count`` without the score screen: always fits two dips."""
-    return select_dip_count(trace, score=math.inf, max_iterations=max_iterations)
+    one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
+    two = fit_odmr_stack([trace], 2, _two_dip_starts([trace], [one]), max_iterations=max_iterations)[0]
+    return _bic_choice(trace, one, two)
 
 
 def fit_two_dip_candidates(
     traces: Sequence[SpectrumTrace],
     ones: Sequence[FitResult],
-    scores: Sequence[float] | FloatArray,
     *,
     max_iterations: int = MAX_ITERATIONS,
 ) -> list[FitResult | None]:
     """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
 
-    ``ones[i]`` is the one-dip fit of ``traces[i]`` and ``scores[i]`` its
-    ``second_dip_scores`` entry.  A record the score screens out, one whose
-    score stays below ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)`` (see
-    ``_screened_out``), gets ``None``.  Every other record's candidate
-    starts from ``_two_dip_starts`` of its one-dip fit, and all of them are
-    fitted by one ``fit_odmr_stack``.
+    ``ones[i]`` is the one-dip fit of ``traces[i]``; every trace must share
+    one sample axis.  A record whose ``second_dip_scores`` score rules the
+    second dip out (``_screened_out``) gets ``None``.  Every other record's
+    candidate starts from ``_two_dip_starts`` of its one-dip fit, and all of
+    them are fitted by one ``fit_odmr_stack``.
     """
-    if not len(ones) == len(scores) == len(traces):
-        raise ValueError(f"got {len(ones)} one-dip fits and {len(scores)} scores for {len(traces)} traces")
+    scores = second_dip_scores(traces, ones)
     picked = [i for i, trace in enumerate(traces) if not _screened_out(scores[i], trace.axis.size)]
     picked_traces = [traces[i] for i in picked]
     starts = _two_dip_starts(picked_traces, [ones[i] for i in picked])
@@ -895,7 +898,6 @@ def select_dip_count(
     trace: SpectrumTrace,
     *,
     one: FitResult | None = None,
-    score: float | None = None,
     two: FitResult | None = None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[int, FitResult]:
@@ -904,43 +906,22 @@ def select_dip_count(
     BIC = weighted chi-square + n_params * ln(n_samples); the lower value
     wins and ties go to the single-dip model.  The two-dip candidate is only
     eligible when it passes the physical-admissibility screen (see
-    ``_dip_pair_admissible``).
+    ``_dip_pair_admissible``).  The two-dip fit is skipped where the score
+    screen shows that no second dip could be kept (``_screened_out``).
 
-    The second dip costs ``3 ln(n_samples)`` of BIC, and an admissible one
-    must clear ``MIN_DIP_SIGNIFICANCE`` (5) sigma of contrast.  In the
-    linear regime the chi-square a dip buys equals its Wald statistic
-    ``(C / sigma_C)^2``, so an admissible pair buys at least 25.  The
-    two-dip fit is therefore skipped when the linearised chi-square gain of
-    any second dip (``second_dip_scores``) stays below
-    ``max(3 ln n, MIN_DIP_SIGNIFICANCE**2)``: 25 up to about 4,160 samples,
-    the BIC margin beyond (``_screened_out``).  The linearisation is only
-    trusted around a converged one-dip fit whose own contrast chi-square is
-    at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the margin: a two-dip
-    model within reach of the threshold is then a small perturbation of the
-    fitted dip.  Around a weak dip, splitting it in two is no small
-    perturbation and the score underestimates the gain, so such spectra
-    score ``inf`` and always get the two-dip fit.  The screen is meant to
-    save the two-dip fit without changing the decision.
-
-    ``one`` is the one-dip fit of ``trace``, ``score`` its entry of
-    ``second_dip_scores`` and ``two`` its two-dip candidate; a caller that
-    fitted and scored a run of records passes them (see
-    ``fit_two_dip_candidates``).  What is not passed is made here: the
-    one-dip fit, a score as a block of one, and the candidate when the score
-    does not screen it out.
-
-    The two-dip fit starts from ``_two_dip_starts`` of the one-dip fit: the
-    fitted dip split into a Zeeman pair, or the sample-based start of
-    ``fit_odmr_dips`` when that sits lower on the weighted cost.
+    Without ``one``, the one-dip fit of ``trace`` is made here and the
+    candidate comes from ``fit_two_dip_candidates``.  A caller that fitted a
+    run of records passes ``one``, the record's one-dip fit, and ``two``,
+    its entry of ``fit_two_dip_candidates``: ``None`` means the screen ruled
+    the second dip out.
     """
     if one is None:
+        if two is not None:
+            raise ValueError("a two-dip candidate needs the one-dip fit it was started from")
         one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
-    if score is None:
-        score = float(second_dip_scores([trace], [one])[0])
-    if _screened_out(score, trace.axis.size):
-        return 1, one
+        two = fit_two_dip_candidates([trace], [one], max_iterations=max_iterations)[0]
     if two is None:
-        two = fit_two_dip_candidates([trace], [one], [score], max_iterations=max_iterations)[0]
+        return 1, one
     return _bic_choice(trace, one, two)
 
 

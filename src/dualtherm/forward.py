@@ -14,7 +14,8 @@ All functions here are pure and deterministic; noise lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,21 @@ FloatArray = NDArray[np.float64]
 
 # electron gyromagnetic ratio of the NV ground-state spin, MHz per mT
 GYROMAGNETIC_MHZ_PER_MT = 28.024
+
+
+def check_finite(settings: object) -> None:
+    """Reject a non-finite value in a ``float`` or ``tuple[float, ...]`` field of a settings dataclass."""
+    for f in fields(settings):  # type: ignore[arg-type]
+        if f.type not in ("float", "tuple[float, ...]"):
+            continue
+        value = getattr(settings, f.name)
+        for v in value if f.type != "float" else (value,):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite number, got {v}")
 
 
 class AxisKind(enum.Enum):
@@ -115,6 +131,7 @@ class NvCalibration:
     slope_mhz_per_c: float = -0.07379
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.slope_mhz_per_c == 0:
             raise ValueError("slope_mhz_per_c must be nonzero")
 
@@ -134,6 +151,7 @@ class SivCalibration:
     fwhm_slope_nm_per_c: float = 0.0398
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.pos_slope_nm_per_c == 0:
             raise ValueError("pos_slope_nm_per_c must be nonzero")
 
@@ -146,6 +164,7 @@ class HeatingModel:
     slope_k_per_mw: float = 0.0735
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.slope_k_per_mw < 0:
             raise ValueError(f"slope_k_per_mw must be >= 0, got {self.slope_k_per_mw}")
 

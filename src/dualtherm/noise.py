@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
+from .forward import check_finite
+
 RngSeed = int
 """Master seed: an unsigned 64-bit integer."""
 
@@ -79,6 +81,7 @@ class DriftState:
     stationary_rel_std: float = 7e-4
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.current_factor > 0:
             raise ValueError(f"current_factor must be > 0, got {self.current_factor}")
         if not self.reversion_rate > 0:

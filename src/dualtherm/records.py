@@ -14,12 +14,6 @@ from typing import Sequence, TextIO
 
 from .scenarios import ScenarioRecord
 
-CSV_HEADER = (
-    "time_s,true_T_C,laser_mW,b_par_mT,nv_n_dips,nv_f0_MHz,nv_f0_sigma_MHz,"
-    "nv_contrast,nv_fwhm_MHz,siv_pos_nm,siv_pos_sigma_nm,siv_fwhm_nm,"
-    "T_nv_C,T_nv_sigma_C,T_siv_C,T_siv_sigma_C,z_score,artifact_flag"
-)
-
 #: CSV column -> ScenarioRecord attribute, in emission order
 _COLUMNS: tuple[tuple[str, str], ...] = (
     ("time_s", "time_s"),
@@ -41,6 +35,8 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
     ("z_score", "z_score"),
     ("artifact_flag", "artifact_flag"),
 )
+
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 
 def format_number(value: float) -> str:

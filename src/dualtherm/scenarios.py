@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,13 +26,11 @@ from numpy.typing import NDArray
 
 from .crossval import MonitorConfig, artifact_monitor, pair_z
 from .fitting import (
-    SCREEN_BLOCK_RECORDS,
     FitResult,
     fit_odmr_dips,
     fit_odmr_stack,
     fit_pl_peak,
     fit_two_dip_candidates,
-    second_dip_scores,
     select_dip_count,
 )
 from .forward import (
@@ -44,6 +42,7 @@ from .forward import (
     PlModel,
     SivCalibration,
     SpectrumTrace,
+    check_finite,
     nv_resonance_of_temperature,
     odmr_dip_counts,
     odmr_expected_counts,
@@ -66,25 +65,9 @@ from .thermometry import TemperatureEstimate, odmr_readout, zpl_readout
 
 FloatArray = NDArray[np.float64]
 
-#: records whose ODMR spectra are fitted as one stack; a multiple of
-#: ``SCREEN_BLOCK_RECORDS``, so that the score blocks fall as they would
-#: one block at a time
+#: records synthesised and fitted at a time: the bound on the spectra and
+#: fits a run holds at once, whatever its length
 FIT_CHUNK_RECORDS = 64
-
-
-def _check_finite(settings: object) -> None:
-    """Reject a non-finite value in a ``float`` or ``tuple[float, ...]`` field of a settings dataclass."""
-    for f in fields(settings):  # type: ignore[arg-type]
-        if f.type not in ("float", "tuple[float, ...]"):
-            continue
-        value = getattr(settings, f.name)
-        for v in value if f.type != "float" else (value,):
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be a finite number, got {v}")
 
 
 class ScenarioKind(enum.Enum):
@@ -107,7 +90,7 @@ class OdmrSettings:
     sweep_time_s: float = 1.5
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if not self.baseline_rate_cps > 0:
             raise ValueError(f"baseline_rate_cps must be > 0, got {self.baseline_rate_cps}")
         if not 0.0 < self.contrast < 1.0:
@@ -150,7 +133,7 @@ class PlSettings:
     nv_peak_amplitude_cps: float = 6e4
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if not self.peak_amplitude_cps > 0:
             raise ValueError(f"peak_amplitude_cps must be > 0, got {self.peak_amplitude_cps}")
         if self.background_cps < 0:
@@ -197,7 +180,7 @@ class BfieldSettings:
     gyromagnetic_mhz_per_mt: float = GYROMAGNETIC_MHZ_PER_MT
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if self.b_max_mt < 0:
             raise ValueError(f"b_max_mt must be >= 0, got {self.b_max_mt}")
         if not self.dwell_s > 0:
@@ -215,7 +198,7 @@ class RampParams:
     n_steps: int = 10
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         for name, t in (("t_start_c", self.t_start_c), ("t_stop_c", self.t_stop_c)):
             # linear calibrations are extrapolation outside this band
             if not 0.0 <= t <= 200.0:
@@ -231,7 +214,7 @@ class PrecisionParams:
     channels: tuple[str, ...] = ("siv",)
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if not self.integration_times_s:
             raise ValueError("integration_times_s must be non-empty")
         for t in self.integration_times_s:
@@ -255,7 +238,7 @@ class LaserParams:
     period_s: float = 200.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if self.power_low_mw < 0 or self.power_high_mw < 0:
             raise ValueError("laser power levels must be >= 0")
         if not self.period_s > 0:
@@ -283,7 +266,7 @@ class ScenarioConfig:
     laser: LaserParams = field(default_factory=LaserParams)
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         validate_seed(self.seed)
         if not self.duration_s > 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
@@ -426,29 +409,22 @@ def _timeseries(
     still yields a best-effort row rather than dropping the record.
 
     Records are synthesised in order, so each subsystem generator is drawn
-    in record order, and are then handled in chunks of
-    ``FIT_CHUNK_RECORDS``: one stack of one-dip fits, ``second_dip_scores``
-    per block of ``SCREEN_BLOCK_RECORDS``, one stack of every two-dip
-    candidate the scores let through, then per record the dip-count choice,
-    the PL fit and the readouts.  Chunks only share the fits' LM loop and
-    the screen's pass over its candidate grid; every record comes out as if
-    handled alone.
+    in record order, and are fitted in chunks of ``FIT_CHUNK_RECORDS``: one
+    stack of one-dip fits, one ``fit_two_dip_candidates`` call (the score
+    screen and one stack of the candidates it lets through), then per record
+    the dip-count choice, the PL fit and the readouts.  Every record comes
+    out as if handled alone.  The readouts of the whole run then go through
+    the tumbling-window artifact monitor, and each record is built once,
+    flagged if its window was.
     """
-    rows: list[ScenarioRecord] = []
+    readouts: list[dict[str, float]] = []
     pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
     spectra = _synthesise(config, n_records, truth)
     while chunk := list(itertools.islice(spectra, FIT_CHUNK_RECORDS)):
         odmr = [rec.odmr for rec in chunk]
         ones = fit_odmr_stack(odmr, 1)
-        scores = np.concatenate(
-            [
-                second_dip_scores(odmr[i : i + SCREEN_BLOCK_RECORDS], ones[i : i + SCREEN_BLOCK_RECORDS])
-                for i in range(0, len(chunk), SCREEN_BLOCK_RECORDS)
-            ]
-        )
-        twos = fit_two_dip_candidates(odmr, ones, scores)
-        for rec, one, score, two in zip(chunk, ones, scores, twos):
-            n_dips, nv_fit = select_dip_count(rec.odmr, one=one, score=float(score), two=two)
+        for rec, one, two in zip(chunk, ones, fit_two_dip_candidates(odmr, ones)):
+            n_dips, nv_fit = select_dip_count(rec.odmr, one=one, two=two)
             d_center, d_sigma = nv_fit.derived["d_center"]
             nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
             est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, rec.time_s)
@@ -458,8 +434,8 @@ def _timeseries(
             z = pair_z(est_nv, est_siv)
 
             pairs.append((est_nv, est_siv))
-            rows.append(
-                ScenarioRecord(
+            readouts.append(
+                dict(
                     time_s=rec.time_s,
                     true_t_c=rec.true_t_c,
                     laser_mw=rec.laser_mw,
@@ -477,21 +453,18 @@ def _timeseries(
                     t_siv_c=est_siv.value_c,
                     t_siv_sigma_c=est_siv.sigma_c,
                     z_score=0.0 if z is None else z,
-                    artifact_flag=False,
                 )
             )
 
-    # tumbling-window artifact screen; records in a flagged window are marked
+    # one verdict per complete tumbling window; a trailing part window is
+    # not screened
     win = config.detection.window_samples
-    flags = [False] * n_records
-    start = 0
-    while start + win <= n_records:
-        verdict = artifact_monitor(pairs[start : start + win], config.detection)
-        if verdict.flagged:
-            for i in range(start, start + win):
-                flags[i] = True
-        start += win
-    return [replace(r, artifact_flag=f) if f else r for r, f in zip(rows, flags)]
+    flagged = [
+        artifact_monitor(pairs[start : start + win], config.detection).flagged
+        for start in range(0, n_records - win + 1, win)
+    ]
+    flags = [flag for flag in flagged for _ in range(win)] + [False] * (n_records % win)
+    return [ScenarioRecord(**readout, artifact_flag=flag) for readout, flag in zip(readouts, flags)]
 
 
 def _record_count(config: ScenarioConfig) -> int:

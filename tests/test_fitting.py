@@ -39,6 +39,7 @@ from dualtherm.fitting import (
     _two_dip_starts,
     _weighted_cost,
     fit_odmr_stack,
+    fit_two_dip_candidates,
     second_dip_scores,
 )
 
@@ -197,6 +198,21 @@ def test_select_dip_count_split_data():
     n, fit = select_dip_count(_odmr_trace(model, 1.5 / 201, rng))
     assert n == 2
     assert fit.derived["d_center"][0] == pytest.approx(2870.0, abs=0.05)
+
+
+def test_select_dip_count_reads_a_missing_candidate_as_screened_out():
+    rng = np.random.default_rng(6)
+    model = OdmrModel(baseline_rate=5e8, dips=((2856.0, 12.0, 0.06), (2884.0, 12.0, 0.06)))
+    trace = _odmr_trace(model, 1.5 / 201, rng)
+    one = fit_odmr_dips(trace, 1)
+    [two] = fit_two_dip_candidates([trace], [one])
+    n_dips, fit = select_dip_count(trace)
+    assert n_dips == 2 and fit.params == two.params
+    assert select_dip_count(trace, one=one, two=two) == (2, two)
+    # the caller's screen ruled the pair out: the one-dip fit stands
+    assert select_dip_count(trace, one=one) == (1, one)
+    with pytest.raises(ValueError, match="one-dip fit"):
+        select_dip_count(trace, two=two)
 
 
 @pytest.mark.parametrize("depth_sigma", [4.5, 6.0])

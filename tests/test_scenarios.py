@@ -8,13 +8,18 @@ import pytest
 
 from dualtherm import (
     BfieldSettings,
+    DriftState,
+    HeatingModel,
     LaserParams,
+    MonitorConfig,
+    NvCalibration,
     OdmrSettings,
     PlSettings,
     PrecisionParams,
     RampParams,
     ScenarioConfig,
     ScenarioKind,
+    SivCalibration,
     nv_resonance_of_temperature,
     odmr_expected_counts,
     odmr_readout,
@@ -314,6 +319,34 @@ def test_records_do_not_depend_on_the_screen_blocks(b_max_mt):
     assert n_short > scenarios.FIT_CHUNK_RECORDS and n_short % scenarios.FIT_CHUNK_RECORDS != 0
 
 
+@pytest.mark.parametrize(
+    "seed,duration_s,b_max_mt,n_records",
+    [(5, 100.5, 0.5, 67), (1003, 120.0, 0.0, 80), (3, 60.0, 0.2, 40)],
+)
+def test_pipeline_dip_count_equals_a_fresh_selection(monkeypatch, seed, duration_s, b_max_mt, n_records):
+    """The pipeline's chunked fits and screen choose what ``select_dip_count(trace)`` chooses alone."""
+    select = scenarios.select_dip_count
+    captured = []
+
+    def spy(trace, **kwargs):
+        result = select(trace, **kwargs)
+        captured.append((trace, result))
+        return result
+
+    monkeypatch.setattr(scenarios, "select_dip_count", spy)
+    cfg = ScenarioConfig(
+        kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=duration_s, bfield=BfieldSettings(b_max_mt=b_max_mt)
+    )
+    assert len(run_bfield_artifact(cfg)) == len(captured) == n_records
+    for k, (trace, (n_dips, fit)) in enumerate(captured):
+        fresh_n_dips, fresh = fitting.select_dip_count(trace)
+        assert n_dips == fresh_n_dips, k
+        assert (fit.params, fit.std_errors, fit.iterations) == (fresh.params, fresh.std_errors, fresh.iterations), k
+    two_dip = sum(n_dips == 2 for _, (n_dips, _) in captured)
+    # with a field both choices are made; without one, never the pair
+    assert (0 < two_dip < n_records) if b_max_mt > 0 else two_dip == 0
+
+
 def _nv_temperature_crb(cfg: ScenarioConfig) -> float:
     """NV temperature Cramér-Rao bound for 1 s of sweep, in K/rtHz.
 
@@ -359,7 +392,20 @@ def _float_fields():
     """``(settings class, field name, whether the field is a tuple)`` for every float field of the settings."""
     return [
         (cls, f.name, f.type != "float")
-        for cls in (ScenarioConfig, OdmrSettings, PlSettings, BfieldSettings, RampParams, PrecisionParams, LaserParams)
+        for cls in (
+            ScenarioConfig,
+            OdmrSettings,
+            PlSettings,
+            BfieldSettings,
+            RampParams,
+            PrecisionParams,
+            LaserParams,
+            NvCalibration,
+            SivCalibration,
+            HeatingModel,
+            DriftState,
+            MonitorConfig,
+        )
         for f in fields(cls)
         if f.type in ("float", "tuple[float, ...]")
     ]
@@ -377,7 +423,7 @@ def test_settings_reject_non_finite_numbers(cls, name, is_tuple, value):
 def test_settings_cover_every_float_field():
     names = {(cls.__name__, name) for cls, name, _ in _float_fields()}
     assert ("ScenarioConfig", "duration_s") in names and ("PrecisionParams", "integration_times_s") in names
-    assert len(names) == 26
+    assert len(names) == 41
 
 
 def test_infinite_duration_is_refused_before_the_run():

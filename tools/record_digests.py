@@ -1,0 +1,147 @@
+"""Print one SHA-256 digest per item of a fixed corpus of dualtherm outputs.
+
+A refactor that must not change any output is checked by running this
+script on the tree before and after the change and comparing the two
+listings; identical listings mean identical bytes on every item::
+
+    python3 tools/record_digests.py > before.txt   # on the old tree
+    python3 tools/record_digests.py > after.txt    # on the new tree
+    diff before.txt after.txt
+
+The script imports dualtherm from the ``src/`` directory next to it, so it
+always tests the tree it sits in.  Items:
+
+* the record CSV (``write_records_csv``) of 134 sessions, 7,852 records:
+  field-off seeds 1000-1039 (120 s); 0.5 mT seeds 0-39 and 0.1, 0.2 and
+  1.0 mT seeds 0-14 (60 s); three 300 s sessions at 0.5 mT and one
+  field-off; a noisy and a noiseless ramp; a 600 s laser modulation run;
+  and 45 s and 3 s sessions at 0.5 mT, which end in part windows and part
+  fit chunks;
+* ``cli.main`` outputs with their exit codes: ``scenario`` CSV and JSON and
+  the ``crossval`` report of a few of those sessions, ``fit --n-dips
+  auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
+  pl``.
+
+It takes about 18 s of CPU time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from dualtherm import cli  # noqa: E402
+from dualtherm.config import scenario_config_from_dict  # noqa: E402
+from dualtherm.forward import GYROMAGNETIC_MHZ_PER_MT, odmr_dip_counts, zeeman_resonances  # noqa: E402
+from dualtherm.noise import sample_poisson_counts  # noqa: E402
+from dualtherm.records import format_number, write_records_csv  # noqa: E402
+from dualtherm.scenarios import ScenarioConfig, run_scenario  # noqa: E402
+
+
+def _session(kind: str, seed: int, duration_s: float = 300.0, b_max_mt: float = 0.0, **extra: object) -> dict:
+    """A session as the JSON config the CLI reads; the defaults fill every other field."""
+    return {"kind": kind, "seed": seed, "duration_s": duration_s, "bfield": {"b_max_mt": b_max_mt}, **extra}
+
+
+def sessions() -> Iterator[tuple[str, dict]]:
+    artifact = "bfield_artifact"
+    for seed in range(1000, 1040):
+        yield f"quiet seed {seed} 120 s", _session(artifact, seed, 120.0)
+    for seed in range(40):
+        yield f"field 0.5 mT seed {seed} 60 s", _session(artifact, seed, 60.0, 0.5)
+    for b_max_mt in (0.1, 0.2, 1.0):
+        for seed in range(15):
+            yield f"field {b_max_mt} mT seed {seed} 60 s", _session(artifact, seed, 60.0, b_max_mt)
+    for seed in range(3):
+        yield f"field 0.5 mT seed {seed} 300 s", _session(artifact, seed, 300.0, 0.5)
+    yield "quiet seed 1000 300 s", _session(artifact, 1000, 300.0)
+    yield "ramp seed 0", _session("ramp", 0)
+    yield "ramp seed 0 noiseless", _session("ramp", 0, noiseless=True)
+    yield "laser_modulation seed 8 600 s", _session("laser_modulation", 8, 600.0)
+    yield "field 0.5 mT seed 5 45 s", _session(artifact, 5, 45.0, 0.5)
+    yield "field 0.5 mT seed 5 3 s", _session(artifact, 5, 3.0, 0.5)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(label: str, argv: list[str], out: Path) -> str:
+    """Digest of a CLI run: its exit code, then the bytes it wrote to ``out``."""
+    out.unlink(missing_ok=True)
+    code = cli.main([*argv, "--out", str(out)])
+    data = b"%d\n" % code + (out.read_bytes() if out.exists() else b"")
+    return f"{_digest(data)}  cli {label}"
+
+
+def _write_spectrum(path: Path, axis: np.ndarray, counts: np.ndarray) -> None:
+    """An ODMR spectrum CSV in the layout of ``dualtherm simulate``."""
+    lines = ["freq_MHz,counts"] + [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, counts)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def cli_items(tmp: Path) -> Iterator[str]:
+    out = tmp / "out"
+    chosen = {label: session for label, session in sessions()}
+    for label in (
+        "quiet seed 1000 120 s",
+        "field 0.5 mT seed 0 60 s",
+        "field 0.2 mT seed 3 60 s",
+        "ramp seed 0",
+        "ramp seed 0 noiseless",
+        "field 0.5 mT seed 5 45 s",
+    ):
+        config = tmp / "config.json"
+        config.write_text(json.dumps(chosen[label]), encoding="utf-8")
+        records = tmp / "records.csv"
+        yield _cli(f"scenario json, {label}", ["scenario", "--config", str(config), "--format", "json"], out)
+        yield _cli(f"scenario csv, {label}", ["scenario", "--config", str(config)], records)
+        yield _cli(f"crossval, {label}", ["crossval", "--input", str(records), "--config", str(config)], out)
+
+    spectrum = tmp / "spectrum.csv"
+    odmr = ScenarioConfig().odmr
+    axis = odmr.axis()
+    tau_s = odmr.sweep_time_s / axis.size
+    for seed in range(3, 8):
+        cli.main(["simulate", "--channel", "odmr", "--seed", str(seed), "--out", str(spectrum)])
+        for n_dips in ("auto", "1", "2"):
+            argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips, "--exposure-s", str(tau_s)]
+            yield _cli(f"fit --n-dips {n_dips}, simulated odmr seed {seed}", argv, out)
+    for b_mt in (0.05, 0.1, 0.2, 0.5):
+        for seed in range(3):
+            f_lo, f_hi = zeeman_resonances(2870.0, b_mt, GYROMAGNETIC_MHZ_PER_MT)
+            half = 0.5 * odmr.contrast
+            dips = ((f_lo, odmr.linewidth_mhz, half), (f_hi, odmr.linewidth_mhz, half))
+            expected = odmr_dip_counts(axis, odmr.baseline_rate_cps, dips, tau_s)
+            counts = sample_poisson_counts(expected, np.random.default_rng(seed))
+            _write_spectrum(spectrum, axis, counts.astype(np.float64))
+            for n_dips in ("auto", "1", "2"):
+                argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips]
+                yield _cli(f"fit --n-dips {n_dips}, {b_mt} mT pair seed {seed}", [*argv, "--exposure-s", str(tau_s)], out)
+    for seed in range(3, 6):
+        cli.main(["simulate", "--channel", "pl", "--seed", str(seed), "--out", str(spectrum)])
+        yield _cli(f"fit --kind pl, simulated pl seed {seed}", ["fit", "--input", str(spectrum), "--kind", "pl"], out)
+
+
+def main() -> int:
+    for label, session in sessions():
+        stream = io.StringIO()
+        write_records_csv(run_scenario(scenario_config_from_dict(session)), stream)
+        print(f"{_digest(stream.getvalue().encode())}  records {label}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in cli_items(Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
