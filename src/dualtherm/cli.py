@@ -13,7 +13,9 @@ variables are consulted, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,7 +62,20 @@ class CliCommand:
     options: dict[str, Any]
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a finite number, or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="dualtherm",
         description="Dual-channel diamond thermometry simulator and estimation toolkit.",
@@ -78,24 +93,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="emit one synthetic spectrum")
     add_common(p_sim)
     p_sim.add_argument("--channel", choices=("odmr", "pl"), required=True)
-    p_sim.add_argument("--temperature", type=float, default=25.0, help="true temperature in degC")
+    p_sim.add_argument("--temperature", type=_finite_float, default=25.0, help="true temperature in degC")
     p_sim.add_argument("--noiseless", action="store_true", help="skip photon sampling")
 
     p_fit = sub.add_parser("fit", help="fit a two-column spectrum CSV")
     p_fit.add_argument("--input", required=True, help="CSV with axis,counts columns")
     p_fit.add_argument("--kind", choices=("odmr", "pl"), required=True)
     p_fit.add_argument("--n-dips", choices=("auto", "1", "2"), default="auto")
-    p_fit.add_argument("--exposure-s", type=float, default=1.0, help="seconds per sample")
+    p_fit.add_argument("--exposure-s", type=_finite_float, default=1.0, help="seconds per sample")
     p_fit.add_argument("--out", help="output path (default: stdout)")
 
     p_scn = sub.add_parser("scenario", help="run a configured scenario")
     add_common(p_scn)
 
     p_sen = sub.add_parser("sensitivity", help="ODMR shot-noise sensitivity")
-    p_sen.add_argument("--contrast", type=float, default=0.12)
-    p_sen.add_argument("--linewidth-mhz", type=float, default=12.0)
-    p_sen.add_argument("--photon-rate-cps", type=float, default=1e7)
-    p_sen.add_argument("--dddt-mhz-per-k", type=float, default=0.07379)
+    p_sen.add_argument("--contrast", type=_finite_float, default=0.12)
+    p_sen.add_argument("--linewidth-mhz", type=_finite_float, default=12.0)
+    p_sen.add_argument("--photon-rate-cps", type=_finite_float, default=1e7)
+    p_sen.add_argument("--dddt-mhz-per-k", type=_finite_float, default=0.07379)
     p_sen.add_argument("--out", help="output path (default: stdout)")
 
     p_xv = sub.add_parser("crossval", help="cross-channel consistency report")

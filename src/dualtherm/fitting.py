@@ -37,9 +37,6 @@ from .forward import AxisKind, SpectrumTrace, unit_lorentzian
 FloatArray = NDArray[np.float64]
 
 MAX_ITERATIONS = 200
-#: rows of a stacked fit in flight at once; a row that finishes makes room
-#: for the next queued one
-FIT_STACK_ROWS = 16
 #: stop when the relative decrease of the weighted cost falls below this
 COST_RTOL = 1e-10
 _STEP_XTOL = 1e-12
@@ -132,8 +129,10 @@ def _half_prominence_fwhm(
     """Width between the half-prominence crossings around the extremum at ``idx``.
 
     ``invert`` selects dip geometry (counts rise toward the crossing level)
-    versus peak geometry.  Falls back to twice the one-sided width, then to a
-    sixth of the axis span, when a crossing is missing.
+    versus peak geometry.  Falls back to twice the one-sided width when a
+    crossing is missing, and to a sixth of the axis span when the width is
+    not positive: on a flat spectrum the only crossing is at the extremum
+    itself, and the model is undefined at zero width.
     """
     y = counts if not invert else -counts
     lvl = level if not invert else -level
@@ -152,12 +151,11 @@ def _half_prominence_fwhm(
         half.append(crossing)
     span = float(axis[-1] - axis[0])
     left, right = half
-    if math.isnan(left) and math.isnan(right):
-        return span / 6.0
     if math.isnan(left):
-        return 2.0 * right
+        left = right
     if math.isnan(right):
-        return 2.0 * left
+        right = left
+    # NaN when both crossings are missing
     width = left + right
     return width if width > 0 else span / 6.0
 
@@ -283,13 +281,14 @@ def _fit(
     the reduced chi-square.  Never raises on a bad fit: failure shows as
     ``converged = False``.
 
-    Each row keeps its own damping, iteration count and retries.  At most
-    ``FIT_STACK_ROWS`` rows are in flight; a row that converges, stalls or
-    reaches ``max_iterations`` takes its covariance and leaves, and the next
-    queued row takes its place.  Every product, solve and inverse is a
-    stacked ``np.matmul`` / ``np.linalg`` call, which makes one BLAS or
-    LAPACK call per row, so a row comes out bit for bit as when fitted
-    alone.
+    Every row is in flight from the first step and keeps its own damping,
+    iteration count and retries; a row that converges, stalls or reaches
+    ``max_iterations`` takes its covariance and leaves, and the stack
+    shrinks.  The caller bounds the stack: the record pipeline passes at
+    most ``scenarios.FIT_CHUNK_RECORDS`` rows, single fits pass one.  Every
+    product, solve and inverse is a stacked ``np.matmul`` / ``np.linalg``
+    call, which makes one BLAS or LAPACK call per row, so a row comes out
+    bit for bit as when fitted alone.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -297,22 +296,16 @@ def _fit(
     dof = axis.size - k
     results: list[_RowFit | None] = [None] * n_rows
 
-    def start(lo: int, hi: int) -> tuple[FloatArray, ...]:
-        # copies: the state of the rows in flight is updated in place
-        c = counts[lo:hi].copy()
-        w = 1.0 / np.maximum(c, 1.0)
-        p = p0[lo:hi].copy()
-        m, jac = model(axis, p)
-        return c, w, p, m, jac, _weighted_cost(c, m, w)
-
     with np.errstate(all="ignore"):
-        # the rows in flight, one slot each, and their state
-        rows = list(range(min(n_rows, FIT_STACK_ROWS)))
-        queued = len(rows)
-        c, w, p, m, jac, cost = start(0, queued)
-        lam = [1e-3] * len(rows)
-        ridge = [0.0] * len(rows)
-        it = [1] * len(rows)
+        # the rows in flight, one slot each, and their state; ``p`` is
+        # updated in place
+        rows = list(range(n_rows))
+        c, p = counts, p0.copy()
+        w = 1.0 / np.maximum(c, 1.0)
+        m, jac = model(axis, p)
+        cost = _weighted_cost(c, m, w)
+        lam = [1e-3] * n_rows
+        it = [1] * n_rows
         # slots that start an iteration and need their normal equations
         fresh = rows[:]
         while rows:
@@ -368,33 +361,17 @@ def _fit(
             if not done:
                 continue
 
-            # finished rows take their covariance and leave; once no row is
-            # queued, rows that all leave together are read in place
+            # finished rows take their covariance and leave the stack
             leave = [s for s, _ in done]
-            last = len(leave) == len(rows) and queued == n_rows
-            sel = slice(None) if last else leave
-            cov, rms, chi2 = _solution_stats(c[sel], w[sel], m[sel], jac[sel], cost[sel], dof)
-            for i, (p_row, (s, converged)) in enumerate(zip(p[sel], done)):
+            cov, rms, chi2 = _solution_stats(c[leave], w[leave], m[leave], jac[leave], cost[leave], dof)
+            for i, (p_row, (s, converged)) in enumerate(zip(p[leave], done)):
                 results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], converged)
-            if last:
-                break
-
-            # queued rows take the freed slots; without them the stack shrinks
-            n_new = min(len(leave), n_rows - queued)
-            if n_new:
-                slots = leave[:n_new]
-                c[slots], w[slots], p[slots], m[slots], jac[slots], cost[slots] = start(queued, queued + n_new)
-                for i, s in enumerate(slots):
-                    rows[s], lam[s], it[s] = queued + i, 1e-3, 1
-                queued += n_new
-                fresh += slots
-            if n_new < len(leave):
-                gone = set(leave[n_new:])
-                keep = [s for s in range(len(rows)) if s not in gone]
-                slot_of = {s: i for i, s in enumerate(keep)}
-                fresh = [slot_of[s] for s in fresh]
-                rows, lam, ridge, it = ([a[s] for s in keep] for a in (rows, lam, ridge, it))
-                c, w, p, m, jac, cost, nmat, grad = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad))
+            gone = set(leave)
+            keep = [s for s in range(len(rows)) if s not in gone]
+            slot_of = {s: i for i, s in enumerate(keep)}
+            fresh = [slot_of[s] for s in fresh]
+            rows, lam, ridge, it = ([a[s] for s in keep] for a in (rows, lam, ridge, it))
+            c, w, p, m, jac, cost, nmat, grad = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad))
     return results  # type: ignore[return-value]
 
 
@@ -606,6 +583,8 @@ def fit_odmr_stack(
     value of ``traces[i]`` by parameter name; without ``starts`` each trace
     starts as in ``fit_odmr_dips`` without ``init``.  Each result equals the
     one ``fit_odmr_dips`` returns for its trace and start, bit for bit.
+    Every trace is in flight at once, so the caller bounds the stack (the
+    record pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
     """
     names = _odmr_param_names(n_dips)
     for trace in traces:
@@ -679,7 +658,7 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
     """
     if not res.converged:
         return False
-    step = float(np.median(np.diff(trace.axis)))
+    step = _median_step(trace.axis.tobytes())
     lo, hi = float(trace.axis[0]), float(trace.axis[-1])
     for d in (1, 2):
         contrast = res.params[f"contrast_{d}"]
@@ -699,6 +678,12 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
 
 
 @functools.lru_cache(maxsize=2)
+def _median_step(axis_bytes: bytes) -> float:
+    """Median sample step of the float64 axis held in ``axis_bytes``."""
+    return float(np.median(np.diff(np.frombuffer(axis_bytes, dtype=np.float64))))
+
+
+@functools.lru_cache(maxsize=2)
 def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     """Unit Lorentzians for every candidate second dip on one sample axis.
 
@@ -715,7 +700,7 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     which score no gain.
     """
     axis = np.frombuffer(axis_bytes, dtype=np.float64)
-    step = float(np.median(np.diff(axis)))
+    step = _median_step(axis_bytes)
     lo, hi = float(axis[0]), float(axis[-1])
     if not (step > 0.0 and hi > lo):
         return None

@@ -66,7 +66,8 @@ from .thermometry import TemperatureEstimate, odmr_readout, zpl_readout
 FloatArray = NDArray[np.float64]
 
 #: records synthesised and fitted at a time: the bound on the spectra and
-#: fits a run holds at once, whatever its length
+#: fits a run holds at once, whatever its length, and on the rows of every
+#: stack the pipeline hands ``fitting._fit``, which sets no bound of its own
 FIT_CHUNK_RECORDS = 64
 
 

@@ -154,6 +154,43 @@ def test_fit_rejects_non_finite_or_empty_input(tmp_path, capsys, bad_count, mess
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind,axis,count",
+    [
+        ("odmr", [2820.0 + 0.5 * k for k in range(201)], 1000.0),
+        ("odmr", [2820.0 + 0.5 * k for k in range(201)], 0.0),
+        ("odmr", [2820.0 + 100.0 * k / 7 for k in range(8)], 1000.0),
+        ("pl", [715.0 + 0.1 * k for k in range(451)], 5.0),
+    ],
+)
+def test_fit_of_a_flat_spectrum_reports_json(tmp_path, capsys, kind, axis, count):
+    """A flat trace has its only half-prominence crossing at the extremum; the start width must not be 0."""
+    spectrum = tmp_path / "flat.csv"
+    spectrum.write_text("axis,counts\n" + "".join(f"{a!r},{count!r}\n" for a in axis), encoding="utf-8")
+    assert main(["fit", "--input", str(spectrum), "--kind", kind]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) >= {"converged", "params", "std_errors"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--channel", "odmr", "--temperature", "nan"],
+        ["fit", "--input", "spectrum.csv", "--kind", "odmr", "--exposure-s=-inf"],
+        ["sensitivity", "--contrast", "nan"],
+        ["sensitivity", "--linewidth-mhz", "inf"],
+        ["sensitivity", "--photon-rate-cps", "1e400"],
+        ["sensitivity", "--dddt-mhz-per-k=-Infinity"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and "expected a finite number" in errors[0]
+
+
 def test_scenario_requires_config(capsys):
     assert main(["scenario"]) == 3
     assert "scenario requires --config" in capsys.readouterr().err

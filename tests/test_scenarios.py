@@ -319,6 +319,25 @@ def test_records_do_not_depend_on_the_screen_blocks(b_max_mt):
     assert n_short > scenarios.FIT_CHUNK_RECORDS and n_short % scenarios.FIT_CHUNK_RECORDS != 0
 
 
+def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
+    """``FIT_CHUNK_RECORDS`` is the one bound on the stacks ``fitting._fit`` is handed."""
+    fit = fitting._fit
+    stacks = []
+
+    def spy(model, axis, counts, p0, max_iterations):
+        stacks.append((model, p0.shape))
+        return fit(model, axis, counts, p0, max_iterations)
+
+    monkeypatch.setattr(fitting, "_fit", spy)
+    cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=0, duration_s=300.0, bfield=BfieldSettings(b_max_mt=0.5))
+    assert len(run_bfield_artifact(cfg)) == 200
+    chunk = scenarios.FIT_CHUNK_RECORDS
+    assert max(rows for _, (rows, _) in stacks) <= chunk
+    # one one-dip stack per chunk, the last one part full
+    assert [rows for model, (rows, k) in stacks if model is fitting._dips_model and k == 4] == [chunk] * 3 + [8]
+    assert any(k == 7 for _, (_, k) in stacks)
+
+
 @pytest.mark.parametrize(
     "seed,duration_s,b_max_mt,n_records",
     [(5, 100.5, 0.5, 67), (1003, 120.0, 0.0, 80), (3, 60.0, 0.2, 40)],
