@@ -37,6 +37,10 @@ from .forward import AxisKind, SpectrumTrace, unit_lorentzian
 FloatArray = NDArray[np.float64]
 
 MAX_ITERATIONS = 200
+#: a two-dip candidate still no physical pair (``_physical_pairs``) after
+#: this many iterations is given up: partially resolved pairs that drift to
+#: a lopsided or over-wide pair run on to the cap and are then rejected
+_PAIR_PATIENCE = 30
 #: stop when the relative decrease of the weighted cost falls below this
 COST_RTOL = 1e-10
 _STEP_XTOL = 1e-12
@@ -246,7 +250,10 @@ def _solution_stats(
     """Covariances, residual RMS and reduced chi-squares of stacked solutions.
 
     A covariance is the inverse of the ridged normal matrix, scaled by the
-    reduced chi-square when there are degrees of freedom left.
+    reduced chi-square when there are degrees of freedom left and that
+    chi-square is positive: a model that fits its counts exactly (a flat
+    spectrum) keeps the unscaled inverse rather than claiming zero
+    uncertainty.
     """
     nmat, _ = _normal_equations(jac, weights)
     diag = _diagonals(nmat)
@@ -254,7 +261,7 @@ def _solution_stats(
     cov = np.linalg.inv(nmat)
     if dof > 0:
         chi2 = cost / dof
-        cov = cov * chi2[:, None, None]
+        cov = cov * np.where(chi2 > 0.0, chi2, 1.0)[:, None, None]
     else:
         chi2 = np.full(cost.shape, math.inf)
     rms = np.sqrt(((counts - model) ** 2).sum(axis=1) / counts.shape[1])
@@ -272,19 +279,26 @@ def _fit(
     counts: FloatArray,
     p0: FloatArray,
     max_iterations: int,
+    physical: Callable[[FloatArray], NDArray[np.bool_]] | None = None,
 ) -> list[_RowFit]:
     """Damped Gauss-Newton minimisation of the weighted squared residual, for a stack of spectra.
 
     Row ``i`` fits ``counts[i]`` (``(B, n)``) from ``p0[i]`` (``(B, k)``) and
     gets ``(p, cov, residual_rms, reduced_chi2, iterations, converged)``;
     ``cov`` is the inverse weighted normal matrix at the solution scaled by
-    the reduced chi-square.  Never raises on a bad fit: failure shows as
-    ``converged = False``.
+    the reduced chi-square (``_solution_stats``).  Never raises on a bad
+    fit: failure shows as ``converged = False``.
 
     Every row is in flight from the first step and keeps its own damping,
     iteration count and retries; a row that converges, stalls or reaches
     ``max_iterations`` takes its covariance and leaves, and the stack
-    shrinks.  The caller bounds the stack: the record pipeline passes at
+    shrinks.  ``physical``, a predicate over a stack of parameter vectors,
+    retires rows early: a row whose accepted iterate fails it once the row
+    has run ``_PAIR_PATIENCE`` iterations leaves there, not converged.
+    Only the two-dip candidates of ``fit_two_dip_candidates`` pass one;
+    every other fit runs to convergence or the cap.
+
+    The caller bounds the stack: the record pipeline passes at
     most ``scenarios.FIT_CHUNK_RECORDS`` rows, single fits pass one.  Every
     product, solve and inverse is a stacked ``np.matmul`` / ``np.linalg``
     call, which makes one BLAS or LAPACK call per row, so a row comes out
@@ -329,6 +343,10 @@ def _fit(
             p_try = p + delta
             m_try, jac_try = model(axis, p_try)
             cost_try = _weighted_cost(c, m_try, w)
+            if physical is not None and max(it) >= _PAIR_PATIENCE:
+                hopeless = (~physical(p_try)).tolist()
+            else:
+                hopeless = [False] * len(rows)
 
             better: list[int] = []
             fresh = []
@@ -339,7 +357,7 @@ def _fit(
                     lam[s] = max(lam[s] * 0.3, 1e-12)
                     if (now - trial) / max(now, 1e-300) < COST_RTOL or small[s] or trial == 0.0:
                         done.append((s, True))
-                    elif it[s] == max_iterations:
+                    elif it[s] == max_iterations or (hopeless[s] and it[s] >= _PAIR_PATIENCE):
                         done.append((s, False))
                     else:
                         it[s] += 1
@@ -576,6 +594,7 @@ def fit_odmr_stack(
     starts: Sequence[Mapping[str, float]] | None = None,
     *,
     max_iterations: int = MAX_ITERATIONS,
+    retire_unphysical: bool = False,
 ) -> list[FitResult]:
     """``fit_odmr_dips`` of every trace, fitted as one stack by ``_fit``.
 
@@ -585,8 +604,15 @@ def fit_odmr_stack(
     one ``fit_odmr_dips`` returns for its trace and start, bit for bit.
     Every trace is in flight at once, so the caller bounds the stack (the
     record pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
+
+    ``retire_unphysical`` (two dips only) gives up a fit that is still no
+    physical pair (``_physical_pairs``) after ``_PAIR_PATIENCE``
+    iterations; it comes back not converged.  ``fit_two_dip_candidates``
+    sets it, since such a candidate is rejected at the cap anyway.
     """
     names = _odmr_param_names(n_dips)
+    if retire_unphysical and n_dips != 2:
+        raise ValueError("only two-dip fits can be retired as unphysical pairs")
     for trace in traces:
         _check_odmr_trace(trace)
     if not traces:
@@ -601,7 +627,8 @@ def fit_odmr_stack(
             raise ValueError(f"a start must set exactly {list(names)}, got {sorted(start)}")
     p0 = np.array([[start[name] for name in names] for start in starts], dtype=np.float64)
     counts = np.array([trace.counts for trace in traces], dtype=np.float64)
-    return [_dips_result(names, *row) for row in _fit(_dips_model, axis, counts, p0, max_iterations)]
+    physical = functools.partial(_physical_pairs, axis) if retire_unphysical else None
+    return [_dips_result(names, *row) for row in _fit(_dips_model, axis, counts, p0, max_iterations, physical)]
 
 
 def _dips_result(
@@ -650,31 +677,38 @@ def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
     A second dip with a free center can always buy chi-square by swallowing a
     single low-fluctuating sample, so BIC alone picks phantom dips on a few
     percent of clean spectra, and a free width can likewise flatten a second
-    dip into a faint tilt of the whole baseline.  Both dips must therefore be
-    physical (positive sub-unity contrasts summing below 1 and within
-    ``MAX_DIP_CONTRAST_RATIO`` of each other, centers inside the scanned
-    span, widths from one sample step up to the scanned span) and detected
-    at ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
+    dip into a faint tilt of the whole baseline.  The fit must therefore
+    have converged to a physical pair (``_physical_pairs``, the test that
+    also retires hopeless candidates early) with both dips detected at
+    ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
     """
     if not res.converged:
         return False
-    step = _median_step(trace.axis.tobytes())
-    lo, hi = float(trace.axis[0]), float(trace.axis[-1])
-    for d in (1, 2):
-        contrast = res.params[f"contrast_{d}"]
-        sigma = res.std_errors[f"contrast_{d}"]
-        if not 0.0 < contrast < 1.0:
-            return False
-        if contrast < MIN_DIP_SIGNIFICANCE * sigma:
-            return False
-        if not lo <= res.params[f"center_{d}"] <= hi:
-            return False
-        if not step <= res.params[f"fwhm_{d}"] <= hi - lo:
-            return False
-    c1, c2 = res.params["contrast_1"], res.params["contrast_2"]
-    if max(c1, c2) > MAX_DIP_CONTRAST_RATIO * min(c1, c2):
+    if not _physical_pairs(trace.axis, np.array([res.params[name] for name in res.param_names])):
         return False
-    return c1 + c2 < 1.0
+    return not any(
+        res.params[f"contrast_{d}"] < MIN_DIP_SIGNIFICANCE * res.std_errors[f"contrast_{d}"] for d in (1, 2)
+    )
+
+
+def _physical_pairs(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
+    """Which two-dip parameter vectors ``p[..., :] = [b, c_1, w_1, C_1, c_2, w_2, C_2]`` are physical pairs on ``axis``.
+
+    Physical: contrasts in (0, 1) summing below 1 and within
+    ``MAX_DIP_CONTRAST_RATIO`` of each other, centers inside the scanned
+    span, and widths (either sign, as ``_dips_model`` is even in them) from
+    one median sample step up to the span.
+    """
+    step = _median_step(axis.tobytes())
+    lo, hi = axis[0], axis[-1]
+    centers, widths, contrasts = p[..., 1::3], np.abs(p[..., 2::3]), p[..., 3::3]
+    return (
+        ((0.0 < contrasts) & (contrasts < 1.0)).all(axis=-1)
+        & (contrasts.max(axis=-1) <= MAX_DIP_CONTRAST_RATIO * contrasts.min(axis=-1))
+        & (contrasts.sum(axis=-1) < 1.0)
+        & ((lo <= centers) & (centers <= hi)).all(axis=-1)
+        & ((step <= widths) & (widths <= hi - lo)).all(axis=-1)
+    )
 
 
 @functools.lru_cache(maxsize=2)
@@ -867,12 +901,21 @@ def fit_two_dip_candidates(
     second dip out (``_screened_out``) gets ``None``.  Every other record's
     candidate starts from ``_two_dip_starts`` of its one-dip fit, and all of
     them are fitted by one ``fit_odmr_stack``.
+
+    A candidate that is still no physical pair (``_physical_pairs``) after
+    ``_PAIR_PATIENCE`` iterations is retired there, not converged, so
+    ``_bic_choice`` keeps one dip, as it would after the full fit: such
+    candidates drift to a lopsided pair or widen a dip past the sweep, where
+    the cost has no finite minimum, and would otherwise run to the cap and
+    hold their stack open.  On 1.0 mT sessions a patience of 20 or 30
+    changed none of 600 choices against the full fit
+    (``_select_dip_count_unscreened``), and one of 15 changed 4.
     """
     scores = second_dip_scores(traces, ones)
     picked = [i for i, trace in enumerate(traces) if not _screened_out(scores[i], trace.axis.size)]
     picked_traces = [traces[i] for i in picked]
     starts = _two_dip_starts(picked_traces, [ones[i] for i in picked])
-    fits = fit_odmr_stack(picked_traces, 2, starts, max_iterations=max_iterations)
+    fits = fit_odmr_stack(picked_traces, 2, starts, max_iterations=max_iterations, retire_unphysical=True)
     twos: list[FitResult | None] = [None] * len(traces)
     for i, fit in zip(picked, fits):
         twos[i] = fit

@@ -102,10 +102,12 @@ def nv_shot_noise_sensitivity(
     linewidth, inverse in contrast, inverse square root in photon rate.  It
     omits the Lorentzian line-shape prefactor ``4 / (3 sqrt(3))`` of Dreau et
     al. (PRB 84, 195204, 2011), so it reads ``3 sqrt(3) / 4`` (about 1.30)
-    times their optimum-slope figure.
+    times their optimum-slope figure.  The contrast must lie in (0, 1), as
+    for any dip the ODMR model takes.
     """
+    if not 0.0 < contrast < 1.0:
+        raise ValueError(f"contrast must lie in (0, 1), got {contrast}")
     for name, v in (
-        ("contrast", contrast),
         ("linewidth_mhz", linewidth_mhz),
         ("photon_rate_cps", photon_rate_cps),
         ("dddt_mhz_per_k", dddt_mhz_per_k),

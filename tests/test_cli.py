@@ -170,6 +170,8 @@ def test_fit_of_a_flat_spectrum_reports_json(tmp_path, capsys, kind, axis, count
     assert main(["fit", "--input", str(spectrum), "--kind", kind]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) >= {"converged", "params", "std_errors"}
+    # an exact fit leaves no residual to scale by, not zero uncertainty
+    assert all(sigma > 0 for sigma in payload["std_errors"].values()), payload["std_errors"]
 
 
 @pytest.mark.parametrize(
@@ -256,8 +258,11 @@ def test_sensitivity_reports_default_figure(capsys):
 
 
 def test_sensitivity_rejects_nonpositive_inputs(capsys):
-    assert main(["sensitivity", "--contrast", "0"]) == 4
-    assert "error" in capsys.readouterr().err
+    for contrast in ("0", "1", "2"):
+        assert main(["sensitivity", "--contrast", contrast]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: contrast must lie in (0, 1), got {float(contrast)}"]
 
 
 def test_crossval_reports_regression_and_windows(tmp_path, capsys):

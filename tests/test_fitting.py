@@ -32,6 +32,7 @@ from dualtherm.fitting import (
     _odmr_init,
     _odmr_param_names,
     _peak_model,
+    _physical_pairs,
     _screen_shapes,
     _screened_out,
     _select_dip_count_unscreened,
@@ -292,6 +293,43 @@ def test_dip_pair_admissible_limits_the_contrast_ratio():
     assert _dip_pair_admissible(trace, _pair_fit(0.06, 0.06))
     assert _dip_pair_admissible(trace, _pair_fit(0.0299 * MAX_DIP_CONTRAST_RATIO, 0.03))
     assert not _dip_pair_admissible(trace, _pair_fit(0.0301 * MAX_DIP_CONTRAST_RATIO, 0.03))
+
+
+def _physical_pair_reference(axis: np.ndarray, p: np.ndarray) -> bool:
+    # the admissibility checks one dip at a time, as a loop
+    step = float(np.median(np.diff(axis)))
+    lo, hi = float(axis[0]), float(axis[-1])
+    for j in (1, 4):
+        center, fwhm, contrast = p[j], abs(p[j + 1]), p[j + 2]
+        if not (0.0 < contrast < 1.0 and lo <= center <= hi and step <= fwhm <= hi - lo):
+            return False
+    c1, c2 = p[3], p[6]
+    return max(c1, c2) <= MAX_DIP_CONTRAST_RATIO * min(c1, c2) and c1 + c2 < 1.0
+
+
+def test_physical_pairs_match_the_per_dip_checks():
+    """Raw LM iterates: either width sign and either dip order give the same verdict."""
+    rng = np.random.default_rng(13)
+    n = 4000
+    p = np.column_stack(
+        [
+            np.full(n, 3.7e6),
+            rng.uniform(2810.0, 2930.0, n),
+            rng.uniform(-120.0, 120.0, n) * rng.choice([1.0, 0.001], n, p=[0.9, 0.1]),
+            rng.uniform(-0.1, 0.7, n),
+            rng.uniform(2810.0, 2930.0, n),
+            rng.uniform(-120.0, 120.0, n),
+            rng.uniform(-0.1, 0.7, n),
+        ]
+    )
+    physical = _physical_pairs(ODMR_AXIS, p)
+    assert physical.tolist() == [_physical_pair_reference(ODMR_AXIS, row) for row in p]
+    assert 100 < physical.sum() < n - 100
+    flipped = p * np.array([1, 1, -1, 1, 1, -1, 1])
+    swapped = p[:, [0, 4, 5, 6, 1, 2, 3]]
+    assert (_physical_pairs(ODMR_AXIS, flipped) == physical).all()
+    assert (_physical_pairs(ODMR_AXIS, swapped) == physical).all()
+    assert not _physical_pairs(ODMR_AXIS, np.full(7, np.nan))
 
 
 def test_linear_regression_matches_polyfit():
@@ -680,6 +718,8 @@ def test_fit_odmr_stack_validates_its_inputs():
         fit_odmr_stack(traces, 1, [inits[0], {"baseline": 1.0}])
     with pytest.raises(ValueError, match="n_dips"):
         fit_odmr_stack(traces, 3)
+    with pytest.raises(ValueError, match="only two-dip fits"):
+        fit_odmr_stack(traces, 1, inits, retire_unphysical=True)
     shifted = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS + 1.0, counts[1], 1.5 / 201)
     with pytest.raises(ValueError, match="share one sample axis"):
         fit_odmr_stack([traces[0], shifted], 1)

@@ -324,9 +324,9 @@ def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
     fit = fitting._fit
     stacks = []
 
-    def spy(model, axis, counts, p0, max_iterations):
+    def spy(model, axis, counts, p0, *args, **kwargs):
         stacks.append((model, p0.shape))
-        return fit(model, axis, counts, p0, max_iterations)
+        return fit(model, axis, counts, p0, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "_fit", spy)
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=0, duration_s=300.0, bfield=BfieldSettings(b_max_mt=0.5))
@@ -364,6 +364,62 @@ def test_pipeline_dip_count_equals_a_fresh_selection(monkeypatch, seed, duration
     two_dip = sum(n_dips == 2 for _, (n_dips, _) in captured)
     # with a field both choices are made; without one, never the pair
     assert (0 < two_dip < n_records) if b_max_mt > 0 else two_dip == 0
+
+
+@pytest.mark.parametrize("seed", [2, 7, 9, 13])
+def test_retired_candidates_choose_what_the_full_fit_chooses(monkeypatch, seed):
+    """Retiring unphysical two-dip candidates after ``_PAIR_PATIENCE`` iterations changes no choice.
+
+    At 1.0 mT each of these sessions has a candidate that is no physical
+    pair after 15 iterations but is kept after the full fit, so a patience
+    of 15 fails here.
+    """
+    select = scenarios.select_dip_count
+    captured = []
+
+    def spy(trace, **kwargs):
+        result = select(trace, **kwargs)
+        captured.append((trace, result))
+        return result
+
+    monkeypatch.setattr(scenarios, "select_dip_count", spy)
+    cfg = ScenarioConfig(
+        kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=60.0, bfield=BfieldSettings(b_max_mt=1.0)
+    )
+    assert len(run_bfield_artifact(cfg)) == len(captured) == 40
+    for k, (trace, (n_dips, fit)) in enumerate(captured):
+        full_n_dips, full = fitting._select_dip_count_unscreened(trace)
+        assert (n_dips, fit.params) == (full_n_dips, full.params), k
+
+
+@pytest.mark.parametrize("seed", [1016, 1020])
+def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, seed):
+    """A field-off candidate whose second dip shrinks into a gap between samples stops at the patience.
+
+    Fitted in full, the dip narrows far below the sample step and the fit
+    runs to ``MAX_ITERATIONS`` before ``_dip_pair_admissible`` rejects it.
+    """
+    candidates = fitting.fit_two_dip_candidates
+    captured = []
+
+    def spy(traces, ones, **kwargs):
+        twos = candidates(traces, ones, **kwargs)
+        captured.extend((trace, one, two) for trace, one, two in zip(traces, ones, twos) if two is not None)
+        return twos
+
+    monkeypatch.setattr(scenarios, "fit_two_dip_candidates", spy)
+    cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=120.0)
+    run_bfield_artifact(cfg)
+    [(trace, one, two)] = captured
+    assert not two.converged
+    assert two.iterations <= fitting._PAIR_PATIENCE + 1
+    full = fitting.fit_odmr_stack([trace], 2, fitting._two_dip_starts([trace], [one]))[0]
+    assert not full.converged and full.iterations == fitting.MAX_ITERATIONS
+    step = float(np.median(np.diff(trace.axis)))
+    assert min(full.params["fwhm_1"], full.params["fwhm_2"]) < 0.1 * step
+    n_dips, fit = fitting.select_dip_count(trace)
+    full_n_dips, full_fit = fitting._select_dip_count_unscreened(trace)
+    assert (n_dips, fit.params) == (full_n_dips, full_fit.params) == (1, one.params)
 
 
 def _nv_temperature_crb(cfg: ScenarioConfig) -> float:

@@ -116,6 +116,10 @@ def test_sensitivity_rejects_nonpositive_inputs():
         nv_shot_noise_sensitivity(0.0, 12.0, 1e7, 0.07379)
     with pytest.raises(ValueError):
         nv_shot_noise_sensitivity(0.12, 12.0, 1e7, -0.07)
+    # a dip cannot remove more than all of the light
+    for contrast in (1.0, 2.0):
+        with pytest.raises(ValueError, match=r"contrast must lie in \(0, 1\)"):
+            nv_shot_noise_sensitivity(contrast, 12.0, 1e7, 0.07379)
 
 
 def test_estimate_noise_floor():
