@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -50,16 +50,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_CONFIG = 3
 _EXIT_RUNTIME = 4
-
-
-@dataclass(frozen=True)
-class CliCommand:
-    subcommand: str
-    config_path: str | None
-    seed: int | None
-    out: str | None
-    fmt: str
-    options: dict[str, Any]
 
 
 def _finite_float(text: str) -> float:
@@ -121,28 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> CliCommand:
-    ns = _build_parser().parse_args(argv)
-    options = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("subcommand", "config", "seed", "out", "format")
-    }
-    return CliCommand(
-        subcommand=ns.subcommand,
-        config_path=getattr(ns, "config", None),
-        seed=getattr(ns, "seed", None),
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "format", "csv"),
-        options=options,
-    )
-
-
-def _load_or_default(cmd: CliCommand) -> ScenarioConfig:
-    config = load_config(cmd.config_path) if cmd.config_path else ScenarioConfig()
-    if cmd.seed is not None:
+def _load_or_default(args: argparse.Namespace) -> ScenarioConfig:
+    config_path, seed = getattr(args, "config", None), getattr(args, "seed", None)
+    config = load_config(config_path) if config_path else ScenarioConfig()
+    if seed is not None:
         try:
-            config = replace(config, seed=cmd.seed)
+            config = replace(config, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return config
@@ -159,12 +133,12 @@ def _round9(value: float) -> float:
     return float(format_number(float(value)))
 
 
-def _cmd_simulate(cmd: CliCommand) -> int:
-    config = _load_or_default(cmd)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load_or_default(args)
     gens = subsystem_generators(config.seed)
-    t_c = float(cmd.options["temperature"])
-    noiseless = bool(cmd.options["noiseless"])
-    if cmd.options["channel"] == "odmr":
+    t_c = float(args.temperature)
+    noiseless = bool(args.noiseless)
+    if args.channel == "odmr":
         axis = config.odmr.axis()
         tau_s = config.odmr.sweep_time_s / axis.size
         model = config.odmr.model(nv_resonance_of_temperature(config.nv_cal, t_c))
@@ -179,10 +153,10 @@ def _cmd_simulate(cmd: CliCommand) -> int:
         axis_label, exposure_s = "wavelength_nm", config.pl.exposure_s
     counts = expected if noiseless else sample_poisson_counts(expected, rng).astype(np.float64)
 
-    if cmd.fmt == "csv":
+    if args.format == "csv":
         lines = [f"{axis_label},counts"]
         lines += [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, counts)]
-        _emit("\n".join(lines) + "\n", cmd.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {
             "axis_kind": axis_label,
@@ -190,7 +164,7 @@ def _cmd_simulate(cmd: CliCommand) -> int:
             "axis": [_round9(a) for a in axis],
             "counts": [_round9(c) for c in counts],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cmd.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -226,12 +200,12 @@ def _fit_payload(fit: FitResult, n_dips: int | None) -> dict[str, Any]:
     return payload
 
 
-def _cmd_fit(cmd: CliCommand) -> int:
-    axis, counts = _read_trace_csv(cmd.options["input"])
-    exposure_s = float(cmd.options["exposure_s"])
-    if cmd.options["kind"] == "odmr":
+def _cmd_fit(args: argparse.Namespace) -> int:
+    axis, counts = _read_trace_csv(args.input)
+    exposure_s = float(args.exposure_s)
+    if args.kind == "odmr":
         trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, exposure_s)
-        choice = cmd.options["n_dips"]
+        choice = args.n_dips
         if choice == "auto":
             n_dips, fit = select_dip_count(trace)
         else:
@@ -241,51 +215,46 @@ def _cmd_fit(cmd: CliCommand) -> int:
     else:
         trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts, exposure_s)
         payload = _fit_payload(fit_pl_peak(trace), None)
-    _emit(json.dumps(payload, indent=2) + "\n", cmd.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
-def _cmd_scenario(cmd: CliCommand) -> int:
-    if not cmd.config_path:
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    if not args.config:
         raise ConfigError("scenario requires --config")
-    config = _load_or_default(cmd)
+    config = _load_or_default(args)
     result = run_scenario(config)
     if config.kind is ScenarioKind.PRECISION_SWEEP:
-        if cmd.out is None:
+        if args.out is None:
             raise ValueError("precision sweeps write files; pass --out")
-        write_precision_series(result, cmd.out, cmd.fmt)
+        write_precision_series(result, args.out, args.format)
         return _EXIT_OK
-    if cmd.out is None:
-        if cmd.fmt == "csv":
+    if args.out is None:
+        if args.format == "csv":
             write_records_csv(result, sys.stdout)
         else:
             write_records_json(result, sys.stdout)
     else:
-        write_records(result, cmd.out, cmd.fmt)
+        write_records(result, args.out, args.format)
     return _EXIT_OK
 
 
-def _cmd_sensitivity(cmd: CliCommand) -> int:
-    eta = nv_shot_noise_sensitivity(
-        cmd.options["contrast"],
-        cmd.options["linewidth_mhz"],
-        cmd.options["photon_rate_cps"],
-        cmd.options["dddt_mhz_per_k"],
-    )
+def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    eta = nv_shot_noise_sensitivity(args.contrast, args.linewidth_mhz, args.photon_rate_cps, args.dddt_mhz_per_k)
     payload = {
-        "contrast": _round9(cmd.options["contrast"]),
-        "linewidth_mhz": _round9(cmd.options["linewidth_mhz"]),
-        "photon_rate_cps": _round9(cmd.options["photon_rate_cps"]),
-        "dddt_mhz_per_k": _round9(cmd.options["dddt_mhz_per_k"]),
+        "contrast": _round9(args.contrast),
+        "linewidth_mhz": _round9(args.linewidth_mhz),
+        "photon_rate_cps": _round9(args.photon_rate_cps),
+        "dddt_mhz_per_k": _round9(args.dddt_mhz_per_k),
         "sensitivity_k_per_sqrt_hz": _round9(eta),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cmd.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
-def _cmd_crossval(cmd: CliCommand) -> int:
-    records = parse_records_csv(cmd.options["input"])
-    config = _load_or_default(cmd)
+def _cmd_crossval(args: argparse.Namespace) -> int:
+    records = parse_records_csv(args.input)
+    config = _load_or_default(args)
     nv = np.array([r.nv_f0_mhz for r in records])
     siv = np.array([r.siv_pos_nm for r in records])
     expected_slope = calibration_slope(config.nv_cal, config.siv_cal)
@@ -330,7 +299,7 @@ def _cmd_crossval(cmd: CliCommand) -> int:
             ],
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cmd.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -345,12 +314,12 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        cmd = parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
-        return _DISPATCH[cmd.subcommand](cmd)
+        return _DISPATCH[args.subcommand](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,17 +162,6 @@ def _half_prominence_fwhm(
     # NaN when both crossings are missing
     width = left + right
     return width if width > 0 else span / 6.0
-
-
-def _clip_window(trace: SpectrumTrace, window: tuple[float, float] | None) -> tuple[FloatArray, FloatArray]:
-    axis, counts = trace.axis, trace.counts
-    if window is None:
-        return axis, counts
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    mask = (axis >= lo) & (axis <= hi)
-    return axis[mask], counts[mask]
 
 
 def _dips_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -402,25 +391,18 @@ def _fold_widths(p: FloatArray, cov: FloatArray, widths: Iterable[int]) -> None:
             cov[:, j] *= -1.0
 
 
-def fit_pl_peak(
-    trace: SpectrumTrace,
-    window: tuple[float, float] | None = None,
-    *,
-    init: dict[str, float] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
+def fit_pl_peak(trace: SpectrumTrace, *, init: dict[str, float] | None = None) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
-    ``window`` restricts the fit to a wavelength interval (at least 8
-    samples).  ``init`` overrides individual starting values by parameter
-    name.  A converged result whose center escaped the fitted interval is
-    demoted to ``converged = False``.
+    The trace needs at least 8 samples.  ``init`` overrides individual
+    starting values by parameter name.  A converged result whose center
+    escaped the fitted interval is demoted to ``converged = False``.
     """
     if trace.axis_kind is not AxisKind.WAVELENGTH_NM:
         raise ValueError(f"expected a wavelength-axis trace, got {trace.axis_kind}")
-    axis, counts = _clip_window(trace, window)
+    axis, counts = trace.axis, trace.counts
     if axis.size < 8:
-        raise ValueError(f"need at least 8 samples in the fit window, got {axis.size}")
+        raise ValueError(f"need at least 8 samples, got {axis.size}")
 
     background = _edge_median(counts)
     idx = int(np.argmax(counts))
@@ -441,7 +423,7 @@ def fit_pl_peak(
 
     p0 = np.array([[start["background"], start["amplitude"], start["center"], start["fwhm"]]])
     p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(
-        _peak_model, axis, counts[None], p0, max_iterations
+        _peak_model, axis, counts[None], p0, MAX_ITERATIONS
     )[0]
     _fold_widths(p, cov, (3,))
 
@@ -472,19 +454,15 @@ def _odmr_param_names(n_dips: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> dict[str, float]:
+def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[float]:
+    """Start of a dip fit from the samples alone, in ``_odmr_param_names`` order."""
     baseline = _edge_median(counts)
     idx = int(np.argmin(counts))
     depth = max(baseline - float(counts[idx]), 1e-6 * max(baseline, 1.0))
     level = baseline - 0.5 * depth
     fwhm = _half_prominence_fwhm(axis, counts, idx, level, invert=True)
     contrast = min(max(depth / max(baseline, 1e-300), 1e-4), 0.8)
-    start = {
-        "baseline": baseline,
-        "center_1": float(axis[idx]),
-        "fwhm_1": float(fwhm),
-        "contrast_1": contrast,
-    }
+    start = [baseline, float(axis[idx]), float(fwhm), contrast]
     if n_dips == 2:
         # second dip: deepest sample at least one width away from the first
         away = np.abs(axis - axis[idx]) >= fwhm
@@ -496,14 +474,12 @@ def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> dict[str, f
             on_right = (axis[idx] - axis[0]) < (axis[-1] - axis[idx])
             center_2 = float(axis[idx] + fwhm) if on_right else float(axis[idx] - fwhm)
             depth2 = depth
-        start["center_2"] = center_2
-        start["fwhm_2"] = float(fwhm)
-        start["contrast_2"] = min(max(depth2 / max(baseline, 1e-300), 1e-4), 0.8)
+        start += [center_2, float(fwhm), min(max(depth2 / max(baseline, 1e-300), 1e-4), 0.8)]
     return start
 
 
-def _two_dip_starts(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]) -> list[dict[str, float]]:
-    """Starts of the two-dip fits of ``traces``, built from their one-dip fits ``ones``.
+def _two_dip_starts(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> FloatArray:
+    """Starts ``(B, 7)`` of the two-dip fits of ``counts``, built from their one-dip fits ``ones``.
 
     Splits each fitted dip into a Zeeman pair: centers a quarter width
     either side of its center, 0.7 of its width and 0.6 of its contrast
@@ -514,35 +490,18 @@ def _two_dip_starts(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]) 
     starts of a spectrum the one with the lower weighted cost is returned;
     ties go to the pair.  Every start is costed in one stacked model call.
     """
-    if not traces:
-        return []
-    axis = _shared_axis(traces)
-    counts = np.array([trace.counts for trace in traces])
-    names = _odmr_param_names(2)
     pairs, samples = [], []
     for one, row in zip(ones, counts):
         baseline, center, fwhm, contrast = (one.params[name] for name in _odmr_param_names(1))
         split = (0.7 * fwhm, 0.6 * contrast)
         pairs.append((baseline, center - 0.25 * fwhm, *split, center + 0.25 * fwhm, *split))
-        sample = _odmr_init(axis, row, 2)
-        samples.append(tuple(sample[name] for name in names))
-    weights = 1.0 / np.maximum(counts, 1.0)
+        samples.append(_odmr_init(axis, row, 2))
+    starts = np.array([pairs, samples]).reshape(2, -1, 7)
     with np.errstate(all="ignore"):
-        model, _ = _dips_model(axis, np.array([pairs, samples]))
-        pair_costs, sample_costs = _weighted_cost(counts, model, weights).tolist()
+        model, _ = _dips_model(axis, starts)
+        pair_costs, sample_costs = _weighted_cost(counts, model, 1.0 / np.maximum(counts, 1.0))
     # a non-finite pair cost fails this test and falls back to the samples
-    return [
-        dict(zip(names, pair if pair_cost <= sample_cost else sample))
-        for pair, sample, pair_cost, sample_cost in zip(pairs, samples, pair_costs, sample_costs)
-    ]
-
-
-def _shared_axis(traces: Sequence[SpectrumTrace]) -> FloatArray:
-    """The sample axis of ``traces``, which must all share it."""
-    axis = traces[0].axis
-    if any(not np.array_equal(trace.axis, axis) for trace in traces[1:]):
-        raise ValueError("traces must share one sample axis")
-    return axis
+    return np.where((pair_costs <= sample_costs)[:, None], starts[0], starts[1])
 
 
 def _check_odmr_trace(trace: SpectrumTrace) -> None:
@@ -552,21 +511,14 @@ def _check_odmr_trace(trace: SpectrumTrace) -> None:
         raise ValueError(f"need at least 8 samples, got {trace.axis.size}")
 
 
-def _odmr_starts(traces: Sequence[SpectrumTrace], n_dips: int, max_iterations: int) -> list[dict[str, float]]:
+def _odmr_starts(axis: FloatArray, counts: FloatArray, n_dips: int) -> FloatArray:
     """Default starts: one dip from the samples, two from ``_two_dip_starts`` of one-dip fits."""
     if n_dips == 1:
-        return [_odmr_init(trace.axis, trace.counts, 1) for trace in traces]
-    ones = fit_odmr_stack(traces, 1, max_iterations=max_iterations)
-    return _two_dip_starts(traces, ones)
+        return np.array([_odmr_init(axis, row, 1) for row in counts])
+    return _two_dip_starts(axis, counts, fit_odmr_stack(axis, counts, 1))
 
 
-def fit_odmr_dips(
-    trace: SpectrumTrace,
-    n_dips: int,
-    *,
-    init: dict[str, float] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
+def fit_odmr_dips(trace: SpectrumTrace, n_dips: int, *, init: dict[str, float] | None = None) -> FitResult:
     """Fit one or two Lorentzian absorption dips with a shared flat baseline.
 
     Dips have independent center/width/contrast.  For ``n_dips = 2`` the dips
@@ -584,55 +536,46 @@ def fit_odmr_dips(
     unknown = set(init) - set(names)
     if unknown:
         raise ValueError(f"unknown init keys: {sorted(unknown)}")
-    start = init if len(init) == len(names) else {**_odmr_starts([trace], n_dips, max_iterations)[0], **init}
-    return fit_odmr_stack([trace], n_dips, [start], max_iterations=max_iterations)[0]
+    counts = trace.counts[None]
+    start = np.empty((1, len(names))) if len(init) == len(names) else _odmr_starts(trace.axis, counts, n_dips)
+    for name, value in init.items():
+        start[0, names.index(name)] = value
+    return fit_odmr_stack(trace.axis, counts, n_dips, start)[0]
 
 
 def fit_odmr_stack(
-    traces: Sequence[SpectrumTrace],
-    n_dips: int,
-    starts: Sequence[Mapping[str, float]] | None = None,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-    retire_unphysical: bool = False,
+    axis: FloatArray, counts: FloatArray, n_dips: int, starts: FloatArray | None = None
 ) -> list[FitResult]:
-    """``fit_odmr_dips`` of every trace, fitted as one stack by ``_fit``.
+    """``fit_odmr_dips`` of every row of ``counts`` ``(B, n)`` on ``axis``, fitted as one stack by ``_fit``.
 
-    The traces share one sample axis.  ``starts[i]`` holds every starting
-    value of ``traces[i]`` by parameter name; without ``starts`` each trace
-    starts as in ``fit_odmr_dips`` without ``init``.  Each result equals the
-    one ``fit_odmr_dips`` returns for its trace and start, bit for bit.
-    Every trace is in flight at once, so the caller bounds the stack (the
-    record pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
-
-    ``retire_unphysical`` (two dips only) gives up a fit that is still no
-    physical pair (``_physical_pairs``) after ``_PAIR_PATIENCE``
-    iterations; it comes back not converged.  ``fit_two_dip_candidates``
-    sets it, since such a candidate is rejected at the cap anyway.
+    ``starts`` ``(B, k)`` holds every starting value of each row, in
+    ``_odmr_param_names`` order; without ``starts`` each row starts as in
+    ``fit_odmr_dips`` without ``init``.  Each result equals the one
+    ``fit_odmr_dips`` returns for its row and start, bit for bit.  Every row
+    is in flight at once, so the caller bounds the stack (the record
+    pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
     """
     names = _odmr_param_names(n_dips)
-    if retire_unphysical and n_dips != 2:
-        raise ValueError("only two-dip fits can be retired as unphysical pairs")
-    for trace in traces:
-        _check_odmr_trace(trace)
-    if not traces:
+    if not len(counts):
         return []
-    axis = _shared_axis(traces)
     if starts is None:
-        starts = _odmr_starts(traces, n_dips, max_iterations)
-    if len(starts) != len(traces):
-        raise ValueError(f"got {len(starts)} starts for {len(traces)} traces")
-    for start in starts:
-        if set(start) != set(names):
-            raise ValueError(f"a start must set exactly {list(names)}, got {sorted(start)}")
-    p0 = np.array([[start[name] for name in names] for start in starts], dtype=np.float64)
-    counts = np.array([trace.counts for trace in traces], dtype=np.float64)
-    physical = functools.partial(_physical_pairs, axis) if retire_unphysical else None
-    return [_dips_result(names, *row) for row in _fit(_dips_model, axis, counts, p0, max_iterations, physical)]
+        starts = _odmr_starts(axis, counts, n_dips)
+    elif starts.shape != (len(counts), len(names)):
+        raise ValueError(f"starts must have shape {(len(counts), len(names))}, got {starts.shape}")
+    return _fit_dips(axis, counts, starts)
+
+
+def _fit_dips(
+    axis: FloatArray,
+    counts: FloatArray,
+    starts: FloatArray,
+    physical: Callable[[FloatArray], NDArray[np.bool_]] | None = None,
+) -> list[FitResult]:
+    """``_fit`` of a stack of dip fits, each row reported by ``_dips_result``."""
+    return [_dips_result(*row) for row in _fit(_dips_model, axis, counts, starts, MAX_ITERATIONS, physical)]
 
 
 def _dips_result(
-    names: tuple[str, ...],
     p: FloatArray,
     cov: FloatArray,
     residual_rms: float,
@@ -640,7 +583,12 @@ def _dips_result(
     iterations: int,
     converged: bool,
 ) -> FitResult:
-    """A dip fit's ``FitResult``: widths folded, dips in center order, ``d_center`` derived."""
+    """A ``_fit`` row of a dip fit as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived.
+
+    A fit whose contrasts leave (0, 1) or sum to 1 or more, a spectrum with
+    negative expected counts, is reported as not converged.
+    """
+    names = _odmr_param_names(p.size // 3)
     _fold_widths(p, cov, range(2, p.size, 3))
     if p.size == 7 and p[1] > p[4]:
         perm = np.array([0, 4, 5, 6, 1, 2, 3])
@@ -655,9 +603,9 @@ def _dips_result(
         d_sigma = std["center_1"]
     else:
         d_center = 0.5 * (params["center_1"] + params["center_2"])
-        i1, i2 = names.index("center_1"), names.index("center_2")
-        d_sigma = math.sqrt(max(0.25 * (cov[i1, i1] + cov[i2, i2] + 2.0 * cov[i1, i2]), 0.0))
+        d_sigma = math.sqrt(max(0.25 * (cov[1, 1] + cov[4, 4] + 2.0 * cov[1, 4]), 0.0))
 
+    contrasts = p[3::3].tolist()
     return FitResult(
         param_names=names,
         params=params,
@@ -665,7 +613,7 @@ def _dips_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged,
+        converged=converged and min(contrasts) > 0.0 and sum(contrasts) < 1.0,
         iterations=iterations,
         derived={"d_center": (d_center, d_sigma)},
     )
@@ -762,19 +710,19 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     return shapes, squares
 
 
-def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]) -> FloatArray:
-    """Rao score estimates of the chi-square a second dip can buy, one per trace.
+def second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> FloatArray:
+    """Rao score estimates of the chi-square a second dip can buy, one per row of ``counts``.
 
-    ``ones[i]`` is the one-dip fit of ``traces[i]``; every trace must share
-    one sample axis.  Linearises the two-dip model about the one-dip fit with
-    the second contrast at zero.  For a second dip of fixed center and width
-    the chi-square gain is then ``(g' W r)^2 / (g' W g)``, with ``g`` the
-    contrast derivative projected off the one-dip Jacobian in the weight
-    metric and ``r`` the one-dip residuals.  A score is the largest gain over
-    the ``_screen_shapes`` grid, plus whatever the one-dip parameters
-    themselves could still gain.  It is an estimate, not a bound: the
-    nonlinear two-dip fit can gain somewhat more.  ``_screened_out`` says
-    which scores rule the two-dip fit out.
+    ``ones[i]`` is the one-dip fit of ``counts[i]`` on ``axis``.  Linearises
+    the two-dip model about the one-dip fit with the second contrast at
+    zero.  For a second dip of fixed center and width the chi-square gain is
+    then ``(g' W r)^2 / (g' W g)``, with ``g`` the contrast derivative
+    projected off the one-dip Jacobian in the weight metric and ``r`` the
+    one-dip residuals.  A score is the largest gain over the
+    ``_screen_shapes`` grid, plus whatever the one-dip parameters themselves
+    could still gain.  It is an estimate, not a bound: the nonlinear two-dip
+    fit can gain somewhat more.  ``_screened_out`` says which scores rule
+    the two-dip fit out.
 
     The score is trusted only around a converged one-dip fit whose contrast
     chi-square is at least ``_SCREEN_MIN_DIP_CHI2_RATIO`` times the BIC
@@ -788,12 +736,9 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
     each pass over the cached grid, the screen's main memory traffic, serves
     the whole block.
     """
-    scores = np.full(len(traces), math.inf)
-    if len(ones) != len(traces):
-        raise ValueError(f"got {len(ones)} one-dip fits for {len(traces)} traces")
-    if not traces:
-        return scores
-    axis = _shared_axis(traces)
+    if len(ones) != len(counts):
+        raise ValueError(f"got {len(ones)} one-dip fits for {len(counts)} spectra")
+    scores = np.full(len(counts), math.inf)
     shapes = _screen_shapes(axis.tobytes())
     if shapes is None:
         return scores
@@ -806,16 +751,15 @@ def second_dip_scores(traces: Sequence[SpectrumTrace], ones: Sequence[FitResult]
     ]
     for start in range(0, len(trusted), SCREEN_BLOCK_RECORDS):
         block = trusted[start : start + SCREEN_BLOCK_RECORDS]
-        scores[block] = _block_scores(axis, [traces[i].counts for i in block], [ones[i] for i in block], *shapes)
+        scores[block] = _block_scores(axis, counts[block], [ones[i] for i in block], *shapes)
     return scores
 
 
 def _block_scores(
-    axis: FloatArray, counts: Sequence[FloatArray], ones: Sequence[FitResult], lor: FloatArray, lor2: FloatArray
+    axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult], lor: FloatArray, lor2: FloatArray
 ) -> FloatArray:
     """``second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
     n_records = len(ones)
-    counts = np.asarray(counts)
     weights = 1.0 / np.maximum(counts, 1.0)
     root_w = np.sqrt(weights)
     with np.errstate(all="ignore"):
@@ -879,28 +823,19 @@ def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[i
     return 1, one
 
 
-def _select_dip_count_unscreened(
-    trace: SpectrumTrace, *, max_iterations: int = MAX_ITERATIONS
-) -> tuple[int, FitResult]:
-    """``select_dip_count`` without the score screen: always fits two dips."""
-    one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
-    two = fit_odmr_stack([trace], 2, _two_dip_starts([trace], [one]), max_iterations=max_iterations)[0]
-    return _bic_choice(trace, one, two)
+def _select_dip_count_unscreened(trace: SpectrumTrace) -> tuple[int, FitResult]:
+    """``select_dip_count`` without the score screen: always fits two dips, to convergence or the cap."""
+    return _bic_choice(trace, fit_odmr_dips(trace, 1), fit_odmr_dips(trace, 2))
 
 
-def fit_two_dip_candidates(
-    traces: Sequence[SpectrumTrace],
-    ones: Sequence[FitResult],
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-) -> list[FitResult | None]:
+def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> list[FitResult | None]:
     """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
 
-    ``ones[i]`` is the one-dip fit of ``traces[i]``; every trace must share
-    one sample axis.  A record whose ``second_dip_scores`` score rules the
-    second dip out (``_screened_out``) gets ``None``.  Every other record's
-    candidate starts from ``_two_dip_starts`` of its one-dip fit, and all of
-    them are fitted by one ``fit_odmr_stack``.
+    ``ones[i]`` is the one-dip fit of ``counts[i]`` on ``axis``.  A record
+    whose ``second_dip_scores`` score rules the second dip out
+    (``_screened_out``) gets ``None``.  Every other record's candidate starts
+    from ``_two_dip_starts`` of its one-dip fit, and all of them are fitted
+    as one stack.
 
     A candidate that is still no physical pair (``_physical_pairs``) after
     ``_PAIR_PATIENCE`` iterations is retired there, not converged, so
@@ -911,23 +846,17 @@ def fit_two_dip_candidates(
     changed none of 600 choices against the full fit
     (``_select_dip_count_unscreened``), and one of 15 changed 4.
     """
-    scores = second_dip_scores(traces, ones)
-    picked = [i for i, trace in enumerate(traces) if not _screened_out(scores[i], trace.axis.size)]
-    picked_traces = [traces[i] for i in picked]
-    starts = _two_dip_starts(picked_traces, [ones[i] for i in picked])
-    fits = fit_odmr_stack(picked_traces, 2, starts, max_iterations=max_iterations, retire_unphysical=True)
-    twos: list[FitResult | None] = [None] * len(traces)
-    for i, fit in zip(picked, fits):
+    picked = np.flatnonzero(~_screened_out(second_dip_scores(axis, counts, ones), axis.size))
+    starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
+    twos: list[FitResult | None] = [None] * len(ones)
+    physical = functools.partial(_physical_pairs, axis)
+    for i, fit in zip(picked.tolist(), _fit_dips(axis, counts[picked], starts, physical)):
         twos[i] = fit
     return twos
 
 
 def select_dip_count(
-    trace: SpectrumTrace,
-    *,
-    one: FitResult | None = None,
-    two: FitResult | None = None,
-    max_iterations: int = MAX_ITERATIONS,
+    trace: SpectrumTrace, *, one: FitResult | None = None, two: FitResult | None = None
 ) -> tuple[int, FitResult]:
     """Choose between the one- and two-dip models by BIC.
 
@@ -946,8 +875,8 @@ def select_dip_count(
     if one is None:
         if two is not None:
             raise ValueError("a two-dip candidate needs the one-dip fit it was started from")
-        one = fit_odmr_dips(trace, 1, max_iterations=max_iterations)
-        two = fit_two_dip_candidates([trace], [one], max_iterations=max_iterations)[0]
+        one = fit_odmr_dips(trace, 1)
+        two = fit_two_dip_candidates(trace.axis, trace.counts[None], [one])[0]
     if two is None:
         return 1, one
     return _bic_choice(trace, one, two)

@@ -350,6 +350,9 @@ def _synthesise(
     half_contrast = 0.5 * config.odmr.contrast
     gyro = config.bfield.gyromagnetic_mhz_per_mt
     nv_tail_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
+    # without a field every sample sees B = 0, where the Zeeman pair merges
+    # into one dip; nothing is drawn from the field stream
+    b_points = np.zeros(n_pts)
 
     for k in range(n_records):
         t_k = k * config.sample_period_s
@@ -358,18 +361,14 @@ def _synthesise(
             drift_state = drift_step(drift_state, config.sample_period_s, gens["drift"])
         factor = drift_state.current_factor
 
-        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_nv_true)
         if b_active:
             # the field can change mid-sweep: each frequency point sees the
             # projection in effect at its own acquisition instant
             bproc, b_points = bfield_sweep(bproc, tau_s, n_pts, gens["bfield"])
-            f_lo, f_hi = zeeman_resonances(d_mhz, b_points, gyro)
-            dips = ((f_lo, w_mhz, half_contrast), (f_hi, w_mhz, half_contrast))
-            odmr_expected = odmr_dip_counts(odmr_axis, config.odmr.baseline_rate_cps, dips, tau_s) * factor
-            b_report = float(b_points[0])
-        else:
-            odmr_expected = odmr_expected_counts(config.odmr.model(d_mhz), odmr_axis, tau_s) * factor
-            b_report = 0.0
+        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_nv_true)
+        f_lo, f_hi = zeeman_resonances(d_mhz, b_points, gyro)
+        dips = ((f_lo, w_mhz, half_contrast), (f_hi, w_mhz, half_contrast))
+        odmr_expected = odmr_dip_counts(odmr_axis, config.odmr.baseline_rate_cps, dips, tau_s) * factor
         if config.noiseless:
             odmr_counts = odmr_expected
         else:
@@ -388,7 +387,7 @@ def _synthesise(
             time_s=t_k,
             true_t_c=t_nv_true,
             laser_mw=laser_mw,
-            b_par_mt=b_report,
+            b_par_mt=float(b_points[0]),
             odmr=SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts, tau_s, t_k),
             pl=SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted, config.pl.exposure_s, t_k),
         )
@@ -410,8 +409,9 @@ def _timeseries(
     still yields a best-effort row rather than dropping the record.
 
     Records are synthesised in order, so each subsystem generator is drawn
-    in record order, and are fitted in chunks of ``FIT_CHUNK_RECORDS``: one
-    stack of one-dip fits, one ``fit_two_dip_candidates`` call (the score
+    in record order, and are fitted in chunks of ``FIT_CHUNK_RECORDS``: the
+    chunk's ODMR counts as one matrix on the shared axis, one stack of
+    one-dip fits, one ``fit_two_dip_candidates`` call (the score
     screen and one stack of the candidates it lets through), then per record
     the dip-count choice, the PL fit and the readouts.  Every record comes
     out as if handled alone.  The readouts of the whole run then go through
@@ -420,11 +420,12 @@ def _timeseries(
     """
     readouts: list[dict[str, float]] = []
     pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
+    odmr_axis = config.odmr.axis()
     spectra = _synthesise(config, n_records, truth)
     while chunk := list(itertools.islice(spectra, FIT_CHUNK_RECORDS)):
-        odmr = [rec.odmr for rec in chunk]
-        ones = fit_odmr_stack(odmr, 1)
-        for rec, one, two in zip(chunk, ones, fit_two_dip_candidates(odmr, ones)):
+        counts = np.array([rec.odmr.counts for rec in chunk])
+        ones = fit_odmr_stack(odmr_axis, counts, 1)
+        for rec, one, two in zip(chunk, ones, fit_two_dip_candidates(odmr_axis, counts, ones)):
             n_dips, nv_fit = select_dip_count(rec.odmr, one=one, two=two)
             d_center, d_sigma = nv_fit.derived["d_center"]
             nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)

@@ -185,8 +185,7 @@ def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, n_dips, max_iterat
         ]
     )
     counts = np.round(counts)
-    names = list(_odmr_init(ODMR_AXIS, counts[0], n_dips))
-    starts = np.array([[_odmr_init(ODMR_AXIS, c, n_dips)[name] for name in names] for c in counts])
+    starts = np.array([_odmr_init(ODMR_AXIS, c, n_dips) for c in counts])
 
     def fitted(rows):
         return [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualtherm import (
+    AxisKind,
     BfieldSettings,
     DriftState,
     HeatingModel,
@@ -20,6 +21,7 @@ from dualtherm import (
     ScenarioConfig,
     ScenarioKind,
     SivCalibration,
+    SpectrumTrace,
     nv_resonance_of_temperature,
     odmr_expected_counts,
     odmr_readout,
@@ -265,18 +267,17 @@ def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
     margin let through stopped at ``MAX_ITERATIONS``; the screen at the
     admissible significance lets 362 through.  The pipeline fits the two-dip
     candidates of a chunk of records as one stack, so the iterations are
-    read off the stacked fits' results.
+    read off the candidates ``fit_two_dip_candidates`` returns.
     """
-    fit_odmr_stack = fitting.fit_odmr_stack
+    candidates = scenarios.fit_two_dip_candidates
     iterations = []
 
-    def counted(traces, n_dips, *args, **kwargs):
-        fits = fit_odmr_stack(traces, n_dips, *args, **kwargs)
-        if n_dips == 2:
-            iterations.extend(fit.iterations for fit in fits)
-        return fits
+    def counted(axis, counts, ones):
+        twos = candidates(axis, counts, ones)
+        iterations.extend(two.iterations for two in twos if two is not None)
+        return twos
 
-    monkeypatch.setattr(fitting, "fit_odmr_stack", counted)
+    monkeypatch.setattr(scenarios, "fit_two_dip_candidates", counted)
     for seed in range(10):
         run_bfield_artifact(
             ScenarioConfig(
@@ -402,18 +403,19 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     candidates = fitting.fit_two_dip_candidates
     captured = []
 
-    def spy(traces, ones, **kwargs):
-        twos = candidates(traces, ones, **kwargs)
-        captured.extend((trace, one, two) for trace, one, two in zip(traces, ones, twos) if two is not None)
+    def spy(axis, counts, ones):
+        twos = candidates(axis, counts, ones)
+        captured.extend((axis, row, one, two) for row, one, two in zip(counts, ones, twos) if two is not None)
         return twos
 
     monkeypatch.setattr(scenarios, "fit_two_dip_candidates", spy)
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=120.0)
     run_bfield_artifact(cfg)
-    [(trace, one, two)] = captured
+    [(axis, counts, one, two)] = captured
     assert not two.converged
     assert two.iterations <= fitting._PAIR_PATIENCE + 1
-    full = fitting.fit_odmr_stack([trace], 2, fitting._two_dip_starts([trace], [one]))[0]
+    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, cfg.odmr.sweep_time_s / axis.size)
+    full = fitting.fit_odmr_stack(axis, counts[None], 2, fitting._two_dip_starts(axis, counts[None], [one]))[0]
     assert not full.converged and full.iterations == fitting.MAX_ITERATIONS
     step = float(np.median(np.diff(trace.axis)))
     assert min(full.params["fwhm_1"], full.params["fwhm_2"]) < 0.1 * step

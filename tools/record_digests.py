@@ -18,9 +18,12 @@ always tests the tree it sits in.  Items:
   and 45 s and 3 s sessions at 0.5 mT, which end in part windows and part
   fit chunks;
 * ``cli.main`` outputs with their exit codes: ``scenario`` CSV and JSON and
-  the ``crossval`` report of a few of those sessions, ``fit --n-dips
+  the ``crossval`` report of a few of those sessions, ``scenario`` CSV and
+  JSON of two precision sweeps over both channels, ``fit --n-dips
   auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
   pl``.
+
+210 lines in all.
 
 It takes about 18 s of CPU time.
 """
@@ -106,6 +109,14 @@ def cli_items(tmp: Path) -> Iterator[str]:
         yield _cli(f"scenario json, {label}", ["scenario", "--config", str(config), "--format", "json"], out)
         yield _cli(f"scenario csv, {label}", ["scenario", "--config", str(config)], records)
         yield _cli(f"crossval, {label}", ["crossval", "--input", str(records), "--config", str(config)], out)
+
+    for seed in (11, 12):
+        sweep = {"integration_times_s": [0.1, 1.0, 10.0], "repetitions": 4, "channels": ["nv", "siv"]}
+        config = tmp / "config.json"
+        config.write_text(json.dumps(_session("precision_sweep", seed, precision=sweep)), encoding="utf-8")
+        for fmt in ("csv", "json"):
+            argv = ["scenario", "--config", str(config), "--format", fmt]
+            yield _cli(f"scenario {fmt}, precision sweep seed {seed}", argv, out)
 
     spectrum = tmp / "spectrum.csv"
     odmr = ScenarioConfig().odmr
