@@ -30,7 +30,6 @@ from .forward import (
     AxisKind,
     SpectrumTrace,
     nv_resonance_of_temperature,
-    odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
 )
@@ -43,7 +42,7 @@ from .records import (
     write_records_csv,
     write_records_json,
 )
-from .scenarios import ScenarioConfig, ScenarioKind, run_scenario
+from .scenarios import ScenarioConfig, ScenarioKind, odmr_sweep_counts, run_scenario
 from .thermometry import Channel, TemperatureEstimate, nv_shot_noise_sensitivity
 
 _EXIT_OK = 0
@@ -141,8 +140,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.channel == "odmr":
         axis = config.odmr.axis()
         tau_s = config.odmr.sweep_time_s / axis.size
-        model = config.odmr.model(nv_resonance_of_temperature(config.nv_cal, t_c))
-        expected = odmr_expected_counts(model, axis, tau_s)
+        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_c)
+        expected = odmr_sweep_counts(config, axis, d_mhz, np.zeros(axis.size), tau_s)
         rng = gens["odmr"]
         axis_label, exposure_s = "freq_MHz", tau_s
     else:

@@ -391,42 +391,31 @@ def _fold_widths(p: FloatArray, cov: FloatArray, widths: Iterable[int]) -> None:
             cov[:, j] *= -1.0
 
 
-def fit_pl_peak(trace: SpectrumTrace, *, init: dict[str, float] | None = None) -> FitResult:
-    """Fit one Lorentzian emission peak on a flat background.
-
-    The trace needs at least 8 samples.  ``init`` overrides individual
-    starting values by parameter name.  A converged result whose center
-    escaped the fitted interval is demoted to ``converged = False``.
-    """
-    if trace.axis_kind is not AxisKind.WAVELENGTH_NM:
-        raise ValueError(f"expected a wavelength-axis trace, got {trace.axis_kind}")
-    axis, counts = trace.axis, trace.counts
-    if axis.size < 8:
-        raise ValueError(f"need at least 8 samples, got {axis.size}")
-
+def _peak_init(axis: FloatArray, counts: FloatArray) -> list[float]:
+    """Start of a peak fit from the samples alone, in model order ``[bg, A, c, w]``."""
     background = _edge_median(counts)
     idx = int(np.argmax(counts))
     amplitude = max(float(counts[idx]) - background, 1e-6 * max(background, 1.0))
     level = background + 0.5 * (counts[idx] - background)
     fwhm = _half_prominence_fwhm(axis, counts, idx, level, invert=False)
-    start = {
-        "center": float(axis[idx]),
-        "fwhm": float(fwhm),
-        "amplitude": amplitude,
-        "background": background,
-    }
-    if init:
-        unknown = set(init) - set(PL_PARAM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown init keys: {sorted(unknown)}")
-        start.update(init)
+    return [background, amplitude, float(axis[idx]), float(fwhm)]
 
-    p0 = np.array([[start["background"], start["amplitude"], start["center"], start["fwhm"]]])
-    p, cov, residual_rms, reduced_chi2, iterations, converged = _fit(
-        _peak_model, axis, counts[None], p0, MAX_ITERATIONS
-    )[0]
+
+def _peak_result(
+    axis: FloatArray,
+    p: FloatArray,
+    cov: FloatArray,
+    residual_rms: float,
+    reduced_chi2: float,
+    iterations: int,
+    converged: bool,
+) -> FitResult:
+    """A ``_fit`` row of a peak fit on ``axis`` as a ``FitResult``: width folded, parameters named.
+
+    A fit whose center escaped the fitted interval is reported as not
+    converged.
+    """
     _fold_widths(p, cov, (3,))
-
     # model order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
     perm = [2, 3, 1, 0]
     values = p[perm]
@@ -443,6 +432,22 @@ def fit_pl_peak(trace: SpectrumTrace, *, init: dict[str, float] | None = None) -
         converged=converged and bool(axis[0] <= values[0] <= axis[-1]),
         iterations=iterations,
     )
+
+
+def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
+    """Fit one Lorentzian emission peak on a flat background.
+
+    The trace needs at least 8 samples.  The fit starts from the samples
+    alone (``_peak_init``).  A converged result whose center escaped the
+    fitted interval is demoted to ``converged = False``.
+    """
+    if trace.axis_kind is not AxisKind.WAVELENGTH_NM:
+        raise ValueError(f"expected a wavelength-axis trace, got {trace.axis_kind}")
+    axis, counts = trace.axis, trace.counts
+    if axis.size < 8:
+        raise ValueError(f"need at least 8 samples, got {axis.size}")
+    p0 = np.array([_peak_init(axis, counts)])
+    return _peak_result(axis, *_fit(_peak_model, axis, counts[None], p0, MAX_ITERATIONS)[0])
 
 
 def _odmr_param_names(n_dips: int) -> tuple[str, ...]:
@@ -511,57 +516,36 @@ def _check_odmr_trace(trace: SpectrumTrace) -> None:
         raise ValueError(f"need at least 8 samples, got {trace.axis.size}")
 
 
-def _odmr_starts(axis: FloatArray, counts: FloatArray, n_dips: int) -> FloatArray:
-    """Default starts: one dip from the samples, two from ``_two_dip_starts`` of one-dip fits."""
-    if n_dips == 1:
-        return np.array([_odmr_init(axis, row, 1) for row in counts])
-    return _two_dip_starts(axis, counts, fit_odmr_stack(axis, counts, 1))
-
-
-def fit_odmr_dips(trace: SpectrumTrace, n_dips: int, *, init: dict[str, float] | None = None) -> FitResult:
+def fit_odmr_dips(trace: SpectrumTrace, n_dips: int) -> FitResult:
     """Fit one or two Lorentzian absorption dips with a shared flat baseline.
 
     Dips have independent center/width/contrast.  For ``n_dips = 2`` the dips
     are reported in ascending center order, and ``derived["d_center"]`` holds
     the midpoint of the dip pattern with its propagated 1-sigma uncertainty.
-
-    ``init`` overrides individual starting values by parameter name.  A
-    two-dip fit that is not given every starting value first fits one dip and
-    starts from ``_two_dip_starts`` of that fit, the start ``select_dip_count``
-    uses too.  The fit is a stack of one (``fit_odmr_stack``).
+    The fit is a stack of one (``fit_odmr_stack``), which says where it
+    starts.
     """
     _check_odmr_trace(trace)
-    names = _odmr_param_names(n_dips)
-    init = init or {}
-    unknown = set(init) - set(names)
-    if unknown:
-        raise ValueError(f"unknown init keys: {sorted(unknown)}")
-    counts = trace.counts[None]
-    start = np.empty((1, len(names))) if len(init) == len(names) else _odmr_starts(trace.axis, counts, n_dips)
-    for name, value in init.items():
-        start[0, names.index(name)] = value
-    return fit_odmr_stack(trace.axis, counts, n_dips, start)[0]
+    return fit_odmr_stack(trace.axis, trace.counts[None], n_dips)[0]
 
 
-def fit_odmr_stack(
-    axis: FloatArray, counts: FloatArray, n_dips: int, starts: FloatArray | None = None
-) -> list[FitResult]:
+def fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[FitResult]:
     """``fit_odmr_dips`` of every row of ``counts`` ``(B, n)`` on ``axis``, fitted as one stack by ``_fit``.
 
-    ``starts`` ``(B, k)`` holds every starting value of each row, in
-    ``_odmr_param_names`` order; without ``starts`` each row starts as in
-    ``fit_odmr_dips`` without ``init``.  Each result equals the one
-    ``fit_odmr_dips`` returns for its row and start, bit for bit.  Every row
-    is in flight at once, so the caller bounds the stack (the record
-    pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
+    A one-dip fit starts from the samples alone (``_odmr_init``).  A two-dip
+    fit first fits one dip and starts from ``_two_dip_starts`` of that fit,
+    the start ``select_dip_count`` uses too.  Each result equals the one
+    ``fit_odmr_dips`` returns for its row, bit for bit.  Every row is in
+    flight at once, so the caller bounds the stack (the record pipeline by
+    ``scenarios.FIT_CHUNK_RECORDS``).
     """
-    names = _odmr_param_names(n_dips)
+    _odmr_param_names(n_dips)  # rejects any n_dips but 1 and 2
     if not len(counts):
         return []
-    if starts is None:
-        starts = _odmr_starts(axis, counts, n_dips)
-    elif starts.shape != (len(counts), len(names)):
-        raise ValueError(f"starts must have shape {(len(counts), len(names))}, got {starts.shape}")
+    if n_dips == 1:
+        starts = np.array([_odmr_init(axis, row, 1) for row in counts])
+    else:
+        starts = _two_dip_starts(axis, counts, fit_odmr_stack(axis, counts, 1))
     return _fit_dips(axis, counts, starts)
 
 
@@ -572,10 +556,11 @@ def _fit_dips(
     physical: Callable[[FloatArray], NDArray[np.bool_]] | None = None,
 ) -> list[FitResult]:
     """``_fit`` of a stack of dip fits, each row reported by ``_dips_result``."""
-    return [_dips_result(*row) for row in _fit(_dips_model, axis, counts, starts, MAX_ITERATIONS, physical)]
+    return [_dips_result(axis, *row) for row in _fit(_dips_model, axis, counts, starts, MAX_ITERATIONS, physical)]
 
 
 def _dips_result(
+    axis: FloatArray,
     p: FloatArray,
     cov: FloatArray,
     residual_rms: float,
@@ -583,10 +568,12 @@ def _dips_result(
     iterations: int,
     converged: bool,
 ) -> FitResult:
-    """A ``_fit`` row of a dip fit as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived.
+    """A ``_fit`` row of a dip fit on ``axis`` as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived.
 
     A fit whose contrasts leave (0, 1) or sum to 1 or more, a spectrum with
-    negative expected counts, is reported as not converged.
+    negative expected counts, is reported as not converged, and so is a
+    one-dip fit narrower than the median sample step: at low counts such a
+    dip fits a single empty bin, not a line.
     """
     names = _odmr_param_names(p.size // 3)
     _fold_widths(p, cov, range(2, p.size, 3))
@@ -598,14 +585,16 @@ def _dips_result(
     params = dict(zip(names, (float(v) for v in p)))
     std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(names)}
 
+    contrasts = p[3::3].tolist()
+    valid = min(contrasts) > 0.0 and sum(contrasts) < 1.0
     if p.size == 4:
         d_center = params["center_1"]
         d_sigma = std["center_1"]
+        valid = valid and params["fwhm_1"] >= _median_step(axis.tobytes())
     else:
         d_center = 0.5 * (params["center_1"] + params["center_2"])
         d_sigma = math.sqrt(max(0.25 * (cov[1, 1] + cov[4, 4] + 2.0 * cov[1, 4]), 0.0))
 
-    contrasts = p[3::3].tolist()
     return FitResult(
         param_names=names,
         params=params,
@@ -613,7 +602,7 @@ def _dips_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged and min(contrasts) > 0.0 and sum(contrasts) < 1.0,
+        converged=converged and valid,
         iterations=iterations,
         derived={"d_center": (d_center, d_sigma)},
     )
@@ -823,11 +812,6 @@ def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[i
     return 1, one
 
 
-def _select_dip_count_unscreened(trace: SpectrumTrace) -> tuple[int, FitResult]:
-    """``select_dip_count`` without the score screen: always fits two dips, to convergence or the cap."""
-    return _bic_choice(trace, fit_odmr_dips(trace, 1), fit_odmr_dips(trace, 2))
-
-
 def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> list[FitResult | None]:
     """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
 
@@ -843,8 +827,8 @@ def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[
     candidates drift to a lopsided pair or widen a dip past the sweep, where
     the cost has no finite minimum, and would otherwise run to the cap and
     hold their stack open.  On 1.0 mT sessions a patience of 20 or 30
-    changed none of 600 choices against the full fit
-    (``_select_dip_count_unscreened``), and one of 15 changed 4.
+    changed none of 600 choices against the full fit (``_bic_choice`` of
+    ``fit_odmr_dips`` with one and two dips), and one of 15 changed 4.
     """
     picked = np.flatnonzero(~_screened_out(second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])

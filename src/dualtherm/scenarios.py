@@ -24,7 +24,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .crossval import MonitorConfig, artifact_monitor, pair_z
+from .crossval import MonitorConfig, pair_z, tumbling_verdicts
+
+# not called here: perfbench's tracer patches ``scenarios.artifact_monitor``
+# and refuses to attach where it is missing
+from .crossval import artifact_monitor  # noqa: F401
 from .fitting import (
     FitResult,
     fit_odmr_dips,
@@ -38,14 +42,12 @@ from .forward import (
     AxisKind,
     HeatingModel,
     NvCalibration,
-    OdmrModel,
     PlModel,
     SivCalibration,
     SpectrumTrace,
     check_finite,
     nv_resonance_of_temperature,
     odmr_dip_counts,
-    odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
     temperature_of_laser_power,
@@ -107,10 +109,6 @@ class OdmrSettings:
 
     def axis(self) -> FloatArray:
         return np.linspace(self.sweep_start_mhz, self.sweep_stop_mhz, self.sweep_points)
-
-    def model(self, d_mhz: float) -> OdmrModel:
-        """Zero-field spectrum: one dip at the splitting ``d_mhz``."""
-        return OdmrModel(self.baseline_rate_cps, ((d_mhz, self.linewidth_mhz, self.contrast),))
 
 
 @dataclass(frozen=True)
@@ -323,6 +321,33 @@ class _Spectra:
     pl: SpectrumTrace
 
 
+def odmr_sweep_counts(
+    config: ScenarioConfig, axis: FloatArray, d_mhz: float, b_points: FloatArray, exposure_s: float
+) -> FloatArray:
+    """Expected counts of an ODMR sweep on ``axis``, ``exposure_s`` per sample.
+
+    The Zeeman pair about the splitting ``d_mhz`` (``zeeman_resonances``),
+    each line with half the configured contrast, in the field projection
+    ``b_points`` each sample sees.  Zero field is ``b_points`` of zeros:
+    the pair merges into one dip of the full contrast.
+    """
+    f_lo, f_hi = zeeman_resonances(d_mhz, b_points, config.bfield.gyromagnetic_mhz_per_mt)
+    line = (config.odmr.linewidth_mhz, 0.5 * config.odmr.contrast)
+    return odmr_dip_counts(axis, config.odmr.baseline_rate_cps, ((f_lo, *line), (f_hi, *line)), exposure_s)
+
+
+def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArray:
+    """PL counts with the static 637 nm line's counts subtracted.
+
+    Its in-window tail is a static instrument property, so the PL fit runs
+    on counts with that known contribution subtracted.  Skipping the
+    subtraction would bias the fitted center blue by ~1e-4 nm (~0.01 K),
+    well under shot noise but fatal to noiseless exactness.  The result is
+    clamped at 0: the subtracted tail can undercut sparse low-count samples.
+    """
+    return np.maximum(counts - nv_line_counts, 0.0)
+
+
 def _synthesise(
     config: ScenarioConfig,
     n_records: int,
@@ -330,11 +355,8 @@ def _synthesise(
 ) -> Iterator[_Spectra]:
     """Both channels' spectra for each record, drawn in record order.
 
-    The 637 nm line is part of every synthesized spectrum, but its in-window
-    tail is a static instrument property, so the PL fit runs on counts with
-    that known contribution subtracted.  Skipping the subtraction would bias
-    the fitted center blue by ~1e-4 nm (~0.01 K), well under shot noise but
-    fatal to noiseless exactness.
+    The 637 nm line is part of every synthesized PL spectrum; the PL trace
+    holds the counts without it (``_without_nv_line``).
     """
     gens = subsystem_generators(config.seed)
     drift_state = config.drift
@@ -346,10 +368,7 @@ def _synthesise(
     pl_axis = config.pl.axis()
     n_pts = odmr_axis.size
     tau_s = config.odmr.sweep_time_s / n_pts
-    w_mhz = config.odmr.linewidth_mhz
-    half_contrast = 0.5 * config.odmr.contrast
-    gyro = config.bfield.gyromagnetic_mhz_per_mt
-    nv_tail_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
+    nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
     # without a field every sample sees B = 0, where the Zeeman pair merges
     # into one dip; nothing is drawn from the field stream
     b_points = np.zeros(n_pts)
@@ -366,9 +385,7 @@ def _synthesise(
             # projection in effect at its own acquisition instant
             bproc, b_points = bfield_sweep(bproc, tau_s, n_pts, gens["bfield"])
         d_mhz = nv_resonance_of_temperature(config.nv_cal, t_nv_true)
-        f_lo, f_hi = zeeman_resonances(d_mhz, b_points, gyro)
-        dips = ((f_lo, w_mhz, half_contrast), (f_hi, w_mhz, half_contrast))
-        odmr_expected = odmr_dip_counts(odmr_axis, config.odmr.baseline_rate_cps, dips, tau_s) * factor
+        odmr_expected = odmr_sweep_counts(config, odmr_axis, d_mhz, b_points, tau_s) * factor
         if config.noiseless:
             odmr_counts = odmr_expected
         else:
@@ -380,8 +397,7 @@ def _synthesise(
             pl_counts = pl_expected
         else:
             pl_counts = sample_poisson_counts(pl_expected, gens["pl"]).astype(np.float64)
-        # clamp: the subtracted tail can undercut sparse low-count samples
-        pl_adjusted = np.maximum(pl_counts - nv_tail_counts, 0.0)
+        pl_adjusted = _without_nv_line(pl_counts, nv_line_counts)
 
         yield _Spectra(
             time_s=t_k,
@@ -461,11 +477,8 @@ def _timeseries(
     # one verdict per complete tumbling window; a trailing part window is
     # not screened
     win = config.detection.window_samples
-    flagged = [
-        artifact_monitor(pairs[start : start + win], config.detection).flagged
-        for start in range(0, n_records - win + 1, win)
-    ]
-    flags = [flag for flag in flagged for _ in range(win)] + [False] * (n_records % win)
+    flags = [verdict.flagged for verdict in tumbling_verdicts(pairs, config.detection) for _ in range(win)]
+    flags += [False] * (n_records - len(flags))
     return [ScenarioRecord(**readout, artifact_flag=flag) for readout, flag in zip(readouts, flags)]
 
 
@@ -517,8 +530,9 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
     pipeline with an independent derived seed per repetition and reports the
     sample standard deviation of the temperature estimate.  Drift is not
     applied: a constant per-spectrum intensity factor cannot move a fitted
-    line center, so this sweep isolates the shot-noise scaling.  The PL fit
-    subtracts the static 637 nm tail, matching the record pipeline.
+    line center, so this sweep isolates the shot-noise scaling.  The spectra
+    are the record pipeline's: zero-field ``odmr_sweep_counts``, and PL
+    counts fitted without the static 637 nm line (``_without_nv_line``).
     """
     p = config.precision
     t_fixed = config.heating_nv.t_ambient_c
@@ -529,29 +543,27 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
 
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
-    # count rates: expected counts at one second of exposure per sample
-    odmr_model = config.odmr.model(nv_resonance_of_temperature(config.nv_cal, t_fixed))
-    odmr_rate = odmr_expected_counts(odmr_model, odmr_axis, 1.0)
+    d_mhz = nv_resonance_of_temperature(config.nv_cal, t_fixed)
     pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_fixed))
-    pl_rate = pl_expected_counts(pl_model, pl_axis, 1.0)
-    pl_static_rate = pl_expected_counts(config.pl.nv_line(), pl_axis, 1.0)
 
     results: dict[str, list[tuple[float, float]]] = {ch: [] for ch in p.channels}
     for channel in p.channels:
         for t_int in p.integration_times_s:
+            if channel == "nv":
+                tau_s = t_int / odmr_axis.size
+                expected = odmr_sweep_counts(config, odmr_axis, d_mhz, np.zeros(odmr_axis.size), tau_s)
+            else:
+                expected = pl_expected_counts(pl_model, pl_axis, t_int)
+                nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, t_int)
             values = []
             for _ in range(p.repetitions):
-                rng = np.random.default_rng(next(child_iter))
+                counts = sample_poisson_counts(expected, np.random.default_rng(next(child_iter))).astype(np.float64)
                 if channel == "nv":
-                    tau_s = t_int / odmr_axis.size
-                    counts = sample_poisson_counts(odmr_rate * tau_s, rng).astype(np.float64)
                     trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, counts, tau_s)
                     fit = fit_odmr_dips(trace, 1)
                     estimate = odmr_readout(*fit.derived["d_center"], config.nv_cal)
                 else:
-                    counts = sample_poisson_counts(pl_rate * t_int, rng).astype(np.float64)
-                    counts = np.maximum(counts - pl_static_rate * t_int, 0.0)
-                    trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, counts, t_int)
+                    trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, _without_nv_line(counts, nv_line_counts), t_int)
                     fit = fit_pl_peak(trace)
                     estimate = zpl_readout(fit.params["center"], fit.std_errors["center"], config.siv_cal)
                 values.append(estimate.value_c)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dualtherm import (
+    OdmrModel,
     ScenarioConfig,
     nv_resonance_of_temperature,
     odmr_expected_counts,
@@ -13,7 +14,7 @@ from dualtherm import (
 )
 from dualtherm.cli import main
 from dualtherm.config import default_config_dict
-from dualtherm.records import CSV_HEADER, format_number
+from dualtherm.records import CSV_HEADER, format_number, parse_records_csv
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -86,7 +87,9 @@ def test_simulate_noiseless_prints_the_forward_model(channel, capsys):
     cfg = ScenarioConfig()
     if channel == "odmr":
         axis = cfg.odmr.axis()
-        model = cfg.odmr.model(nv_resonance_of_temperature(cfg.nv_cal, 41.5))
+        # at zero field the Zeeman pair is one dip of the full contrast
+        dip = (nv_resonance_of_temperature(cfg.nv_cal, 41.5), cfg.odmr.linewidth_mhz, cfg.odmr.contrast)
+        model = OdmrModel(cfg.odmr.baseline_rate_cps, (dip,))
         expected = odmr_expected_counts(model, axis, cfg.odmr.sweep_time_s / axis.size)
     else:
         axis = cfg.pl.axis()
@@ -302,6 +305,20 @@ def test_crossval_without_a_regression_line_reports_windows(tmp_path, capsys, n_
         assert payload[key] is None
     assert payload["windows"]["count"] == (0 if n_records else 1)
     assert payload["windows"]["flagged"] == 0
+
+
+@pytest.mark.parametrize("seed,b_max_mt", [(0, 0.5), (1, 0.5), (2, 0.5), (1000, 0.0)])
+def test_record_flags_are_the_crossval_verdicts_of_their_windows(tmp_path, capsys, seed, b_max_mt):
+    # 45 s is 30 records: one complete 20-sample window, then 10 unscreened
+    config = _write_config(tmp_path, kind="bfield_artifact", seed=seed, duration_s=45.0, bfield={"b_max_mt": b_max_mt})
+    records = tmp_path / "records.csv"
+    assert main(["scenario", "--config", config, "--out", str(records)]) == 0
+    assert main(["crossval", "--input", str(records), "--config", config]) == 0
+    [verdict] = json.loads(capsys.readouterr().out)["windows"]["verdicts"]
+    flags = [record.artifact_flag for record in parse_records_csv(str(records))]
+    # the field flags its window; a field-off window is clean
+    assert verdict["flagged"] is (b_max_mt > 0)
+    assert flags == [verdict["flagged"]] * 20 + [False] * 10
 
 
 def test_crossval_missing_input_is_io_error(tmp_path, capsys):

@@ -23,7 +23,16 @@ from dualtherm import (
     odmr_expected_counts,
     pl_expected_counts,
 )
-from dualtherm.fitting import _dips_model, _fit, _odmr_init
+from dualtherm.fitting import (
+    MAX_ITERATIONS,
+    _dips_model,
+    _fit,
+    _fit_dips,
+    _odmr_init,
+    _peak_init,
+    _peak_model,
+    _peak_result,
+)
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
 PL_AXIS = np.arange(715.0, 760.05, 0.1)
@@ -119,20 +128,33 @@ def _assert_width_folded(fit, ref, width):
     np.testing.assert_array_equal(fit.covariance, ref.covariance)
 
 
+def _dips_from(trace, start):
+    """The dip fit of ``trace`` from ``start``, in ``_odmr_param_names`` order."""
+    return _fit_dips(trace.axis, trace.counts[None], np.array([start]))[0]
+
+
+def _peak_from(trace, start):
+    """The peak fit of ``trace`` from ``start``, in model order ``[bg, A, c, w]``."""
+    row = _fit(_peak_model, trace.axis, trace.counts[None], np.array([start]), MAX_ITERATIONS)[0]
+    return _peak_result(trace.axis, *row)
+
+
 @PROPERTY
 @given(seed=seeds, center=dip_centers, fwhm=dip_widths, contrast=contrasts, start=st.floats(4.0, 30.0))
 def test_negative_start_width_folds_onto_positive_dip_width(seed, center, fwhm, contrast, start):
     trace = _odmr(_odmr_counts(((center, fwhm, contrast),), seed))
-    ref = fit_odmr_dips(trace, 1, init={"fwhm_1": start})
-    _assert_width_folded(fit_odmr_dips(trace, 1, init={"fwhm_1": -start}), ref, "fwhm_1")
+    baseline, center_0, _, contrast_0 = _odmr_init(trace.axis, trace.counts, 1)
+    ref = _dips_from(trace, [baseline, center_0, start, contrast_0])
+    _assert_width_folded(_dips_from(trace, [baseline, center_0, -start, contrast_0]), ref, "fwhm_1")
 
 
 @PROPERTY
 @given(seed=seeds, center=peak_centers, fwhm=peak_widths, start=st.floats(1.0, 15.0))
 def test_negative_start_width_folds_onto_positive_peak_width(seed, center, fwhm, start):
     trace = _pl(_pl_counts(center, fwhm, seed))
-    ref = fit_pl_peak(trace, init={"fwhm": start})
-    _assert_width_folded(fit_pl_peak(trace, init={"fwhm": -start}), ref, "fwhm")
+    background, amplitude, center_0, _ = _peak_init(trace.axis, trace.counts)
+    ref = _peak_from(trace, [background, amplitude, center_0, start])
+    _assert_width_folded(_peak_from(trace, [background, amplitude, center_0, -start]), ref, "fwhm")
 
 
 @PROPERTY
@@ -147,19 +169,18 @@ def test_negative_start_width_folds_onto_positive_peak_width(seed, center, fwhm,
 def test_two_dip_fit_orders_centers_whatever_the_start(seed, mid, split, widths, depths, negative):
     dips = ((mid - 0.5 * split, widths[0], depths[0]), (mid + 0.5 * split, widths[1], depths[1]))
     trace = _odmr(_odmr_counts(dips, seed))
-    start = {"baseline": 2e4}
-    for d, (c, w, cn) in enumerate(dips, start=1):
-        start.update({f"center_{d}": c, f"fwhm_{d}": w, f"contrast_{d}": cn})
-    ref = fit_odmr_dips(trace, 2, init=start)
+    start = [2e4, *dips[0], *dips[1]]
+    ref = _dips_from(trace, start)
     names = ("baseline", "center_1", "fwhm_1", "contrast_1", "center_2", "fwhm_2", "contrast_2")
 
-    swapped = {name.replace("_1", "_x").replace("_2", "_1").replace("_x", "_2"): v for name, v in start.items()}
-    fit = fit_odmr_dips(trace, 2, init=swapped)
+    fit = _dips_from(trace, start[:1] + start[4:] + start[1:4])
     assert fit.params["center_1"] < fit.params["center_2"]
     _assert_same(fit, ref, names)
     assert abs(fit.derived["d_center"][1] - ref.derived["d_center"][1]) <= TOL * ref.derived["d_center"][1]
 
-    _assert_width_folded(fit_odmr_dips(trace, 2, init={**start, negative: -start[negative]}), ref, negative)
+    j = names.index(negative)
+    start[j] = -start[j]
+    _assert_width_folded(_dips_from(trace, start), ref, negative)
 
 
 @PROPERTY

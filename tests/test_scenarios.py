@@ -14,6 +14,7 @@ from dualtherm import (
     LaserParams,
     MonitorConfig,
     NvCalibration,
+    OdmrModel,
     OdmrSettings,
     PlSettings,
     PrecisionParams,
@@ -37,6 +38,7 @@ from dualtherm import (
 )
 from dualtherm import fitting, scenarios
 from dualtherm.scenarios import ScenarioRecord
+from dip_reference import select_dip_count_unscreened
 
 
 def test_identical_configs_reproduce_identical_records():
@@ -389,7 +391,7 @@ def test_retired_candidates_choose_what_the_full_fit_chooses(monkeypatch, seed):
     )
     assert len(run_bfield_artifact(cfg)) == len(captured) == 40
     for k, (trace, (n_dips, fit)) in enumerate(captured):
-        full_n_dips, full = fitting._select_dip_count_unscreened(trace)
+        full_n_dips, full = select_dip_count_unscreened(trace)
         assert (n_dips, fit.params) == (full_n_dips, full.params), k
 
 
@@ -415,12 +417,12 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     assert not two.converged
     assert two.iterations <= fitting._PAIR_PATIENCE + 1
     trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, cfg.odmr.sweep_time_s / axis.size)
-    full = fitting.fit_odmr_stack(axis, counts[None], 2, fitting._two_dip_starts(axis, counts[None], [one]))[0]
+    [full] = fitting._fit_dips(axis, counts[None], fitting._two_dip_starts(axis, counts[None], [one]))
     assert not full.converged and full.iterations == fitting.MAX_ITERATIONS
     step = float(np.median(np.diff(trace.axis)))
     assert min(full.params["fwhm_1"], full.params["fwhm_2"]) < 0.1 * step
     n_dips, fit = fitting.select_dip_count(trace)
-    full_n_dips, full_fit = fitting._select_dip_count_unscreened(trace)
+    full_n_dips, full_fit = select_dip_count_unscreened(trace)
     assert (n_dips, fit.params) == (full_n_dips, full_fit.params) == (1, one.params)
 
 
@@ -435,7 +437,9 @@ def _nv_temperature_crb(cfg: ScenarioConfig) -> float:
     center = nv_resonance_of_temperature(cfg.nv_cal, cfg.heating_nv.t_ambient_c)
     width, contrast = cfg.odmr.linewidth_mhz, cfg.odmr.contrast
     rate = cfg.odmr.baseline_rate_cps / axis.size
-    mu = odmr_expected_counts(cfg.odmr.model(center), axis, 1.0 / axis.size)
+    # the zero-field sweep: one dip of the full contrast
+    model = OdmrModel(cfg.odmr.baseline_rate_cps, ((center, width, contrast),))
+    mu = odmr_expected_counts(model, axis, 1.0 / axis.size)
     lor = unit_lorentzian(axis, center, width)
     u = 2.0 * (axis - center) / width
     jac = np.column_stack(
