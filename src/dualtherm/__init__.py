@@ -14,7 +14,6 @@ from .crossval import (
     artifact_monitor,
     calibration_slope,
     channel_regression,
-    consistency_z,
     fuse,
     pair_z,
     tumbling_verdicts,
@@ -38,10 +37,7 @@ from .forward import (
     PlModel,
     SivCalibration,
     SpectrumTrace,
-    default_odmr_axis,
-    default_pl_axis,
     nv_resonance_of_temperature,
-    odmr_dip_counts,
     odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
@@ -53,7 +49,6 @@ from .noise import (
     BFieldProcess,
     DriftState,
     bfield_resample,
-    bfield_step,
     drift_step,
     sample_poisson_counts,
     subsystem_generators,

@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input", required=True, help="CSV with axis,counts columns")
     p_fit.add_argument("--kind", choices=("odmr", "pl"), required=True)
     p_fit.add_argument("--n-dips", choices=("auto", "1", "2"), default="auto")
-    p_fit.add_argument("--exposure-s", type=_finite_float, default=1.0, help="seconds per sample")
     p_fit.add_argument("--out", help="output path (default: stdout)")
 
     p_scn = sub.add_parser("scenario", help="run a configured scenario")
@@ -201,9 +200,8 @@ def _fit_payload(fit: FitResult, n_dips: int | None) -> dict[str, Any]:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     axis, counts = _read_trace_csv(args.input)
-    exposure_s = float(args.exposure_s)
     if args.kind == "odmr":
-        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, exposure_s)
+        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
         choice = args.n_dips
         if choice == "auto":
             n_dips, fit = select_dip_count(trace)
@@ -212,7 +210,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             fit = fit_odmr_dips(trace, n_dips)
         payload = _fit_payload(fit, n_dips)
     else:
-        trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts, exposure_s)
+        trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts)
         payload = _fit_payload(fit_pl_peak(trace), None)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK

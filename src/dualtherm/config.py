@@ -12,45 +12,21 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
-from .crossval import MonitorConfig
-from .forward import HeatingModel, NvCalibration, SivCalibration
-from .noise import DriftState
-from .scenarios import (
-    BfieldSettings,
-    LaserParams,
-    OdmrSettings,
-    PlSettings,
-    PrecisionParams,
-    RampParams,
-    ScenarioConfig,
-    ScenarioKind,
-)
+from .scenarios import ScenarioConfig, ScenarioKind
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-_SECTIONS: dict[str, type] = {
-    "odmr": OdmrSettings,
-    "pl": PlSettings,
-    "nv_cal": NvCalibration,
-    "siv_cal": SivCalibration,
-    "heating_nv": HeatingModel,
-    "heating_siv": HeatingModel,
-    "drift": DriftState,
-    "bfield": BfieldSettings,
-    "detection": MonitorConfig,
-    "ramp": RampParams,
-    "precision": PrecisionParams,
-    "laser": LaserParams,
-}
-
-_TOP_SCALARS = ("kind", "seed", "duration_s", "sample_period_s", "noiseless")
+#: the schema is ScenarioConfig's own: each field typed as a dataclass is a
+#: section, every other field a top-level scalar
+_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
+_SECTIONS: dict[str, type] = {name: cls for name, cls in _TYPES.items() if is_dataclass(cls)}
 
 
 def _suggest(key: str, known: list[str]) -> str:
@@ -120,7 +96,7 @@ def scenario_config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     """Validate a parsed JSON object into a :class:`ScenarioConfig`."""
     if not isinstance(data, Mapping):
         raise ConfigError("top level: expected an object")
-    known = list(_TOP_SCALARS) + list(_SECTIONS)
+    known = list(_TYPES)
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key not in known:
@@ -135,14 +111,8 @@ def scenario_config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             except ValueError:
                 valid = [k.value for k in ScenarioKind]
                 raise ConfigError(f"kind: {value!r} is not one of {valid}{_suggest(value, valid)}") from None
-        elif key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"seed: expected an integer, got {value!r}")
-            kwargs[key] = value
-        elif key == "noiseless":
-            kwargs[key] = _coerce("noiseless", value, "bool")
         else:
-            kwargs[key] = _coerce(key, value, "float")
+            kwargs[key] = _coerce(key, value, _TYPES[key].__name__)
     try:
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
@@ -168,13 +138,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def default_config_dict(kind: str = "ramp") -> dict[str, Any]:
     """Fully populated configuration echoing the documented defaults."""
     config = ScenarioConfig(kind=ScenarioKind(kind))
-    out: dict[str, Any] = {
-        "kind": config.kind.value,
-        "seed": config.seed,
-        "duration_s": config.duration_s,
-        "sample_period_s": config.sample_period_s,
-        "noiseless": config.noiseless,
-    }
+    out: dict[str, Any] = {name: getattr(config, name) for name in _TYPES if name not in _SECTIONS}
+    out["kind"] = config.kind.value
     for name, cls in _SECTIONS.items():
         section = getattr(config, name)
         entry: dict[str, Any] = {}

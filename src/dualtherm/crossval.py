@@ -115,29 +115,19 @@ def channel_regression(
     )
 
 
-def pair_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float | None:
+def pair_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float:
     """Agreement score ``(a - b) / sqrt(sigma_a^2 + sigma_b^2)``.
 
-    Returns ``None`` when both sigmas are zero.  Every z in the package is
-    this score; its callers differ only in what that degenerate case means.
+    Every z in the package is this score.  It is antisymmetric under an
+    argument swap and 0 for equal values.  When both sigmas are zero it is
+    0 for equal values and an infinity of the sign of ``a - b`` otherwise:
+    two exact readings that differ cannot be reconciled.
     """
+    diff = a.value_c - b.value_c
     denom = math.hypot(a.sigma_c, b.sigma_c)
     if denom == 0.0:
-        return None
-    return (a.value_c - b.value_c) / denom
-
-
-def consistency_z(a: TemperatureEstimate, b: TemperatureEstimate) -> float:
-    """``pair_z``, raising when both sigmas are zero and the values differ.
-
-    Antisymmetric under argument swap and zero for equal values.
-    """
-    z = pair_z(a, b)
-    if z is None:
-        if a.value_c == b.value_c:
-            return 0.0
-        raise ValueError("z undefined: both sigmas zero and values differ")
-    return z
+        return math.copysign(math.inf, diff) if diff else 0.0
+    return diff / denom
 
 
 def fuse(a: TemperatureEstimate, b: TemperatureEstimate) -> TemperatureEstimate:
@@ -156,15 +146,6 @@ def fuse(a: TemperatureEstimate, b: TemperatureEstimate) -> TemperatureEstimate:
         channel=Channel.FUSED,
         timestamp_s=0.5 * (a.timestamp_s + b.timestamp_s),
     )
-
-
-def _pair_z(nv: TemperatureEstimate, siv: TemperatureEstimate) -> float:
-    # monitoring variant of consistency_z: degenerate pairs score 0 when the
-    # values agree and infinity when they cannot be reconciled
-    z = pair_z(nv, siv)
-    if z is None:
-        return 0.0 if nv.value_c == siv.value_c else math.inf
-    return abs(z)
 
 
 def window_z_cutoff(z_threshold: float, n_samples: int) -> float:
@@ -200,10 +181,12 @@ def artifact_monitor(
     The fluctuating-field artifact inflates the variance of the ODMR channel
     while leaving the optical channel untouched, so the NV/SiV variance ratio
     and the per-sample z scores both expose it.  The z test compares the
-    window maximum against ``window_z_cutoff(config.z_threshold, n)`` so that
-    clean windows of any length false-alarm at the same rate a single sample
-    would at ``z_threshold``.  A ratio of 0/0 (two exactly constant channels)
-    counts as 1: no evidence of disagreement.
+    window maximum of ``abs(pair_z)`` against
+    ``window_z_cutoff(config.z_threshold, n)`` so that clean windows of any
+    length false-alarm at the same rate a single sample would at
+    ``z_threshold``; a disagreeing pair whose sigmas are both zero reads
+    ``max_abs_z = inf`` and flags its window.  A ratio of 0/0 (two exactly
+    constant channels) counts as 1: no evidence of disagreement.
     """
     if len(window) < config.min_window:
         raise ValueError(
@@ -219,7 +202,7 @@ def artifact_monitor(
         ratio = math.inf
     else:
         ratio = var_nv / var_siv
-    max_abs_z = max(_pair_z(nv, siv) for nv, siv in window)
+    max_abs_z = max(abs(pair_z(nv, siv)) for nv, siv in window)
 
     ratio_hit = ratio > config.variance_ratio_threshold
     z_hit = max_abs_z > window_z_cutoff(config.z_threshold, len(window))

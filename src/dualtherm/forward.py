@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,16 +46,6 @@ class AxisKind(enum.Enum):
     WAVELENGTH_NM = "wavelength_nm"
 
 
-def default_odmr_axis() -> FloatArray:
-    """Default ODMR sweep grid: 2820-2920 MHz in 0.5 MHz steps."""
-    return np.linspace(2820.0, 2920.0, 201)
-
-
-def default_pl_axis() -> FloatArray:
-    """Default spectrometer grid: 600-800 nm in 0.1 nm steps."""
-    return np.linspace(600.0, 800.0, 2001)
-
-
 def unit_lorentzian(axis: FloatArray, center: float, fwhm: float) -> FloatArray:
     """Unit-height Lorentzian ``1 / (1 + (2 (x - c) / w)^2)`` with FWHM ``w``."""
     u = 2.0 * (np.asarray(axis, dtype=np.float64) - center) / fwhm
@@ -74,11 +63,13 @@ class OdmrModel:
     dips:
         Ordered ``(center_mhz, fwhm_mhz, contrast)`` triples.  Contrasts are
         fractional dip depths; their sum must stay below 1 so the spectrum
-        remains positive.
+        remains positive.  A center is either one value or an array holding
+        the center in effect at each sample, as when the field changes
+        mid-sweep.
     """
 
     baseline_rate: float
-    dips: tuple[tuple[float, float, float], ...]
+    dips: tuple[tuple[float | FloatArray, float, float], ...]
 
     def __post_init__(self) -> None:
         if not self.baseline_rate > 0:
@@ -92,7 +83,7 @@ class OdmrModel:
             total += contrast
         if not total < 1.0:
             raise ValueError(f"sum of contrasts must be < 1, got {total}")
-        object.__setattr__(self, "dips", tuple((float(c), float(w), float(k)) for c, w, k in self.dips))
+        object.__setattr__(self, "dips", tuple((c, float(w), float(k)) for c, w, k in self.dips))
 
 
 @dataclass(frozen=True)
@@ -171,13 +162,11 @@ class HeatingModel:
 
 @dataclass(frozen=True)
 class SpectrumTrace:
-    """One recorded spectrum: sample axis, counts, and acquisition metadata."""
+    """One recorded spectrum: its sample axis and the counts on it."""
 
     axis_kind: AxisKind
     axis: FloatArray
     counts: FloatArray
-    exposure_s: float
-    timestamp_s: float = 0.0
 
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=np.float64)
@@ -196,8 +185,6 @@ class SpectrumTrace:
             raise ValueError("axis must be strictly increasing")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if not self.exposure_s > 0:
-            raise ValueError(f"exposure_s must be > 0, got {self.exposure_s}")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "counts", counts)
 
@@ -209,34 +196,22 @@ def _check_axis(axis: FloatArray) -> FloatArray:
     return arr
 
 
-def odmr_dip_counts(
-    axis: FloatArray,
-    baseline_rate: float,
-    dips: Sequence[tuple[float | FloatArray, float, float]],
-    exposure_s: float,
-) -> FloatArray:
-    """Expected counts per sample of a CW ODMR sweep whose dips may move.
+def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) -> FloatArray:
+    """Expected counts per sample of a CW ODMR sweep.
 
-    ``R * t * (1 - sum_k C_k * L_k(f))`` with ``t`` the per-sample exposure.
-    Each dip is ``(center_mhz, fwhm_mhz, contrast)``; a center is either one
-    value or an array holding the center in effect at each sample, as when
-    the field changes mid-sweep.
+    ``R * t * (1 - sum_k C_k * L_k(f))`` with ``t`` the per-sample exposure;
+    a dip center may be one value or one value per sample.
     """
     arr = _check_axis(axis)
     if not exposure_s > 0:
         raise ValueError(f"exposure_s must be > 0, got {exposure_s}")
     depth = np.zeros_like(arr)
-    for center, fwhm, contrast in dips:
+    for center, fwhm, contrast in model.dips:
         # C / (1 + u^2), not C * unit_lorentzian: the two round differently
         # in the last bit, and recorded spectra are built with this form
         u = 2.0 * (arr - center) / fwhm
         depth += contrast / (1.0 + u * u)
-    return baseline_rate * exposure_s * (1.0 - depth)
-
-
-def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) -> FloatArray:
-    """Expected counts per sample of a CW ODMR sweep (see ``odmr_dip_counts``)."""
-    return odmr_dip_counts(axis, model.baseline_rate, model.dips, exposure_s)
+    return model.baseline_rate * exposure_s * (1.0 - depth)
 
 
 def pl_expected_counts(model: PlModel, axis: FloatArray, exposure_s: float) -> FloatArray:

@@ -136,34 +136,28 @@ class BFieldProcess:
             raise ValueError("time_since_resample_s must be >= 0")
 
 
+def _draw_projection(proc: BFieldProcess, rng: np.random.Generator) -> float:
+    # magnitude first, then direction: the draw order is part of the
+    # determinism contract
+    magnitude = rng.uniform(0.0, proc.b_max_mt)
+    return magnitude * rng.uniform(-1.0, 1.0)
+
+
 def bfield_resample(proc: BFieldProcess, rng: np.random.Generator) -> BFieldProcess:
     """Redraw the field immediately, resetting the resample clock."""
-    magnitude = rng.uniform(0.0, proc.b_max_mt)
-    direction = rng.uniform(-1.0, 1.0)
-    return replace(
-        proc,
-        current_projection_mt=magnitude * direction,
-        time_since_resample_s=0.0,
-    )
-
-
-def bfield_step(proc: BFieldProcess, dt_s: float, rng: np.random.Generator) -> BFieldProcess:
-    """Advance the field clock by ``dt_s``, redrawing once per elapsed dwell.
-
-    The projection changes only at resample instants; with ``b_max_mt = 0``
-    it is identically zero although the draws are still consumed, keeping the
-    stream alignment of a run independent of the field amplitude.
-    """
-    return bfield_sweep(proc, dt_s, 1, rng)[0]
+    return replace(proc, current_projection_mt=_draw_projection(proc, rng), time_since_resample_s=0.0)
 
 
 def bfield_sweep(
     proc: BFieldProcess, dt_s: float, n_steps: int, rng: np.random.Generator
 ) -> tuple[BFieldProcess, NDArray[np.float64]]:
-    """Apply ``bfield_step`` ``n_steps`` times, recording each projection.
+    """Advance the field clock ``n_steps`` times by ``dt_s``, recording each projection.
 
-    Returns the final process and the projection after every step; the draws
-    and values are exactly those of the repeated single steps.
+    The field is redrawn once per elapsed dwell, so the projection changes
+    only at resample instants.  Returns the final process and the projection
+    after every step.  With ``b_max_mt = 0`` the projection is identically
+    zero although the draws are still consumed, keeping the stream alignment
+    of a run independent of the field amplitude.
     """
     if not dt_s > 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")
@@ -173,9 +167,7 @@ def bfield_sweep(
     for i in range(n_steps):
         elapsed += dt_s
         while elapsed >= proc.dwell_s:
-            magnitude = rng.uniform(0.0, proc.b_max_mt)
-            direction = rng.uniform(-1.0, 1.0)
-            projection = magnitude * direction
+            projection = _draw_projection(proc, rng)
             elapsed -= proc.dwell_s
         projections[i] = projection
     return (

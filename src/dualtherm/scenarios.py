@@ -42,12 +42,13 @@ from .forward import (
     AxisKind,
     HeatingModel,
     NvCalibration,
+    OdmrModel,
     PlModel,
     SivCalibration,
     SpectrumTrace,
     check_finite,
     nv_resonance_of_temperature,
-    odmr_dip_counts,
+    odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
     temperature_of_laser_power,
@@ -226,6 +227,8 @@ class PrecisionParams:
         for ch in self.channels:
             if ch not in ("nv", "siv"):
                 raise ValueError(f"channels entries must be 'nv' or 'siv', got {ch!r}")
+        if len(set(self.channels)) != len(self.channels):
+            raise ValueError(f"channels must not repeat a channel, got {list(self.channels)}")
         object.__setattr__(self, "integration_times_s", tuple(float(t) for t in self.integration_times_s))
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -333,7 +336,8 @@ def odmr_sweep_counts(
     """
     f_lo, f_hi = zeeman_resonances(d_mhz, b_points, config.bfield.gyromagnetic_mhz_per_mt)
     line = (config.odmr.linewidth_mhz, 0.5 * config.odmr.contrast)
-    return odmr_dip_counts(axis, config.odmr.baseline_rate_cps, ((f_lo, *line), (f_hi, *line)), exposure_s)
+    model = OdmrModel(config.odmr.baseline_rate_cps, ((f_lo, *line), (f_hi, *line)))
+    return odmr_expected_counts(model, axis, exposure_s)
 
 
 def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArray:
@@ -404,8 +408,8 @@ def _synthesise(
             true_t_c=t_nv_true,
             laser_mw=laser_mw,
             b_par_mt=float(b_points[0]),
-            odmr=SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts, tau_s, t_k),
-            pl=SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted, config.pl.exposure_s, t_k),
+            odmr=SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts),
+            pl=SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted),
         )
 
 
@@ -419,8 +423,8 @@ def _timeseries(
     ``truth(k, t_k)`` returns the per-channel true temperatures and the laser
     power for record ``k``.  Spectra come from the :mod:`dualtherm.forward`
     count models, temperatures from the :mod:`dualtherm.thermometry`
-    readouts and ``z_score`` from ``crossval.pair_z`` (0 when both sigmas are
-    zero).  The readouts are applied without the convergence check of
+    readouts and ``z_score`` from ``crossval.pair_z``.  The readouts are
+    applied without the convergence check of
     ``temperature_from_odmr``/``temperature_from_zpl``: a non-converged fit
     still yields a best-effort row rather than dropping the record.
 
@@ -449,8 +453,6 @@ def _timeseries(
 
             pl_fit = fit_pl_peak(rec.pl)
             est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, rec.time_s)
-            z = pair_z(est_nv, est_siv)
-
             pairs.append((est_nv, est_siv))
             readouts.append(
                 dict(
@@ -470,7 +472,7 @@ def _timeseries(
                     t_nv_sigma_c=est_nv.sigma_c,
                     t_siv_c=est_siv.value_c,
                     t_siv_sigma_c=est_siv.sigma_c,
-                    z_score=0.0 if z is None else z,
+                    z_score=pair_z(est_nv, est_siv),
                 )
             )
 
@@ -559,11 +561,11 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
             for _ in range(p.repetitions):
                 counts = sample_poisson_counts(expected, np.random.default_rng(next(child_iter))).astype(np.float64)
                 if channel == "nv":
-                    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, counts, tau_s)
+                    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, counts)
                     fit = fit_odmr_dips(trace, 1)
                     estimate = odmr_readout(*fit.derived["d_center"], config.nv_cal)
                 else:
-                    trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, _without_nv_line(counts, nv_line_counts), t_int)
+                    trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, _without_nv_line(counts, nv_line_counts))
                     fit = fit_pl_peak(trace)
                     estimate = zpl_readout(fit.params["center"], fit.std_errors["center"], config.siv_cal)
                 values.append(estimate.value_c)

@@ -69,7 +69,7 @@ def test_noiseless_round_trips_recover_parameters_to_1e6():
                 dips=((truth["center_1"], truth["fwhm_1"], truth["contrast_1"]),),
             )
             counts = odmr_expected_counts(model, ODMR_AXIS, ODMR_TAU)
-            trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, ODMR_TAU)
+            trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
             fit = fit_odmr_dips(trace, 1)
         elif kind == 1:
             rate = 10.0 ** rng.uniform(7.0, 9.0)
@@ -92,7 +92,7 @@ def test_noiseless_round_trips_recover_parameters_to_1e6():
                 ),
             )
             counts = odmr_expected_counts(model, ODMR_AXIS, ODMR_TAU)
-            trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, ODMR_TAU)
+            trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
             fit = fit_odmr_dips(trace, 2)
         else:
             bg_rate = 10.0 ** rng.uniform(3.7, 4.7)
@@ -108,7 +108,7 @@ def test_noiseless_round_trips_recover_parameters_to_1e6():
             }
             model = PlModel(background_rate=bg_rate, peaks=((center, fwhm, amp_rate),))
             counts = pl_expected_counts(model, PL_AXIS, 1.3)
-            trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts, 1.3)
+            trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts)
             fit = fit_pl_peak(trace)
         assert fit.converged, f"set {i} failed to converge"
         for name, true_value in truth.items():
@@ -184,7 +184,7 @@ def test_zeeman_midpoint_identity_and_split_fit_recovery():
     lo, hi = zeeman_resonances(d_true, 0.3)
     model = OdmrModel(baseline_rate=5e8, dips=((lo, 12.0, 0.06), (hi, 12.0, 0.06)))
     counts = odmr_expected_counts(model, ODMR_AXIS, ODMR_TAU)
-    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, ODMR_TAU)
+    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
     fit = fit_odmr_dips(trace, 2)
     assert fit.converged
     d_center, _ = fit.derived["d_center"]
@@ -300,7 +300,7 @@ def test_reported_center_errors_match_monte_carlo_scatter():
     for seed in range(200):
         rng = subsystem_generators(seed)["odmr"]
         counts = sample_poisson_counts(expected, rng).astype(np.float64)
-        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, ODMR_TAU)
+        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
         fit = fit_odmr_dips(trace, 1)
         assert fit.converged
         centers.append(fit.params["center_1"])

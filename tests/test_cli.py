@@ -181,7 +181,6 @@ def test_fit_of_a_flat_spectrum_reports_json(tmp_path, capsys, kind, axis, count
     "argv",
     [
         ["simulate", "--channel", "odmr", "--temperature", "nan"],
-        ["fit", "--input", "spectrum.csv", "--kind", "odmr", "--exposure-s=-inf"],
         ["sensitivity", "--contrast", "nan"],
         ["sensitivity", "--linewidth-mhz", "inf"],
         ["sensitivity", "--photon-rate-cps", "1e400"],

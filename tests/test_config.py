@@ -135,6 +135,19 @@ def test_invariant_violations_name_the_section():
         scenario_config_from_dict({"odmr": {"contrast": 1.5}})
 
 
+def test_repeated_precision_channel_is_a_config_error(tmp_path, capsys):
+    # a repeated channel would run its sweep twice into one series
+    with pytest.raises(ConfigError, match="precision: channels must not repeat a channel"):
+        scenario_config_from_dict({"precision": {"channels": ["siv", "siv"]}})
+    path = tmp_path / "sweep.json"
+    sweep = {"integration_times_s": [0.1, 1.0, 10.0], "repetitions": 2, "channels": ["nv", "siv", "nv"]}
+    path.write_text(json.dumps({"kind": "precision_sweep", "precision": sweep}), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["scenario", "--config", str(path), "--out", str(out)]) == 3
+    assert "channels must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.json")

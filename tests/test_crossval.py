@@ -13,7 +13,6 @@ from dualtherm import (
     TemperatureEstimate,
     artifact_monitor,
     channel_regression,
-    consistency_z,
     fuse,
     pair_z,
     tumbling_verdicts,
@@ -41,24 +40,21 @@ def _window(rng, n=20, nv_scale=0.1, siv_scale=0.1, nv_offset=0.0):
     return pairs
 
 
-def test_consistency_z_hand_value_and_antisymmetry():
+def test_pair_z_hand_value_and_antisymmetry():
     a = _nv(26.0, 0.3)
     b = _siv(25.0, 0.4)
-    assert consistency_z(a, b) == pytest.approx(2.0, rel=1e-12)
-    assert consistency_z(b, a) == pytest.approx(-2.0, rel=1e-12)
-    assert consistency_z(a, a) == 0.0
-
-
-def test_consistency_z_degenerate_sigmas():
-    assert consistency_z(_nv(25.0, 0.0), _siv(25.0, 0.0)) == 0.0
-    with pytest.raises(ValueError):
-        consistency_z(_nv(25.0, 0.0), _siv(26.0, 0.0))
-
-
-def test_pair_z_is_undefined_only_for_two_zero_sigmas():
-    assert pair_z(_nv(26.0, 0.3), _siv(25.0, 0.4)) == consistency_z(_nv(26.0, 0.3), _siv(25.0, 0.4))
-    assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.0)) is None
+    assert pair_z(a, b) == pytest.approx(2.0, rel=1e-12)
+    assert pair_z(b, a) == -pair_z(a, b)
+    assert pair_z(a, a) == 0.0
+    # one zero sigma leaves the other to scale the difference
     assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.5)) == -2.0
+
+
+def test_pair_z_degenerate_sigmas():
+    # two exact readings: agreement scores 0, disagreement a signed infinity
+    assert pair_z(_nv(25.0, 0.0), _siv(25.0, 0.0)) == 0.0
+    assert pair_z(_nv(26.0, 0.0), _siv(25.0, 0.0)) == math.inf
+    assert pair_z(_siv(25.0, 0.0), _nv(26.0, 0.0)) == -math.inf
 
 
 def test_fuse_inverse_variance_oracle():
@@ -142,6 +138,16 @@ def test_monitor_degenerate_payloads():
     differing = [(_nv(25.0, 0.1, float(i)), _siv(24.0, 0.1, float(i))) for i in range(20)]
     verdict = artifact_monitor(differing)
     assert verdict.flagged and verdict.max_abs_z > window_z_cutoff(3.0, 20)
+
+
+def test_monitor_flags_one_exact_disagreeing_pair():
+    # both sigmas zero and the values apart: the pair's |z| is infinite
+    window = [(_nv(25.0, 0.1, float(i)), _siv(25.0, 0.1, float(i))) for i in range(20)]
+    window[7] = (_nv(25.5, 0.0, 7.0), _siv(25.0, 0.0, 7.0))
+    verdict = artifact_monitor(window)
+    assert verdict.max_abs_z == math.inf
+    assert verdict.flagged
+    assert verdict.reason in (ArtifactReason.Z_SCORE, ArtifactReason.BOTH)
 
 
 def test_monitor_rejects_short_windows():

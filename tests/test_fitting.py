@@ -55,13 +55,13 @@ PL_AXIS = np.arange(715.0, 760.05, 0.1)
 def _odmr_trace(model: OdmrModel, exposure_s: float = 0.01, rng=None) -> SpectrumTrace:
     expected = odmr_expected_counts(model, ODMR_AXIS, exposure_s)
     counts = expected if rng is None else rng.poisson(expected).astype(np.float64)
-    return SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, exposure_s)
+    return SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
 
 
 def _pl_trace(model: PlModel, exposure_s: float = 1.0, rng=None) -> SpectrumTrace:
     expected = pl_expected_counts(model, PL_AXIS, exposure_s)
     counts = expected if rng is None else rng.poisson(expected).astype(np.float64)
-    return SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts, exposure_s)
+    return SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts)
 
 
 @pytest.mark.parametrize(
@@ -163,12 +163,10 @@ def test_odmr_fit_validates_inputs():
     trace = _odmr_trace(model)
     with pytest.raises(ValueError):
         fit_odmr_dips(trace, 3)
-    pl = SpectrumTrace(AxisKind.WAVELENGTH_NM, trace.axis, trace.counts, 0.01)
+    pl = SpectrumTrace(AxisKind.WAVELENGTH_NM, trace.axis, trace.counts)
     with pytest.raises(ValueError):
         fit_odmr_dips(pl, 1)
-    short = SpectrumTrace(
-        AxisKind.FREQUENCY_MHZ, trace.axis[:5], trace.counts[:5], 0.01
-    )
+    short = SpectrumTrace(AxisKind.FREQUENCY_MHZ, trace.axis[:5], trace.counts[:5])
     with pytest.raises(ValueError):
         fit_odmr_dips(short, 1)
 
@@ -183,7 +181,7 @@ def test_dip_fits_with_negative_expected_counts_do_not_converge(n_dips):
     unphysical = 0
     for seed in range(40):
         counts = np.random.default_rng(seed).poisson(expected).astype(np.float64)
-        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.0), n_dips)
+        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts), n_dips)
         contrasts = [fit.params[f"contrast_{d}"] for d in range(1, n_dips + 1)]
         physical = min(contrasts) > 0.0 and sum(contrasts) < 1.0
         assert physical or not fit.converged, seed
@@ -200,7 +198,7 @@ def test_one_dip_fits_narrower_than_a_sample_step_do_not_converge():
     converged = narrow = 0
     for seed in range(100):
         counts = np.random.default_rng(seed).poisson(expected).astype(np.float64)
-        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.0), 1)
+        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts), 1)
         narrow += fit.params["fwhm_1"] < step
         if fit.converged:
             converged += 1
@@ -223,7 +221,7 @@ def test_pl_fit_at_ten_counts_per_bin_keeps_the_center_but_reads_the_background_
     centers, backgrounds = [], []
     for seed in range(400):
         counts = np.random.default_rng(seed).poisson(expected).astype(np.float64)
-        fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts, 1.0))
+        fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts))
         assert fit.converged, seed
         centers.append(fit.params["center"])
         backgrounds.append(fit.params["background"])
@@ -278,7 +276,7 @@ def test_select_dip_count_ignores_single_sample_spike(depth_sigma):
     counts = rng.poisson(expected).astype(np.float64)
     # push one off-resonance sample several sigma low
     counts[30] -= depth_sigma * np.sqrt(expected[30])
-    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.5 / 201)
+    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
     n, fit = select_dip_count(trace)
     assert n == 1
     assert fit.derived["d_center"][0] == pytest.approx(2870.0, abs=0.05)
@@ -292,7 +290,7 @@ def test_select_dip_count_spurious_rate_on_clean_spectra():
     hits = 0
     for _ in range(300):
         counts = rng.poisson(expected).astype(np.float64)
-        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.5 / 201)
+        trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts)
         n, _ = select_dip_count(trace)
         hits += n == 2
     assert hits == 0
@@ -653,7 +651,7 @@ def test_two_dip_center_errors_match_monte_carlo_scatter():
     for seed in range(200):
         rng = subsystem_generators(seed)["odmr"]
         counts = sample_poisson_counts(expected, rng).astype(np.float64)
-        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts, 1.5 / 201), 2)
+        fit = fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, counts), 2)
         assert fit.converged
         d_center, d_sigma = fit.derived["d_center"]
         centers.append(d_center)
@@ -741,7 +739,7 @@ def _assert_same_fit(fit, ref):
 
 def test_fit_odmr_stack_equals_fit_odmr_dips():
     counts, starts = _stack_corpus(2)
-    traces = [SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, c, 1.5 / 201) for c in counts]
+    traces = [SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, c) for c in counts]
     for n_dips in (1, 2):
         inits = starts[:, : len(_odmr_param_names(n_dips))]
         for stacked, row, init in zip(_fit_dips(ODMR_AXIS, counts, inits), counts, inits):

@@ -63,11 +63,11 @@ def _pl_counts(center: float, fwhm: float, seed: int) -> np.ndarray:
 
 
 def _odmr(counts: np.ndarray, axis: np.ndarray = ODMR_AXIS) -> SpectrumTrace:
-    return SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, 0.01)
+    return SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
 
 
 def _pl(counts: np.ndarray, axis: np.ndarray = PL_AXIS) -> SpectrumTrace:
-    return SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts, 1.0)
+    return SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts)
 
 
 def _assert_same(fit, ref, names, scale=1.0, errors=True):

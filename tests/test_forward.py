@@ -12,10 +12,7 @@ from dualtherm import (
     PlModel,
     SivCalibration,
     SpectrumTrace,
-    default_odmr_axis,
-    default_pl_axis,
     nv_resonance_of_temperature,
-    odmr_dip_counts,
     odmr_expected_counts,
     pl_expected_counts,
     siv_zpl_of_temperature,
@@ -56,26 +53,39 @@ def test_odmr_expected_counts_two_dips_add():
     single_a = OdmrModel(baseline_rate=1e6, dips=((2860.0, 10.0, 0.05),))
     single_b = OdmrModel(baseline_rate=1e6, dips=((2880.0, 10.0, 0.07),))
     both = OdmrModel(baseline_rate=1e6, dips=((2860.0, 10.0, 0.05), (2880.0, 10.0, 0.07)))
-    axis = default_odmr_axis()
+    axis = np.linspace(2820.0, 2920.0, 201)
     depth_a = 1e6 * 0.1 - odmr_expected_counts(single_a, axis, 0.1)
     depth_b = 1e6 * 0.1 - odmr_expected_counts(single_b, axis, 0.1)
     depth_both = 1e6 * 0.1 - odmr_expected_counts(both, axis, 0.1)
     np.testing.assert_allclose(depth_both, depth_a + depth_b, rtol=1e-12)
 
 
-def test_odmr_dip_counts_takes_per_sample_centers():
+def test_odmr_model_takes_per_sample_centers():
     # each sample of a moving-dip sweep is the static model with the dip
     # parked at that sample's center
     rng = np.random.default_rng(5)
-    axis = default_odmr_axis()
+    axis = np.linspace(2820.0, 2920.0, 201)
     b_points = rng.uniform(-0.5, 0.5, axis.size)
     lo, hi = zeeman_resonances(2870.0, b_points)
-    moving = odmr_dip_counts(axis, 5e8, ((lo, 12.0, 0.06), (hi, 12.0, 0.06)), 0.0075)
-    for i in (0, 57, 100, 200):
+    moving = odmr_expected_counts(OdmrModel(5e8, ((lo, 12.0, 0.06), (hi, 12.0, 0.06))), axis, 0.0075)
+    for i in range(axis.size):
         static = OdmrModel(baseline_rate=5e8, dips=((lo[i], 12.0, 0.06), (hi[i], 12.0, 0.06)))
         assert moving[i] == odmr_expected_counts(static, axis, 0.0075)[i]
     with pytest.raises(ValueError):
-        odmr_dip_counts(axis, 5e8, ((2870.0, 12.0, 0.12),), 0.0)
+        odmr_expected_counts(OdmrModel(5e8, ((lo, 12.0, 0.06),)), axis, 0.0)
+
+
+def test_odmr_model_refuses_contrasts_summing_to_one_or_more():
+    # at a sum of 1 the counts reach zero where the dips overlap; past it
+    # they go negative
+    for contrasts in ((0.6, 0.6), (0.5, 0.5), (0.25, 0.25, 0.5)):
+        dips = tuple((2860.0 + 10.0 * i, 12.0, c) for i, c in enumerate(contrasts))
+        with pytest.raises(ValueError, match="sum of contrasts must be < 1"):
+            OdmrModel(baseline_rate=1e6, dips=dips)
+    centers = np.full(201, 2870.0)
+    with pytest.raises(ValueError, match="sum of contrasts must be < 1"):
+        OdmrModel(baseline_rate=1e6, dips=((centers, 12.0, 0.5), (centers, 12.0, 0.5)))
+    OdmrModel(baseline_rate=1e6, dips=((centers, 12.0, 0.49), (centers, 12.0, 0.5)))
 
 
 def test_pl_expected_counts_hand_values():
@@ -94,9 +104,6 @@ def test_model_validation_rejects_unphysical_parameters():
         OdmrModel(baseline_rate=1e6, dips=((2870.0, 12.0, 0.0),))
     with pytest.raises(ValueError):
         OdmrModel(baseline_rate=1e6, dips=((2870.0, 12.0, 1.0),))
-    # contrasts must sum below one or the counts would go negative
-    with pytest.raises(ValueError):
-        OdmrModel(baseline_rate=1e6, dips=((2860.0, 12.0, 0.6), (2880.0, 12.0, 0.6)))
     with pytest.raises(ValueError):
         PlModel(background_rate=-1.0, peaks=((737.0, 5.0, 10.0),))
     with pytest.raises(ValueError):
@@ -163,28 +170,18 @@ def test_calibration_slope_must_not_vanish():
         SivCalibration(pos_slope_nm_per_c=0.0)
 
 
-def test_default_axes():
-    odmr = default_odmr_axis()
-    assert odmr.size == 201 and odmr[0] == 2820.0 and odmr[-1] == 2920.0
-    pl = default_pl_axis()
-    assert pl[0] == 600.0 and pl[-1] == 800.0
-    assert np.all(np.diff(pl) > 0)
-
-
 def test_trace_validation():
     axis = np.array([1.0, 2.0, 3.0])
     counts = np.array([1.0, 2.0, 3.0])
-    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, 0.5)
-    assert trace.exposure_s == 0.5
+    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
+    np.testing.assert_array_equal(trace.counts, counts)
     with pytest.raises(ValueError):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis[::-1].copy(), counts, 0.5)
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis[::-1].copy(), counts)
     with pytest.raises(ValueError):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts[:2], 0.5)
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts[:2])
     with pytest.raises(ValueError):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, -2.0, 3.0]), 0.5)
-    with pytest.raises(ValueError):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, 0.0)
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, -2.0, 3.0]))
     with pytest.raises(ValueError, match="axis must be finite, got nan at sample 1"):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, np.array([1.0, np.nan, 3.0]), counts, 0.5)
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, np.array([1.0, np.nan, 3.0]), counts)
     with pytest.raises(ValueError, match="counts must be finite, got inf at sample 2"):
-        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, 2.0, np.inf]), 0.5)
+        SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, 2.0, np.inf]))

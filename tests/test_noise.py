@@ -9,7 +9,6 @@ from dualtherm import (
     BFieldProcess,
     DriftState,
     bfield_resample,
-    bfield_step,
     drift_step,
     sample_poisson_counts,
     subsystem_generators,
@@ -142,18 +141,18 @@ def test_bfield_projection_bounded_by_amplitude():
         BFieldProcess(b_max_mt=0.5, current_projection_mt=0.6)
 
 
-def test_bfield_step_holds_between_resamples():
+def test_bfield_sweep_holds_between_resamples():
     proc = bfield_resample(BFieldProcess(b_max_mt=1.0, dwell_s=0.5), np.random.default_rng(1))
-    held = bfield_step(proc, 0.2, np.random.default_rng(2))
-    assert held.current_projection_mt == proc.current_projection_mt
+    held, projections = bfield_sweep(proc, 0.2, 1, np.random.default_rng(2))
+    assert held.current_projection_mt == proc.current_projection_mt == projections[0]
     assert held.time_since_resample_s == pytest.approx(0.2)
 
 
-def test_bfield_step_redraws_once_per_dwell():
+def test_bfield_sweep_redraws_once_per_dwell():
     # crossing two dwell boundaries consumes exactly two (magnitude, direction) pairs
     proc = BFieldProcess(b_max_mt=1.0, dwell_s=0.5)
     rng = np.random.default_rng(9)
-    stepped = bfield_step(proc, 1.1, rng)
+    stepped, _ = bfield_sweep(proc, 1.1, 1, rng)
     ref = np.random.default_rng(9)
     for _ in range(2):
         expected = ref.uniform(0.0, 1.0) * ref.uniform(-1.0, 1.0)
@@ -162,27 +161,28 @@ def test_bfield_step_redraws_once_per_dwell():
 
 
 def test_bfield_sweep_matches_repeated_steps():
-    # one sweep of 201 sub-dwell steps must reproduce the per-step process
-    # bit for bit, draws included
+    # n steps followed by m steps reproduce one sweep of n + m steps bit for
+    # bit, draws included; n = 1 repeated is the per-step process
     start = bfield_resample(BFieldProcess(b_max_mt=0.5), np.random.default_rng(12))
     sweep_rng = np.random.default_rng(13)
     swept, projections = bfield_sweep(start, 1.5 / 201, 201, sweep_rng)
-    rng = np.random.default_rng(13)
-    proc = start
-    expected = []
-    for _ in range(201):
-        proc = bfield_step(proc, 1.5 / 201, rng)
-        expected.append(proc.current_projection_mt)
-    assert projections.tolist() == expected
-    assert swept == proc
-    assert len(set(expected)) == 4
-    assert sweep_rng.standard_normal() == rng.standard_normal()
+    assert len(set(projections.tolist())) == 4
+    for splits in ((0, 201), (1, 200), (57, 144), (134, 67), (201, 0), (1,) * 201):
+        rng = np.random.default_rng(13)
+        proc = start
+        expected = []
+        for n in splits:
+            proc, part = bfield_sweep(proc, 1.5 / 201, n, rng)
+            expected += part.tolist()
+        assert projections.tolist() == expected
+        assert swept == proc
+        assert sweep_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_bfield_zero_amplitude_still_consumes_draws():
     """Stream alignment must not depend on the field amplitude."""
     rng = np.random.default_rng(4)
-    proc = bfield_step(BFieldProcess(b_max_mt=0.0), 0.7, rng)
+    proc, _ = bfield_sweep(BFieldProcess(b_max_mt=0.0), 0.7, 1, rng)
     assert proc.current_projection_mt == 0.0
     ref = np.random.default_rng(4)
     ref.uniform(0.0, 0.0)

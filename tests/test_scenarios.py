@@ -416,7 +416,7 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     [(axis, counts, one, two)] = captured
     assert not two.converged
     assert two.iterations <= fitting._PAIR_PATIENCE + 1
-    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, cfg.odmr.sweep_time_s / axis.size)
+    trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
     [full] = fitting._fit_dips(axis, counts[None], fitting._two_dip_starts(axis, counts[None], [one]))
     assert not full.converged and full.iterations == fitting.MAX_ITERATIONS
     step = float(np.median(np.diff(trace.axis)))

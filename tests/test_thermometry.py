@@ -30,7 +30,7 @@ def _odmr_fit_at(t_c: float):
     axis = np.linspace(2820.0, 2920.0, 201)
     model = OdmrModel(baseline_rate=1e8, dips=((d, 12.0, 0.12),))
     counts = odmr_expected_counts(model, axis, 0.01)
-    return fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts, 0.01), 1)
+    return fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts), 1)
 
 
 def _pl_fit_at(t_c: float):
@@ -39,7 +39,7 @@ def _pl_fit_at(t_c: float):
     axis = np.arange(715.0, 760.05, 0.1)
     model = PlModel(background_rate=2e4, peaks=((pos, fwhm, 1.3e5),))
     counts = pl_expected_counts(model, axis, 1.3)
-    return fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts, 1.3))
+    return fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts))
 
 
 @pytest.mark.parametrize("t_true", [10.0, 25.0, 42.5, 85.0])

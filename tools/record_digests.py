@@ -19,13 +19,14 @@ always tests the tree it sits in.  Items:
   fit chunks;
 * ``cli.main`` outputs with their exit codes: ``scenario`` CSV and JSON and
   the ``crossval`` report of a few of those sessions, ``scenario`` CSV and
-  JSON of two precision sweeps over both channels, ``fit --n-dips
+  JSON of two precision sweeps over both channels, ``simulate`` CSV and
+  JSON of both channels, noisy and ``--noiseless``, ``fit --n-dips
   auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
   pl``.
 
-210 lines in all.
+218 lines in all.
 
-It takes about 18 s of CPU time.
+It takes about 10 s of CPU time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ import numpy as np  # noqa: E402
 
 from dualtherm import cli  # noqa: E402
 from dualtherm.config import scenario_config_from_dict  # noqa: E402
-from dualtherm.forward import GYROMAGNETIC_MHZ_PER_MT, odmr_dip_counts, zeeman_resonances  # noqa: E402
+from dualtherm.forward import (  # noqa: E402
+    GYROMAGNETIC_MHZ_PER_MT,
+    OdmrModel,
+    odmr_expected_counts,
+    zeeman_resonances,
+)
 from dualtherm.noise import sample_poisson_counts  # noqa: E402
 from dualtherm.records import format_number, write_records_csv  # noqa: E402
 from dualtherm.scenarios import ScenarioConfig, run_scenario  # noqa: E402
@@ -118,6 +124,12 @@ def cli_items(tmp: Path) -> Iterator[str]:
             argv = ["scenario", "--config", str(config), "--format", fmt]
             yield _cli(f"scenario {fmt}, precision sweep seed {seed}", argv, out)
 
+    for channel in ("odmr", "pl"):
+        for noise in ([], ["--noiseless"]):
+            for fmt in ("csv", "json"):
+                argv = ["simulate", "--channel", channel, "--seed", "3", "--format", fmt, *noise]
+                yield _cli(f"simulate {fmt}, {channel} seed 3{' noiseless' if noise else ''}", argv, out)
+
     spectrum = tmp / "spectrum.csv"
     odmr = ScenarioConfig().odmr
     axis = odmr.axis()
@@ -125,19 +137,19 @@ def cli_items(tmp: Path) -> Iterator[str]:
     for seed in range(3, 8):
         cli.main(["simulate", "--channel", "odmr", "--seed", str(seed), "--out", str(spectrum)])
         for n_dips in ("auto", "1", "2"):
-            argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips, "--exposure-s", str(tau_s)]
+            argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips]
             yield _cli(f"fit --n-dips {n_dips}, simulated odmr seed {seed}", argv, out)
     for b_mt in (0.05, 0.1, 0.2, 0.5):
         for seed in range(3):
             f_lo, f_hi = zeeman_resonances(2870.0, b_mt, GYROMAGNETIC_MHZ_PER_MT)
             half = 0.5 * odmr.contrast
             dips = ((f_lo, odmr.linewidth_mhz, half), (f_hi, odmr.linewidth_mhz, half))
-            expected = odmr_dip_counts(axis, odmr.baseline_rate_cps, dips, tau_s)
+            expected = odmr_expected_counts(OdmrModel(odmr.baseline_rate_cps, dips), axis, tau_s)
             counts = sample_poisson_counts(expected, np.random.default_rng(seed))
             _write_spectrum(spectrum, axis, counts.astype(np.float64))
             for n_dips in ("auto", "1", "2"):
                 argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips]
-                yield _cli(f"fit --n-dips {n_dips}, {b_mt} mT pair seed {seed}", [*argv, "--exposure-s", str(tau_s)], out)
+                yield _cli(f"fit --n-dips {n_dips}, {b_mt} mT pair seed {seed}", argv, out)
     for seed in range(3, 6):
         cli.main(["simulate", "--channel", "pl", "--seed", str(seed), "--out", str(spectrum)])
         yield _cli(f"fit --kind pl, simulated pl seed {seed}", ["fit", "--input", str(spectrum), "--kind", "pl"], out)
