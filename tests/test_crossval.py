@@ -46,15 +46,22 @@ def test_pair_z_hand_value_and_antisymmetry():
     assert pair_z(a, b) == pytest.approx(2.0, rel=1e-12)
     assert pair_z(b, a) == -pair_z(a, b)
     assert pair_z(a, a) == 0.0
-    # one zero sigma leaves the other to scale the difference
-    assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.5)) == -2.0
 
 
-def test_pair_z_degenerate_sigmas():
+def test_consistency_z_degenerate_sigmas():
     # two exact readings: agreement scores 0, disagreement a signed infinity
     assert pair_z(_nv(25.0, 0.0), _siv(25.0, 0.0)) == 0.0
     assert pair_z(_nv(26.0, 0.0), _siv(25.0, 0.0)) == math.inf
     assert pair_z(_siv(25.0, 0.0), _nv(26.0, 0.0)) == -math.inf
+
+
+def test_pair_z_is_undefined_only_for_two_zero_sigmas():
+    # one zero sigma leaves the other to scale the difference
+    assert pair_z(_nv(25.0, 0.0), _siv(26.0, 0.5)) == -2.0
+    assert pair_z(_nv(26.0, 0.5), _siv(25.0, 0.0)) == 2.0
+    assert math.isfinite(pair_z(_nv(26.0, 0.3), _siv(25.0, 0.4)))
+    # only two exact readings that differ leave the score without a finite value
+    assert not math.isfinite(pair_z(_nv(25.0, 0.0), _siv(26.0, 0.0)))
 
 
 def test_fuse_inverse_variance_oracle():
