@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import replace
@@ -36,6 +35,8 @@ from .forward import (
 from .noise import sample_poisson_counts, subsystem_generators
 from .records import (
     format_number,
+    json_number,
+    json_text,
     parse_records_csv,
     write_precision_series,
     write_records,
@@ -127,10 +128,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _round9(value: float) -> float:
-    return float(format_number(float(value)))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_or_default(args)
     gens = subsystem_generators(config.seed)
@@ -158,11 +155,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         payload = {
             "axis_kind": axis_label,
-            "exposure_s": _round9(exposure_s),
-            "axis": [_round9(a) for a in axis],
-            "counts": [_round9(c) for c in counts],
+            "exposure_s": json_number(exposure_s),
+            "axis": [json_number(a) for a in axis],
+            "counts": [json_number(c) for c in counts],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
     return _EXIT_OK
 
 
@@ -186,15 +183,15 @@ def _fit_payload(fit: FitResult, n_dips: int | None) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "converged": fit.converged,
         "iterations": fit.iterations,
-        "params": {k: _round9(v) for k, v in fit.params.items()},
-        "std_errors": {k: _round9(v) for k, v in fit.std_errors.items()},
-        "residual_rms": _round9(fit.residual_rms),
-        "reduced_chi2": _round9(fit.reduced_chi2),
+        "params": {k: json_number(v) for k, v in fit.params.items()},
+        "std_errors": {k: json_number(v) for k, v in fit.std_errors.items()},
+        "residual_rms": json_number(fit.residual_rms),
+        "reduced_chi2": json_number(fit.reduced_chi2),
     }
     if n_dips is not None:
         payload["n_dips"] = n_dips
     if fit.derived:
-        payload["derived"] = {k: [_round9(v), _round9(s)] for k, (v, s) in fit.derived.items()}
+        payload["derived"] = {k: [json_number(v), json_number(s)] for k, (v, s) in fit.derived.items()}
     return payload
 
 
@@ -212,7 +209,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts)
         payload = _fit_payload(fit_pl_peak(trace), None)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return _EXIT_OK
 
 
@@ -239,13 +236,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     eta = nv_shot_noise_sensitivity(args.contrast, args.linewidth_mhz, args.photon_rate_cps, args.dddt_mhz_per_k)
     payload = {
-        "contrast": _round9(args.contrast),
-        "linewidth_mhz": _round9(args.linewidth_mhz),
-        "photon_rate_cps": _round9(args.photon_rate_cps),
-        "dddt_mhz_per_k": _round9(args.dddt_mhz_per_k),
-        "sensitivity_k_per_sqrt_hz": _round9(eta),
+        "contrast": json_number(args.contrast),
+        "linewidth_mhz": json_number(args.linewidth_mhz),
+        "photon_rate_cps": json_number(args.photon_rate_cps),
+        "dddt_mhz_per_k": json_number(args.dddt_mhz_per_k),
+        "sensitivity_k_per_sqrt_hz": json_number(eta),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return _EXIT_OK
 
 
@@ -262,10 +259,10 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
         fitted = dict.fromkeys(("slope_nm_per_mhz", "intercept_nm", "r_squared", "slope_z"))
     else:
         fitted = {
-            "slope_nm_per_mhz": _round9(report.regression.slope),
-            "intercept_nm": _round9(report.regression.intercept),
-            "r_squared": _round9(report.regression.r_squared),
-            "slope_z": _round9(report.slope_z),
+            "slope_nm_per_mhz": json_number(report.regression.slope),
+            "intercept_nm": json_number(report.regression.intercept),
+            "r_squared": json_number(report.regression.r_squared),
+            "slope_z": json_number(report.slope_z),
         }
 
     pairs = [
@@ -278,17 +275,17 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     verdicts = list(tumbling_verdicts(pairs, config.detection))
     payload = {
         "n_records": len(records),
-        "expected_slope_nm_per_mhz": _round9(expected_slope),
+        "expected_slope_nm_per_mhz": json_number(expected_slope),
         **fitted,
         "windows": {
             "count": len(verdicts),
             "flagged": sum(1 for v in verdicts if v.flagged),
             "verdicts": [
                 {
-                    "window_start_s": _round9(v.window_start_s),
-                    "window_end_s": _round9(v.window_end_s),
-                    "variance_ratio": _round9(v.variance_ratio),
-                    "max_abs_z": _round9(v.max_abs_z),
+                    "window_start_s": json_number(v.window_start_s),
+                    "window_end_s": json_number(v.window_end_s),
+                    "variance_ratio": json_number(v.variance_ratio),
+                    "max_abs_z": json_number(v.max_abs_z),
                     "flagged": v.flagged,
                     "reason": v.reason.value,
                 }
@@ -296,7 +293,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
             ],
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return _EXIT_OK
 
 

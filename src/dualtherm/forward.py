@@ -65,7 +65,8 @@ class OdmrModel:
         fractional dip depths; their sum must stay below 1 so the spectrum
         remains positive.  A center is either one value or an array holding
         the center in effect at each sample, as when the field changes
-        mid-sweep.
+        mid-sweep; a ``(B, n)`` array of centers models ``B`` sweeps at
+        once.
     """
 
     baseline_rate: float
@@ -92,21 +93,23 @@ class PlModel:
 
     ``background_rate`` is the flat rate per sample bin (counts/s) and each
     peak is ``(center_nm, fwhm_nm, amplitude_cps)`` with the amplitude the
-    peak rate above background.
+    peak rate above background.  A center and a width are each either one
+    value or a ``(B, 1)`` column of one value per row, which models ``B``
+    spectra at once.
     """
 
     background_rate: float
-    peaks: tuple[tuple[float, float, float], ...]
+    peaks: tuple[tuple[float | FloatArray, float | FloatArray, float], ...]
 
     def __post_init__(self) -> None:
         if self.background_rate < 0:
             raise ValueError(f"background_rate must be >= 0, got {self.background_rate}")
         for i, (center, fwhm, amplitude) in enumerate(self.peaks):
-            if not fwhm > 0:
+            if not np.all(np.asarray(fwhm) > 0):
                 raise ValueError(f"peak {i}: fwhm must be > 0, got {fwhm}")
             if not amplitude > 0:
                 raise ValueError(f"peak {i}: amplitude must be > 0, got {amplitude}")
-        object.__setattr__(self, "peaks", tuple((float(c), float(w), float(a)) for c, w, a in self.peaks))
+        object.__setattr__(self, "peaks", tuple((c, w, float(a)) for c, w, a in self.peaks))
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,10 @@ def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) 
     """Expected counts per sample of a CW ODMR sweep.
 
     ``R * t * (1 - sum_k C_k * L_k(f))`` with ``t`` the per-sample exposure;
-    a dip center may be one value or one value per sample.
+    a dip center may be one value, one value per sample, or one per sample
+    of each of several sweeps, which gives one row of counts per sweep.
+    The sum runs from 0 in dip order, so every row is bit for bit that
+    sweep's counts computed alone.
     """
     arr = _check_axis(axis)
     if not exposure_s > 0:
@@ -210,18 +216,23 @@ def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) 
         # C / (1 + u^2), not C * unit_lorentzian: the two round differently
         # in the last bit, and recorded spectra are built with this form
         u = 2.0 * (arr - center) / fwhm
-        depth += contrast / (1.0 + u * u)
+        depth = depth + contrast / (1.0 + u * u)
     return model.baseline_rate * exposure_s * (1.0 - depth)
 
 
 def pl_expected_counts(model: PlModel, axis: FloatArray, exposure_s: float) -> FloatArray:
-    """Expected counts per bin of a PL spectrum: ``t * (bg + sum_k A_k * L_k)``."""
+    """Expected counts per bin of a PL spectrum: ``t * (bg + sum_k A_k * L_k)``.
+
+    Peaks with ``(B, 1)`` columns of centers or widths give one row of
+    counts per row; the sum runs from the background in peak order, so
+    every row is bit for bit that row's model computed alone.
+    """
     arr = _check_axis(axis)
     if not exposure_s > 0:
         raise ValueError(f"exposure_s must be > 0, got {exposure_s}")
     rate = np.full_like(arr, model.background_rate)
     for center, fwhm, amplitude in model.peaks:
-        rate += amplitude * unit_lorentzian(arr, center, fwhm)
+        rate = rate + amplitude * unit_lorentzian(arr, center, fwhm)
     return rate * exposure_s
 
 

@@ -3,14 +3,16 @@
 The CSV column set is a stable external contract (append-only evolution);
 floats are rendered with 9 significant digits so a write-then-parse round
 trip reproduces values at that precision and identical runs produce
-byte-identical files.
+byte-identical files.  JSON output is strict (RFC 8259): every number goes
+through ``json_number``, which writes inf and NaN as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Any, Sequence, TextIO, get_type_hints
 
 from .scenarios import ScenarioRecord
 
@@ -38,19 +40,36 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
 
 CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
+#: ScenarioRecord attribute -> its type (int, bool or float), read off the
+#: field annotations; ints and bools are written as integers, bools as 0/1
+_TYPES: dict[str, type] = get_type_hints(ScenarioRecord)
+
 
 def format_number(value: float) -> str:
     """Render a float with 9 significant digits (integers stay integral)."""
     return f"{value:.9g}"
 
 
+def json_number(value: float) -> float | None:
+    """A float as the JSON outputs carry it: 9 significant digits, and
+    ``None`` (JSON ``null``) for inf and NaN, which RFC 8259 has no token for."""
+    value = float(value)
+    return float(format_number(value)) if math.isfinite(value) else None
+
+
+def json_text(payload: Any) -> str:
+    """``payload`` as indented strict JSON; a non-finite float raises ``ValueError``."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _cell(record: ScenarioRecord, attr: str) -> str:
     value = getattr(record, attr)
-    if attr == "nv_n_dips":
-        return str(int(value))
-    if attr == "artifact_flag":
-        return "1" if value else "0"
-    return format_number(float(value))
+    return format_number(float(value)) if _TYPES[attr] is float else str(int(value))
+
+
+def _json_cell(record: ScenarioRecord, attr: str) -> float | int | None:
+    value = getattr(record, attr)
+    return json_number(value) if _TYPES[attr] is float else int(value)
 
 
 def write_records_csv(records: Sequence[ScenarioRecord], stream: TextIO) -> None:
@@ -64,16 +83,8 @@ def write_records_csv(records: Sequence[ScenarioRecord], stream: TextIO) -> None
 def write_records_json(records: Sequence[ScenarioRecord], stream: TextIO) -> None:
     if not records:
         raise ValueError("refusing to write an empty record list")
-    # the CSV cells, read back as JSON numbers
-    rows = [
-        {
-            column: (int if attr in ("nv_n_dips", "artifact_flag") else float)(_cell(record, attr))
-            for column, attr in _COLUMNS
-        }
-        for record in records
-    ]
-    json.dump(rows, stream, indent=2)
-    stream.write("\n")
+    rows = [{column: _json_cell(record, attr) for column, attr in _COLUMNS} for record in records]
+    stream.write(json_text(rows))
 
 
 def write_records(
@@ -103,14 +114,10 @@ def parse_records_csv(path: str | Path) -> list[ScenarioRecord]:
             cells = line.split(",")
             if len(cells) != len(_COLUMNS):
                 raise ValueError(f"line {line_no}: expected {len(_COLUMNS)} cells, got {len(cells)}")
-            kwargs: dict[str, object] = {}
-            for (_, attr), cell in zip(_COLUMNS, cells):
-                if attr == "nv_n_dips":
-                    kwargs[attr] = int(cell)
-                elif attr == "artifact_flag":
-                    kwargs[attr] = cell == "1"
-                else:
-                    kwargs[attr] = float(cell)
+            kwargs = {
+                attr: cell == "1" if _TYPES[attr] is bool else _TYPES[attr](cell)
+                for (_, attr), cell in zip(_COLUMNS, cells)
+            }
             records.append(ScenarioRecord(**kwargs))
     return records
 
@@ -130,15 +137,11 @@ def write_precision_series(
         elif fmt == "json":
             payload = {
                 channel: [
-                    {
-                        "integration_time_s": float(format_number(t_int)),
-                        "sigma_T_C": float(format_number(sigma)),
-                    }
+                    {"integration_time_s": json_number(t_int), "sigma_T_C": json_number(sigma)}
                     for t_int, sigma in pairs
                 ]
                 for channel, pairs in series.items()
             }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+            stream.write(json_text(payload))
         else:
             raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

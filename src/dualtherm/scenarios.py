@@ -1,10 +1,12 @@
 """End-to-end seeded experiments producing dual-channel time series.
 
-Each scenario shares one record pipeline per time step: evaluate both forward
-models at the true temperature, apply intensity drift, sample Poisson counts,
-fit both spectra, invert the calibrations to temperature estimates, score
-cross-channel agreement, and screen tumbling windows for the magnetic-field
-artifact.  Four scenario kinds drive that pipeline: a temperature ramp, a
+Each scenario hands one record pipeline a table of true temperatures and
+laser powers, one row per time step.  The pipeline runs in chunks of records:
+evaluate both forward models at the true temperatures, apply intensity drift,
+sample Poisson counts, fit both spectra, invert the calibrations to
+temperature estimates, score cross-channel agreement; then it screens
+tumbling windows for the magnetic-field artifact.  Four scenario kinds drive
+that pipeline: a temperature ramp, a
 precision-vs-integration-time sweep, a fluctuating-field artifact run, and
 square-wave laser-power modulation.
 
@@ -16,10 +18,9 @@ optical channel's draws are structurally independent of the field amplitude.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,7 +71,8 @@ FloatArray = NDArray[np.float64]
 
 #: records synthesised and fitted at a time: the bound on the spectra and
 #: fits a run holds at once, whatever its length, and on the rows of every
-#: stack the pipeline hands ``fitting._fit``, which sets no bound of its own
+#: count matrix and of every stack the pipeline hands ``fitting._fit``,
+#: which sets no bound of its own
 FIT_CHUNK_RECORDS = 64
 
 
@@ -312,27 +314,21 @@ def _nv_summary(fit: FitResult, n_dips: int) -> tuple[float, float]:
     return contrast, fwhm
 
 
-@dataclass(frozen=True)
-class _Spectra:
-    """One record's synthesised spectra and the truth they were drawn from."""
-
-    time_s: float
-    true_t_c: float
-    laser_mw: float
-    b_par_mt: float
-    odmr: SpectrumTrace
-    pl: SpectrumTrace
-
-
 def odmr_sweep_counts(
-    config: ScenarioConfig, axis: FloatArray, d_mhz: float, b_points: FloatArray, exposure_s: float
+    config: ScenarioConfig,
+    axis: FloatArray,
+    d_mhz: float | FloatArray,
+    b_points: FloatArray,
+    exposure_s: float,
 ) -> FloatArray:
     """Expected counts of an ODMR sweep on ``axis``, ``exposure_s`` per sample.
 
     The Zeeman pair about the splitting ``d_mhz`` (``zeeman_resonances``),
     each line with half the configured contrast, in the field projection
     ``b_points`` each sample sees.  Zero field is ``b_points`` of zeros:
-    the pair merges into one dip of the full contrast.
+    the pair merges into one dip of the full contrast.  A ``(B, 1)`` column
+    of splittings with ``(B, n)`` or ``(B, 1)`` field projections gives one
+    row of counts per sweep.
     """
     f_lo, f_hi = zeeman_resonances(d_mhz, b_points, config.bfield.gyromagnetic_mhz_per_mt)
     line = (config.odmr.linewidth_mhz, 0.5 * config.odmr.contrast)
@@ -353,17 +349,21 @@ def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArr
 
 
 def _synthesise(
-    config: ScenarioConfig,
-    n_records: int,
-    truth: Callable[[int, float], tuple[float, float, float]],
-) -> Iterator[_Spectra]:
-    """Both channels' spectra for each record, drawn in record order.
+    config: ScenarioConfig, truth: FloatArray
+) -> Iterator[tuple[FloatArray, FloatArray, FloatArray]]:
+    """Both channels' spectra, ``FIT_CHUNK_RECORDS`` records at a time.
 
-    The 637 nm line is part of every synthesized PL spectrum; the PL trace
-    holds the counts without it (``_without_nv_line``).
+    ``truth`` holds one ``(t_nv_c, t_siv_c, laser_mw)`` row per record.
+    Each chunk yields the field at the start of each record's sweep and the
+    chunk's ``(B, n)`` ODMR and PL count matrices.  The 637 nm line is part
+    of every synthesized PL spectrum; the PL counts come without it
+    (``_without_nv_line``).  Each stream is drawn once per chunk, in the
+    order a record at a time would draw it: the sweeps follow each other on
+    the field clock, and a Poisson draw over a matrix runs in C order.
     """
     gens = subsystem_generators(config.seed)
     drift_state = config.drift
+    drifting = not config.noiseless and config.drift.stationary_rel_std > 0
     b_active = config.bfield.b_max_mt > 0 and not config.noiseless
     bproc = BFieldProcess(b_max_mt=config.bfield.b_max_mt, dwell_s=config.bfield.dwell_s)
     if b_active:
@@ -373,93 +373,84 @@ def _synthesise(
     n_pts = odmr_axis.size
     tau_s = config.odmr.sweep_time_s / n_pts
     nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
-    # without a field every sample sees B = 0, where the Zeeman pair merges
-    # into one dip; nothing is drawn from the field stream
-    b_points = np.zeros(n_pts)
 
-    for k in range(n_records):
-        t_k = k * config.sample_period_s
-        t_nv_true, t_siv_true, laser_mw = truth(k, t_k)
-        if not config.noiseless and config.drift.stationary_rel_std > 0:
-            drift_state = drift_step(drift_state, config.sample_period_s, gens["drift"])
-        factor = drift_state.current_factor
+    for start in range(0, len(truth), FIT_CHUNK_RECORDS):
+        rows = truth[start : start + FIT_CHUNK_RECORDS]
+        factors = np.empty((len(rows), 1))
+        for i in range(len(rows)):
+            if drifting:
+                drift_state = drift_step(drift_state, config.sample_period_s, gens["drift"])
+            factors[i] = drift_state.current_factor
 
         if b_active:
             # the field can change mid-sweep: each frequency point sees the
             # projection in effect at its own acquisition instant
-            bproc, b_points = bfield_sweep(bproc, tau_s, n_pts, gens["bfield"])
-        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_nv_true)
-        odmr_expected = odmr_sweep_counts(config, odmr_axis, d_mhz, b_points, tau_s) * factor
-        if config.noiseless:
-            odmr_counts = odmr_expected
+            bproc, b_points = bfield_sweep(bproc, tau_s, len(rows) * n_pts, gens["bfield"])
+            b_points = b_points.reshape(len(rows), n_pts)
         else:
-            odmr_counts = sample_poisson_counts(odmr_expected, gens["odmr"]).astype(np.float64)
-
-        pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_siv_true))
-        pl_expected = pl_expected_counts(pl_model, pl_axis, config.pl.exposure_s) * factor
-        if config.noiseless:
-            pl_counts = pl_expected
-        else:
-            pl_counts = sample_poisson_counts(pl_expected, gens["pl"]).astype(np.float64)
-        pl_adjusted = _without_nv_line(pl_counts, nv_line_counts)
-
-        yield _Spectra(
-            time_s=t_k,
-            true_t_c=t_nv_true,
-            laser_mw=laser_mw,
-            b_par_mt=float(b_points[0]),
-            odmr=SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr_counts),
-            pl=SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl_adjusted),
-        )
+            # without a field every sample sees B = 0, where the Zeeman pair
+            # merges into one dip; nothing is drawn from the field stream
+            b_points = np.zeros((len(rows), 1))
+        d_mhz = nv_resonance_of_temperature(config.nv_cal, rows[:, :1])
+        odmr_counts = odmr_sweep_counts(config, odmr_axis, d_mhz, b_points, tau_s) * factors
+        pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, rows[:, 1:2]))
+        pl_counts = pl_expected_counts(pl_model, pl_axis, config.pl.exposure_s) * factors
+        if not config.noiseless:
+            odmr_counts = sample_poisson_counts(odmr_counts, gens["odmr"]).astype(np.float64)
+            pl_counts = sample_poisson_counts(pl_counts, gens["pl"]).astype(np.float64)
+        yield b_points[:, 0], odmr_counts, _without_nv_line(pl_counts, nv_line_counts)
 
 
-def _timeseries(
-    config: ScenarioConfig,
-    n_records: int,
-    truth: Callable[[int, float], tuple[float, float, float]],
-) -> list[ScenarioRecord]:
+def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecord]:
     """Shared record pipeline: generate, fit, invert, score, screen.
 
-    ``truth(k, t_k)`` returns the per-channel true temperatures and the laser
-    power for record ``k``.  Spectra come from the :mod:`dualtherm.forward`
-    count models, temperatures from the :mod:`dualtherm.thermometry`
-    readouts and ``z_score`` from ``crossval.pair_z``.  The readouts are
-    applied without the convergence check of
-    ``temperature_from_odmr``/``temperature_from_zpl``: a non-converged fit
-    still yields a best-effort row rather than dropping the record.
+    ``truth`` holds the per-channel true temperatures and the laser power
+    of each record, one ``(t_nv_c, t_siv_c, laser_mw)`` row per record;
+    record ``k`` is taken at ``k * sample_period_s``.  Spectra come from
+    the :mod:`dualtherm.forward` count models, temperatures from the
+    :mod:`dualtherm.thermometry` readouts and ``z_score`` from
+    ``crossval.pair_z``.  The readouts are applied without the convergence
+    check of ``temperature_from_odmr``/``temperature_from_zpl``: a
+    non-converged fit still yields a best-effort row rather than dropping
+    the record.
 
-    Records are synthesised in order, so each subsystem generator is drawn
-    in record order, and are fitted in chunks of ``FIT_CHUNK_RECORDS``: the
-    chunk's ODMR counts as one matrix on the shared axis, one stack of
-    one-dip fits, one ``fit_two_dip_candidates`` call (the score
-    screen and one stack of the candidates it lets through), then per record
-    the dip-count choice, the PL fit and the readouts.  Every record comes
-    out as if handled alone.  The readouts of the whole run then go through
-    the tumbling-window artifact monitor, and each record is built once,
-    flagged if its window was.
+    The run goes in chunks of ``FIT_CHUNK_RECORDS`` records from truth to
+    fits: the chunk's spectra as two count matrices (``_synthesise``), one
+    stack of one-dip fits on the shared ODMR axis, one
+    ``fit_two_dip_candidates`` call (the score screen and one stack of the
+    candidates it lets through), then per record the dip-count choice, the
+    PL fit and the readouts.  Every record comes out as if handled alone.
+    The readouts of the whole run then go through the tumbling-window
+    artifact monitor, and each record is built once, flagged if its window
+    was.
     """
     readouts: list[dict[str, float]] = []
     pairs: list[tuple[TemperatureEstimate, TemperatureEstimate]] = []
     odmr_axis = config.odmr.axis()
-    spectra = _synthesise(config, n_records, truth)
-    while chunk := list(itertools.islice(spectra, FIT_CHUNK_RECORDS)):
-        counts = np.array([rec.odmr.counts for rec in chunk])
-        ones = fit_odmr_stack(odmr_axis, counts, 1)
-        for rec, one, two in zip(chunk, ones, fit_two_dip_candidates(odmr_axis, counts, ones)):
-            n_dips, nv_fit = select_dip_count(rec.odmr, one=one, two=two)
+    pl_axis = config.pl.axis()
+    rows = truth.tolist()
+    for b_par, odmr_counts, pl_counts in _synthesise(config, truth):
+        ones = fit_odmr_stack(odmr_axis, odmr_counts, 1)
+        twos = fit_two_dip_candidates(odmr_axis, odmr_counts, ones)
+        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_counts, pl_counts, ones, twos):
+            k = len(readouts)
+            time_s = k * config.sample_period_s
+            true_t_c, _, laser_mw = rows[k]
+            odmr_trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr)
+            n_dips, nv_fit = select_dip_count(odmr_trace, one=one, two=two)
             d_center, d_sigma = nv_fit.derived["d_center"]
             nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
-            est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, rec.time_s)
+            est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, time_s)
 
-            pl_fit = fit_pl_peak(rec.pl)
-            est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, rec.time_s)
+            pl_fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl))
+            est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, time_s)
             pairs.append((est_nv, est_siv))
             readouts.append(
                 dict(
-                    time_s=rec.time_s,
-                    true_t_c=rec.true_t_c,
-                    laser_mw=rec.laser_mw,
-                    b_par_mt=rec.b_par_mt,
+                    time_s=time_s,
+                    true_t_c=true_t_c,
+                    laser_mw=laser_mw,
+                    b_par_mt=b_par_mt,
                     nv_n_dips=n_dips,
                     nv_f0_mhz=d_center,
                     nv_f0_sigma_mhz=d_sigma,
@@ -480,7 +471,7 @@ def _timeseries(
     # not screened
     win = config.detection.window_samples
     flags = [verdict.flagged for verdict in tumbling_verdicts(pairs, config.detection) for _ in range(win)]
-    flags += [False] * (n_records - len(flags))
+    flags += [False] * (len(readouts) - len(flags))
     return [ScenarioRecord(**readout, artifact_flag=flag) for readout, flag in zip(readouts, flags)]
 
 
@@ -492,37 +483,27 @@ def run_ramp(config: ScenarioConfig) -> list[ScenarioRecord]:
     """Stepwise temperature ramp; one record per temperature."""
     p = config.ramp
     temps = np.linspace(p.t_start_c, p.t_stop_c, p.n_steps)
-
-    def truth(k: int, t_k: float) -> tuple[float, float, float]:
-        t = float(temps[k])
-        return t, t, 0.0
-
-    return _timeseries(config, p.n_steps, truth)
+    return _timeseries(config, np.column_stack([temps, temps, np.zeros(p.n_steps)]))
 
 
 def run_bfield_artifact(config: ScenarioConfig) -> list[ScenarioRecord]:
     """Constant-temperature run with the fluctuating-field process active."""
-
-    def truth(k: int, t_k: float) -> tuple[float, float, float]:
-        return config.heating_nv.t_ambient_c, config.heating_siv.t_ambient_c, 0.0
-
-    return _timeseries(config, _record_count(config), truth)
+    row = (config.heating_nv.t_ambient_c, config.heating_siv.t_ambient_c, 0.0)
+    return _timeseries(config, np.tile(row, (_record_count(config), 1)))
 
 
 def run_laser_modulation(config: ScenarioConfig) -> list[ScenarioRecord]:
     """Square-wave laser power; each channel heats per its own coefficient."""
     p = config.laser
-
-    def truth(k: int, t_k: float) -> tuple[float, float, float]:
-        phase = math.fmod(t_k, p.period_s)
-        power = p.power_low_mw if phase < 0.5 * p.period_s else p.power_high_mw
-        return (
-            temperature_of_laser_power(config.heating_nv, power),
-            temperature_of_laser_power(config.heating_siv, power),
-            power,
-        )
-
-    return _timeseries(config, _record_count(config), truth)
+    powers = [
+        p.power_low_mw if math.fmod(k * config.sample_period_s, p.period_s) < 0.5 * p.period_s else p.power_high_mw
+        for k in range(_record_count(config))
+    ]
+    truth = [
+        (temperature_of_laser_power(config.heating_nv, w), temperature_of_laser_power(config.heating_siv, w), w)
+        for w in powers
+    ]
+    return _timeseries(config, np.array(truth))
 
 
 def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, float]]]:
@@ -535,9 +516,10 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
     line center, so this sweep isolates the shot-noise scaling.  The spectra
     are the record pipeline's: zero-field ``odmr_sweep_counts``, and PL
     counts fitted without the static 637 nm line (``_without_nv_line``).
+    Each channel sits at its own ambient temperature, as in
+    ``run_bfield_artifact``.
     """
     p = config.precision
-    t_fixed = config.heating_nv.t_ambient_c
     children = np.random.SeedSequence(config.seed).spawn(
         len(p.channels) * len(p.integration_times_s) * p.repetitions
     )
@@ -545,8 +527,8 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
 
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
-    d_mhz = nv_resonance_of_temperature(config.nv_cal, t_fixed)
-    pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_fixed))
+    d_mhz = nv_resonance_of_temperature(config.nv_cal, config.heating_nv.t_ambient_c)
+    pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, config.heating_siv.t_ambient_c))
 
     results: dict[str, list[tuple[float, float]]] = {ch: [] for ch in p.channels}
     for channel in p.channels:

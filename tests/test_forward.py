@@ -95,6 +95,40 @@ def test_pl_expected_counts_hand_values():
     assert counts[0] == pytest.approx(3.0 * 250.0, rel=1e-15)
 
 
+def test_pl_expected_counts_of_per_row_lines_equal_each_row_alone():
+    # a column of SiV lines beside the static NV line models one spectrum per row
+    axis = 715.0 + 0.1 * np.arange(451)
+    centers = np.array([[736.2], [737.0], [737.31], [739.9], [737.0]])
+    widths = np.array([[4.6], [4.8], [5.03], [5.5], [4.8]])
+    nv_line = (637.0, 3.0, 6e4)
+    stacked = pl_expected_counts(PlModel(2e4, ((centers, widths, 1.3e5), nv_line)), axis, 1.3)
+    rows = [
+        pl_expected_counts(PlModel(2e4, ((c, w, 1.3e5), nv_line)), axis, 1.3)
+        for c, w in zip(centers[:, 0].tolist(), widths[:, 0].tolist())
+    ]
+    assert stacked.shape == (5, axis.size)
+    assert stacked.tobytes() == np.array(rows).tobytes()
+    with pytest.raises(ValueError, match="fwhm must be > 0"):
+        PlModel(2e4, ((centers, np.array([[4.8], [0.0], [4.8], [4.8], [4.8]]), 1.3e5),))
+
+
+def test_odmr_expected_counts_of_per_row_centers_equal_each_row_alone():
+    # each row of sweeps sees its own field at each sample, as the record
+    # pipeline's chunks do
+    axis = np.linspace(2820.0, 2920.0, 201)
+    rng = np.random.default_rng(5)
+    d_mhz = 2870.0 + rng.normal(0.0, 0.5, size=(6, 1))
+    b_points = np.repeat(rng.uniform(-0.5, 0.5, size=(6, 4)), [50, 50, 50, 51], axis=1)
+    f_lo, f_hi = zeeman_resonances(d_mhz, b_points)
+    stacked = odmr_expected_counts(OdmrModel(5e8, ((f_lo, 12.0, 0.06), (f_hi, 12.0, 0.06))), axis, 1.5 / 201)
+    rows = [
+        odmr_expected_counts(OdmrModel(5e8, ((lo, 12.0, 0.06), (hi, 12.0, 0.06))), axis, 1.5 / 201)
+        for lo, hi in zip(f_lo, f_hi)
+    ]
+    assert stacked.shape == (6, axis.size)
+    assert stacked.tobytes() == np.array(rows).tobytes()
+
+
 def test_model_validation_rejects_unphysical_parameters():
     with pytest.raises(ValueError):
         OdmrModel(baseline_rate=0.0, dips=((2870.0, 12.0, 0.1),))

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +16,11 @@ from dualtherm import (
     write_records_csv,
     write_records_json,
 )
+from dualtherm.cli import main
+from dualtherm.crossval import pair_z
 from dualtherm.records import CSV_HEADER, format_number, write_precision_series
+from dualtherm.scenarios import ScenarioRecord
+from dualtherm.thermometry import Channel, TemperatureEstimate
 
 
 def _records():
@@ -106,3 +112,57 @@ def test_precision_series_output(tmp_path):
     assert lines[0] == "channel,integration_time_s,sigma_T_C"
     assert lines[1] == "siv,0.1,0.5"
     assert lines[2] == "siv,1,0.155"
+
+
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no Infinity or NaN token."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _exact_record(k, t_nv_c):
+    # both sigmas 0: a difference between the channels scores an infinite z
+    nv = TemperatureEstimate(t_nv_c, 0.0, Channel.NV_ODMR, 1.5 * k)
+    siv = TemperatureEstimate(25.0, 0.0, Channel.SIV_ZPL, 1.5 * k)
+    return ScenarioRecord(
+        time_s=1.5 * k, true_t_c=25.0, laser_mw=0.0, b_par_mt=0.0, nv_n_dips=1,
+        nv_f0_mhz=2870.0 - 0.01 * k, nv_f0_sigma_mhz=0.0, nv_contrast=0.12,
+        nv_fwhm_mhz=12.0, siv_pos_nm=737.0, siv_pos_sigma_nm=0.0, siv_fwhm_nm=4.8,
+        t_nv_c=t_nv_c, t_nv_sigma_c=0.0, t_siv_c=25.0, t_siv_sigma_c=0.0,
+        z_score=pair_z(nv, siv), artifact_flag=True,
+    )
+
+
+def test_json_writes_an_infinite_z_as_null(tmp_path):
+    record = _exact_record(0, 25.5)
+    assert record.z_score == math.inf
+    stream = io.StringIO()
+    write_records_json([record, replace(record, z_score=-math.inf)], stream)
+    rows = _strict_json(stream.getvalue())
+    assert [row["z_score"] for row in rows] == [None, None]
+    assert rows[0]["T_nv_C"] == 25.5
+    # the CSV keeps the infinity, and reads it back
+    path = tmp_path / "records.csv"
+    write_records([record], path, "csv")
+    assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[-2] == "inf"
+    assert parse_records_csv(path) == [record]
+
+
+def test_crossval_report_of_exact_disagreeing_records_is_strict_json(tmp_path, capsys):
+    # one 20-record window: the SiV channel is constant, the NV one is not
+    records = tmp_path / "records.csv"
+    write_records([_exact_record(k, 25.0 + 0.1 * k) for k in range(20)], records, "csv")
+    assert main(["crossval", "--input", str(records)]) == 0
+    [verdict] = _strict_json(capsys.readouterr().out)["windows"]["verdicts"]
+    assert verdict["variance_ratio"] is None and verdict["max_abs_z"] is None
+    assert verdict["flagged"] is True
+
+
+def test_precision_series_json_is_strict(tmp_path):
+    path = tmp_path / "precision.json"
+    write_precision_series({"siv": [(0.1, 0.5), (1.0, math.inf)]}, path, "json")
+    payload = _strict_json(path.read_text(encoding="utf-8"))
+    assert payload == {"siv": [{"integration_time_s": 0.1, "sigma_T_C": 0.5}, {"integration_time_s": 1.0, "sigma_T_C": None}]}

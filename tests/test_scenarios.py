@@ -198,6 +198,30 @@ def test_precision_sweep_is_deterministic():
     assert run_precision_sweep(cfg) == run_precision_sweep(cfg)
 
 
+def test_precision_sweep_puts_each_channel_at_its_own_ambient(monkeypatch):
+    fits = {"fit_odmr_dips": [], "fit_pl_peak": []}
+    for name, kept in fits.items():
+
+        def spy(*args, _fn=getattr(scenarios, name), _kept=kept, **kwargs):
+            _kept.append(_fn(*args, **kwargs))
+            return _kept[-1]
+
+        monkeypatch.setattr(scenarios, name, spy)
+    cfg = ScenarioConfig(
+        kind=ScenarioKind.PRECISION_SWEEP,
+        seed=3,
+        heating_nv=HeatingModel(t_ambient_c=40.0),
+        heating_siv=HeatingModel(t_ambient_c=60.0, slope_k_per_mw=0.0751),
+        precision=PrecisionParams(integration_times_s=(1.0,), repetitions=4, channels=("nv", "siv")),
+    )
+    run_precision_sweep(cfg)
+    d_center = np.mean([fit.derived["d_center"][0] for fit in fits["fit_odmr_dips"]])
+    siv_center = np.mean([fit.params["center"] for fit in fits["fit_pl_peak"]])
+    # 15 K and 35 K from the 25 degC calibration points: 1.1 MHz and 0.294 nm
+    assert d_center == pytest.approx(nv_resonance_of_temperature(cfg.nv_cal, 40.0), abs=0.05)
+    assert siv_center == pytest.approx(737.294, abs=0.01)
+
+
 def test_run_scenario_dispatch():
     ramp = ScenarioConfig(kind=ScenarioKind.RAMP, seed=1, noiseless=True)
     assert isinstance(run_scenario(ramp)[0], ScenarioRecord)
@@ -339,6 +363,52 @@ def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
     # one one-dip stack per chunk, the last one part full
     assert [rows for model, (rows, k) in stacks if model is fitting._dips_model and k == 4] == [chunk] * 3 + [8]
     assert any(k == 7 for _, (_, k) in stacks)
+
+
+_CHUNK_SESSIONS = {
+    "0.5 mT 150 s": ScenarioConfig(
+        kind=ScenarioKind.BFIELD_ARTIFACT, seed=4, duration_s=150.0, bfield=BfieldSettings(b_max_mt=0.5)
+    ),
+    "field-off 105 s": ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=1003, duration_s=105.0),
+    "noiseless 0.5 mT 105 s": ScenarioConfig(
+        kind=ScenarioKind.BFIELD_ARTIFACT, seed=4, duration_s=105.0, noiseless=True, bfield=BfieldSettings(b_max_mt=0.5)
+    ),
+    "laser 105 s": ScenarioConfig(
+        kind=ScenarioKind.LASER_MODULATION, seed=8, duration_s=105.0, laser=LaserParams(period_s=30.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHUNK_SESSIONS))
+def test_records_do_not_depend_on_the_chunk_size(monkeypatch, name):
+    """Synthesis and fits in chunks of 1, 7 or 64 records give the same records."""
+    runs = []
+    for chunk in (64, 7, 1):
+        monkeypatch.setattr(scenarios, "FIT_CHUNK_RECORDS", chunk)
+        runs.append(run_scenario(_CHUNK_SESSIONS[name]))
+    # every session crosses a 64-record chunk boundary
+    assert len(runs[0]) > 64
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("b_max_mt,field_draws", [(0.5, 2), (0.0, 0)])
+def test_synthesis_draws_each_stream_once_per_chunk(monkeypatch, b_max_mt, field_draws):
+    """One Poisson draw per channel and one field sweep per chunk; drift steps per record."""
+    calls = {"sample_poisson_counts": 0, "bfield_sweep": 0, "drift_step": 0}
+    for name in calls:
+
+        def spy(*args, _name=name, _fn=getattr(scenarios, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, name, spy)
+    cfg = ScenarioConfig(
+        kind=ScenarioKind.BFIELD_ARTIFACT, seed=4, duration_s=150.0, bfield=BfieldSettings(b_max_mt=b_max_mt)
+    )
+    assert len(run_bfield_artifact(cfg)) == 100
+    # two chunks: 64 records, then 36; an inactive field draws nothing
+    assert calls == {"sample_poisson_counts": 4, "bfield_sweep": field_draws, "drift_step": 100}
 
 
 @pytest.mark.parametrize(

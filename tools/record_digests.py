@@ -11,12 +11,14 @@ listings; identical listings mean identical bytes on every item::
 The script imports dualtherm from the ``src/`` directory next to it, so it
 always tests the tree it sits in.  Items:
 
-* the record CSV (``write_records_csv``) of 134 sessions, 7,852 records:
+* the record CSV (``write_records_csv``) of 136 sessions, 8,127 records:
   field-off seeds 1000-1039 (120 s); 0.5 mT seeds 0-39 and 0.1, 0.2 and
   1.0 mT seeds 0-14 (60 s); three 300 s sessions at 0.5 mT and one
-  field-off; a noisy and a noiseless ramp; a 600 s laser modulation run;
-  and 45 s and 3 s sessions at 0.5 mT, which end in part windows and part
-  fit chunks;
+  field-off; a noisy and a noiseless ramp; a 600 s laser modulation run
+  and a noiseless 300 s one (200 records, four chunks); 45 s and 3 s
+  sessions at 0.5 mT, which end in part windows and part chunks; and a
+  150 s session at 0.5 mT on a 101-point sweep every 2 s, whose 75 records
+  cross a chunk boundary mid-field-clock;
 * ``cli.main`` outputs with their exit codes: ``scenario`` CSV and JSON and
   the ``crossval`` report of a few of those sessions, ``scenario`` CSV and
   JSON of two precision sweeps over both channels, ``simulate`` CSV and
@@ -24,7 +26,7 @@ always tests the tree it sits in.  Items:
   auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
   pl``.
 
-218 lines in all.
+220 lines in all.
 
 It takes about 10 s of CPU time.
 """
@@ -78,6 +80,10 @@ def sessions() -> Iterator[tuple[str, dict]]:
     yield "laser_modulation seed 8 600 s", _session("laser_modulation", 8, 600.0)
     yield "field 0.5 mT seed 5 45 s", _session(artifact, 5, 45.0, 0.5)
     yield "field 0.5 mT seed 5 3 s", _session(artifact, 5, 3.0, 0.5)
+    yield "laser_modulation seed 8 300 s noiseless", _session("laser_modulation", 8, noiseless=True)
+    yield "field 0.5 mT seed 6 150 s, 101-point sweep every 2 s", _session(
+        artifact, 6, 150.0, 0.5, sample_period_s=2.0, odmr={"sweep_points": 101}
+    )
 
 
 def _digest(data: bytes) -> str:
