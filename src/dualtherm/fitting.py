@@ -76,15 +76,17 @@ PL_PARAM_NAMES = ("center", "fwhm", "amplitude", "background")
 class FitResult:
     """Outcome of one weighted Lorentzian fit.
 
-    ``params``/``std_errors`` are keyed by parameter name; ``covariance`` is
-    ordered like ``param_names``.  ``derived`` holds quantities computed from
-    the fitted parameters with propagated uncertainty (for dip fits, the dip
+    ``params`` is keyed by parameter name; ``covariance`` is ordered like
+    ``param_names``.  ``std_errors``, keyed like ``params``, is read off the
+    covariance: the root of each diagonal entry, 0 for a negative one and
+    NaN for a NaN one.  ``derived`` holds quantities computed from the
+    fitted parameters with propagated uncertainty (for dip fits, the dip
     pattern midpoint ``d_center``).
     """
 
     param_names: tuple[str, ...]
     params: dict[str, float]
-    std_errors: dict[str, float]
+    std_errors: dict[str, float] = field(init=False)
     covariance: FloatArray
     residual_rms: float
     reduced_chi2: float
@@ -97,12 +99,10 @@ class FitResult:
         k = len(self.param_names)
         if cov.shape != (k, k):
             raise ValueError(f"covariance shape {cov.shape} does not match {k} parameters")
-        if set(self.params) != set(self.param_names) or set(self.std_errors) != set(self.param_names):
-            raise ValueError("params and std_errors must be keyed exactly by param_names")
-        for i, name in enumerate(self.param_names):
-            se = math.sqrt(max(cov[i, i], 0.0))
-            if not math.isclose(self.std_errors[name], se, rel_tol=1e-9, abs_tol=1e-30):
-                raise ValueError(f"std_errors[{name!r}] is not the covariance diagonal root")
+        if set(self.params) != set(self.param_names):
+            raise ValueError("params must be keyed exactly by param_names")
+        std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(self.param_names)}
+        object.__setattr__(self, "std_errors", std)
         object.__setattr__(self, "covariance", cov)
 
 
@@ -227,10 +227,9 @@ def _diagonals(mats: FloatArray) -> FloatArray:
     return mats.reshape(mats.shape[0], -1)[:, :: mats.shape[-1] + 1]
 
 
-def _ridges(nmat: FloatArray) -> list[float]:
+def _ridges(nmat: FloatArray) -> FloatArray:
     """Diagonal ridges that keep stacked normal matrices solvable when a parameter is inert."""
-    k = nmat.shape[-1]
-    return [1e-14 * t / k + 1e-300 for t in nmat.trace(axis1=1, axis2=2).tolist()]
+    return 1e-14 * nmat.trace(axis1=1, axis2=2) / nmat.shape[-1] + 1e-300
 
 
 def _solution_stats(
@@ -246,7 +245,7 @@ def _solution_stats(
     """
     nmat, _ = _normal_equations(jac, weights)
     diag = _diagonals(nmat)
-    diag += np.array(_ridges(nmat))[:, None]
+    diag += _ridges(nmat)[:, None]
     cov = np.linalg.inv(nmat)
     if dof > 0:
         chi2 = cost / dof
@@ -281,9 +280,12 @@ def _fit(
     Every row is in flight from the first step and keeps its own damping,
     iteration count and retries; a row that converges, stalls or reaches
     ``max_iterations`` takes its covariance and leaves, and the stack
-    shrinks.  ``physical``, a predicate over a stack of parameter vectors,
-    retires rows early: a row whose accepted iterate fails it once the row
-    has run ``_PAIR_PATIENCE`` iterations leaves there, not converged.
+    shrinks.  Whenever any row steps, the normal equations of the whole
+    stack are recomputed: a row that did not step kept its Jacobian, so its
+    matrix comes out bit for bit as before.  ``physical``, a predicate over
+    a stack of parameter vectors, retires rows early: a row whose accepted
+    iterate fails it once the row has run ``_PAIR_PATIENCE`` iterations
+    leaves there, not converged.
     Only the two-dip candidates of ``fit_two_dip_candidates`` pass one;
     every other fit runs to convergence or the cap.
 
@@ -300,32 +302,25 @@ def _fit(
     results: list[_RowFit | None] = [None] * n_rows
 
     with np.errstate(all="ignore"):
-        # the rows in flight, one slot each, and their state; ``p`` is
-        # updated in place
+        # the rows in flight, one slot each, and their state
         rows = list(range(n_rows))
-        c, p = counts, p0.copy()
+        c, p = counts, p0
         w = 1.0 / np.maximum(c, 1.0)
         m, jac = model(axis, p)
         cost = _weighted_cost(c, m, w)
         lam = [1e-3] * n_rows
         it = [1] * n_rows
-        # slots that start an iteration and need their normal equations
-        fresh = rows[:]
+        stepped = True
         while rows:
-            if len(fresh) == len(rows):
+            if stepped:
                 nmat, grad = _normal_equations(jac, w, c - m)
                 ridge = _ridges(nmat)
-            elif fresh:
-                nmat[fresh], grad[fresh] = _normal_equations(jac[fresh], w[fresh], c[fresh] - m[fresh])
-                for s, r in zip(fresh, _ridges(nmat[fresh])):
-                    ridge[s] = r
 
             # one trial step per row at its current damping
-            scale = np.array([(1.0 + lam_s, ridge_s) for lam_s, ridge_s in zip(lam, ridge)])
             damped = nmat.copy()
             diag = _diagonals(damped)
-            diag *= scale[:, :1]
-            diag += scale[:, 1:]
+            diag *= 1.0 + np.array(lam)[:, None]
+            diag += ridge[:, None]
             delta = np.linalg.solve(damped, grad)[:, :, 0]
             finite = np.isfinite(delta).all(axis=1).tolist()
             small = (~(np.abs(delta) > _STEP_XTOL * (np.abs(p) + _STEP_XTOL)).any(axis=1)).tolist()
@@ -337,12 +332,12 @@ def _fit(
             else:
                 hopeless = [False] * len(rows)
 
-            better: list[int] = []
-            fresh = []
+            rejected = np.ones(len(rows), dtype=bool)
+            stepped = False
             done: list[tuple[int, bool]] = []
             for s, (now, trial) in enumerate(zip(cost.tolist(), cost_try.tolist())):
                 if finite[s] and trial < now:
-                    better.append(s)
+                    rejected[s] = False
                     lam[s] = max(lam[s] * 0.3, 1e-12)
                     if (now - trial) / max(now, 1e-300) < COST_RTOL or small[s] or trial == 0.0:
                         done.append((s, True))
@@ -350,7 +345,7 @@ def _fit(
                         done.append((s, False))
                     else:
                         it[s] += 1
-                        fresh.append(s)
+                        stepped = True
                 elif finite[s] and small[s]:
                     # no downhill direction and the proposed move is
                     # negligible: the row sits at the floor of its cost
@@ -359,12 +354,10 @@ def _fit(
                     lam[s] *= 10.0
                     if lam[s] > 1e14:
                         done.append((s, now == 0.0))
-            if len(better) == len(rows):
-                p, m, jac, cost = p_try, m_try, jac_try, cost_try
-            elif better:
-                p[better], m[better], jac[better], cost[better] = (
-                    p_try[better], m_try[better], jac_try[better], cost_try[better]
-                )
+            # the trial arrays take the rejected rows back and become the state
+            for new, old in ((p_try, p), (m_try, m), (jac_try, jac), (cost_try, cost)):
+                np.copyto(new, old, where=rejected.reshape((-1,) + (1,) * (old.ndim - 1)))
+            p, m, jac, cost = p_try, m_try, jac_try, cost_try
             if not done:
                 continue
 
@@ -373,12 +366,12 @@ def _fit(
             cov, rms, chi2 = _solution_stats(c[leave], w[leave], m[leave], jac[leave], cost[leave], dof)
             for i, (p_row, (s, converged)) in enumerate(zip(p[leave], done)):
                 results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], converged)
+            if len(leave) == len(rows):
+                break
             gone = set(leave)
             keep = [s for s in range(len(rows)) if s not in gone]
-            slot_of = {s: i for i, s in enumerate(keep)}
-            fresh = [slot_of[s] for s in fresh]
-            rows, lam, ridge, it = ([a[s] for s in keep] for a in (rows, lam, ridge, it))
-            c, w, p, m, jac, cost, nmat, grad = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad))
+            rows, lam, it = ([a[s] for s in keep] for a in (rows, lam, it))
+            c, w, p, m, jac, cost, nmat, grad, ridge = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad, ridge))
     return results  # type: ignore[return-value]
 
 
@@ -421,11 +414,9 @@ def _peak_result(
     values = p[perm]
     cov = cov[perm][:, perm]
     params = dict(zip(PL_PARAM_NAMES, (float(v) for v in values)))
-    std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(PL_PARAM_NAMES)}
     return FitResult(
         param_names=PL_PARAM_NAMES,
         params=params,
-        std_errors=std,
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
@@ -583,28 +574,25 @@ def _dips_result(
         cov = cov[np.ix_(perm, perm)]
 
     params = dict(zip(names, (float(v) for v in p)))
-    std = {name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(names)}
 
     contrasts = p[3::3].tolist()
     valid = min(contrasts) > 0.0 and sum(contrasts) < 1.0
     if p.size == 4:
-        d_center = params["center_1"]
-        d_sigma = std["center_1"]
+        d_center, d_var = params["center_1"], cov[1, 1]
         valid = valid and params["fwhm_1"] >= _median_step(axis.tobytes())
     else:
         d_center = 0.5 * (params["center_1"] + params["center_2"])
-        d_sigma = math.sqrt(max(0.25 * (cov[1, 1] + cov[4, 4] + 2.0 * cov[1, 4]), 0.0))
+        d_var = 0.25 * (cov[1, 1] + cov[4, 4] + 2.0 * cov[1, 4])
 
     return FitResult(
         param_names=names,
         params=params,
-        std_errors=std,
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
         converged=converged and valid,
         iterations=iterations,
-        derived={"d_center": (d_center, d_sigma)},
+        derived={"d_center": (d_center, math.sqrt(max(d_var, 0.0)))},
     )
 
 
@@ -757,9 +745,10 @@ def _block_scores(
         q, _ = np.linalg.qr(jac * root_w[:, :, None])
         s = root_w * (counts - model)
         qs = np.matmul(s[:, None, :], q)[:, 0]
-        # five rows per record: the weighted residual and the basis, each
-        # weighted once more
-        rows = np.concatenate([(root_w * s)[:, None, :], np.swapaxes(q * root_w[:, :, None], 1, 2)], axis=1)
+        # five rows per record: the weighted residual projected off the
+        # basis, and the basis, each weighted once more
+        r = s - np.matmul(q, qs[:, :, None])[:, :, 0]
+        rows = np.concatenate([(root_w * r)[:, None, :], np.swapaxes(q * root_w[:, :, None], 1, 2)], axis=1)
         rows = rows.reshape(5 * n_records, axis.size)
         # BLAS hands a one-row product to its matrix-vector kernel, which
         # sums in another order; two rows keep a block of one summing alike
@@ -770,7 +759,7 @@ def _block_scores(
             # one BLAS product per slab: (slabs, records, 5, slab width)
             proj = np.matmul(rows, lor[k : k + step]).reshape(-1, n_records, 5, lor.shape[2])
             norm2 = np.matmul(weight_rows, lor2[k : k + step])[:, :n_records]
-            num = proj[:, :, 0] - np.matmul(qs[:, None, :], proj[:, :, 1:])[:, :, 0]
+            num = proj[:, :, 0]
             den = norm2 - np.einsum("sbij,sbij->sbj", proj[:, :, 1:], proj[:, :, 1:])
             # a candidate the one-dip Jacobian already spans adds nothing
             gain = np.where(den > 1e-9 * norm2, num * num / den, 0.0)

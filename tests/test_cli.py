@@ -2,11 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dualtherm import (
+    AxisKind,
     OdmrModel,
+    PlSettings,
     ScenarioConfig,
+    SpectrumTrace,
+    fit_pl_peak,
     nv_resonance_of_temperature,
     odmr_expected_counts,
     pl_expected_counts,
@@ -175,6 +180,19 @@ def test_fit_of_a_flat_spectrum_reports_json(tmp_path, capsys, kind, axis, count
     assert set(payload) >= {"converged", "params", "std_errors"}
     # an exact fit leaves no residual to scale by, not zero uncertainty
     assert all(sigma > 0 for sigma in payload["std_errors"].values()), payload["std_errors"]
+
+
+def test_fit_of_counts_too_large_for_a_covariance_reports_no_convergence(tmp_path, capsys):
+    """At 1e300 counts per bin the covariance diagonal is NaN: the fit reports that, it does not raise."""
+    axis = PlSettings().axis()
+    fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, np.full(axis.size, 1e300)))
+    assert fit.converged is False
+    spectrum = tmp_path / "huge.csv"
+    spectrum.write_text("axis,counts\n" + "".join(f"{a!r},1e300\n" for a in axis.tolist()), encoding="utf-8")
+    assert main(["fit", "--input", str(spectrum), "--kind", "pl"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False
+    assert payload["std_errors"] == dict.fromkeys(("center", "fwhm", "amplitude", "background"))
 
 
 @pytest.mark.parametrize(

@@ -143,14 +143,28 @@ def test_noised_fit_statistics():
     assert abs(fit.params["center_1"] - 2870.0) < 5 * fit.std_errors["center_1"]
 
 
-def test_fit_result_rejects_inconsistent_std_errors():
-    cov = np.array([[4.0]])
-    with pytest.raises(ValueError):
+def test_fit_result_reads_std_errors_off_the_covariance():
+    names = ("center", "fwhm", "amplitude")
+    fit = FitResult(
+        param_names=names,
+        params=dict.fromkeys(names, 1.0),
+        covariance=np.array([[4.0, 0.5, 0.0], [0.5, -1e-20, 0.0], [0.0, 0.0, math.nan]]),
+        residual_rms=0.0,
+        reduced_chi2=1.0,
+        converged=True,
+        iterations=3,
+    )
+    assert list(fit.std_errors) == list(names)
+    assert fit.std_errors["center"] == 2.0
+    # a negative variance reads as no spread, a NaN one stays NaN
+    assert fit.std_errors["fwhm"] == 0.0
+    assert math.isnan(fit.std_errors["amplitude"])
+    with pytest.raises(TypeError):
         FitResult(
             param_names=("center",),
             params={"center": 1.0},
-            std_errors={"center": 1.0},
-            covariance=cov,
+            std_errors={"center": 2.0},
+            covariance=np.array([[4.0]]),
             residual_rms=0.0,
             reduced_chi2=1.0,
             converged=True,
@@ -327,7 +341,6 @@ def _pair_fit(contrast_1: float, contrast_2: float) -> FitResult:
     return FitResult(
         param_names=names,
         params=dict(zip(names, values)),
-        std_errors=dict(zip(names, sigmas)),
         covariance=np.diag(np.square(sigmas)),
         residual_rms=1.0,
         reduced_chi2=1.0,

@@ -9,6 +9,8 @@ normal matrix trace, weighs more against the background and amplitude
 entries as the counts grow, so the scale properties compare parameters only.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from dualtherm.fitting import (
     _peak_init,
     _peak_model,
     _peak_result,
+    _physical_pairs,
 )
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
@@ -190,29 +193,44 @@ def test_two_dip_fit_orders_centers_whatever_the_start(seed, mid, split, widths,
         min_size=10,
         max_size=22,
     ),
-    n_dips=st.sampled_from((1, 2)),
-    max_iterations=st.sampled_from((2, 200)),
+    case=st.sampled_from([(kind, cap) for kind in ("1 dip", "2 dips", "2 dips retired", "peak") for cap in (2, 200)]),
 )
-def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, n_dips, max_iterations):
+def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, case):
     """Each row of a stacked fit comes out bit for bit as the fit of that row alone.
 
     The spectra mix single dips and Zeeman-split pairs at several count
-    levels, so rows leave the stack at different steps.
+    levels, so rows leave the stack at different steps.  Two-dip stacks
+    also run with the retirement predicate of the two-dip candidates, and
+    peak stacks fit PL peaks placed and widened by the same draws.
     """
-    counts = np.array(
-        [
-            _odmr_counts(((center - split, 12.0, 0.5 * contrast), (center + split, 12.0, 0.5 * contrast)), seed) * level
-            for seed, center, split, contrast, level in spectra
-        ]
-    )
+    kind, max_iterations = case
+    physical = None
+    if kind == "peak":
+        model, axis, init = _peak_model, PL_AXIS, _peak_init
+        counts = np.array(
+            [_pl_counts(735.0 + split, 40.0 * contrast, seed) * level for seed, _, split, contrast, level in spectra]
+        )
+    else:
+        model, axis = _dips_model, ODMR_AXIS
+        n_dips = 1 if kind == "1 dip" else 2
+        init = functools.partial(_odmr_init, n_dips=n_dips)
+        counts = np.array(
+            [
+                _odmr_counts(((center - split, 12.0, 0.5 * contrast), (center + split, 12.0, 0.5 * contrast)), seed)
+                * level
+                for seed, center, split, contrast, level in spectra
+            ]
+        )
+        if kind == "2 dips retired":
+            physical = functools.partial(_physical_pairs, ODMR_AXIS)
     counts = np.round(counts)
-    starts = np.array([_odmr_init(ODMR_AXIS, c, n_dips) for c in counts])
+    starts = np.array([init(axis, c) for c in counts])
 
     def fitted(rows):
         return [
             (p.tobytes(), cov.tobytes(), np.float64(rms).tobytes(), np.float64(chi2).tobytes(), iterations, converged)
             for p, cov, rms, chi2, iterations, converged in _fit(
-                _dips_model, ODMR_AXIS, counts[rows], starts[rows], max_iterations
+                model, axis, counts[rows], starts[rows], max_iterations, physical
             )
         ]
 

@@ -70,7 +70,6 @@ def test_unconverged_fit_is_refused():
     broken = type(fit)(
         param_names=fit.param_names,
         params=fit.params,
-        std_errors=fit.std_errors,
         covariance=fit.covariance,
         residual_rms=fit.residual_rms,
         reduced_chi2=fit.reduced_chi2,
