@@ -13,14 +13,14 @@ from __future__ import annotations
 import enum
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .fitting import RegressionResult, linear_regression
-from .forward import NvCalibration, SivCalibration, check_finite
+from .forward import POSITIVE, NvCalibration, Settings, SivCalibration, integer_at_least
 from .thermometry import Channel, TemperatureEstimate
 
 
@@ -57,7 +57,7 @@ class ArtifactVerdict:
 
 
 @dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Settings):
     """Thresholds for the rolling artifact screen.
 
     A window is flagged when the NV/SiV temperature variance ratio exceeds
@@ -67,19 +67,13 @@ class MonitorConfig:
     ``window_samples`` samples each.
     """
 
-    variance_ratio_threshold: float = 10.0
-    z_threshold: float = 3.0
-    min_window: int = 10
-    window_samples: int = 20
+    variance_ratio_threshold: float = field(default=10.0, metadata=POSITIVE)
+    z_threshold: float = field(default=3.0, metadata=POSITIVE)
+    min_window: int = field(default=10, metadata=integer_at_least(2))
+    window_samples: int = field(default=20, metadata=integer_at_least(1))
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.variance_ratio_threshold > 0:
-            raise ValueError("variance_ratio_threshold must be > 0")
-        if not self.z_threshold > 0:
-            raise ValueError("z_threshold must be > 0")
-        if self.min_window < 2:
-            raise ValueError("min_window must be >= 2")
+        super().__post_init__()
         if self.window_samples < self.min_window:
             raise ValueError("window_samples must be >= min_window")
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,19 +27,46 @@ FloatArray = NDArray[np.float64]
 GYROMAGNETIC_MHZ_PER_MT = 28.024
 
 
-def check_finite(settings: object) -> None:
-    """Reject a non-finite value in a ``float`` or ``tuple[float, ...]`` field of a settings dataclass."""
-    for f in fields(settings):  # type: ignore[arg-type]
-        if f.type not in ("float", "tuple[float, ...]"):
-            continue
-        value = getattr(settings, f.name)
-        for v in value if f.type != "float" else (value,):
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be a finite number, got {v}")
+def bound(rule: str, holds: Callable[[Any], bool]) -> dict[str, Any]:
+    """Field metadata declaring a single-field bound: a value ``v`` with ``holds(v)`` false fails ``rule``."""
+    return {"rule": rule, "holds": holds}
+
+
+POSITIVE = bound("must be > 0", lambda v: v > 0)
+NON_NEGATIVE = bound("must be >= 0", lambda v: v >= 0)
+FRACTION = bound("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+NONZERO = bound("must be nonzero", lambda v: v != 0)
+
+
+def integer_at_least(n: int) -> dict[str, Any]:
+    """Bound of an ``int`` field: an integer, not a ``bool``, of at least ``n``."""
+    return bound(f"must be an integer >= {n}", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= n)
+
+
+@dataclass(frozen=True)
+class Settings:
+    """Base of the settings dataclasses: checks what their fields declare.
+
+    Every value of a ``float`` or ``tuple[float, ...]`` field must be
+    finite, and every value of a field whose metadata holds a ``bound``
+    must pass it; a tuple's values are its elements.  A failed bound reads
+    ``"{name} {rule}, got {value}"``.  A subclass adds only its cross-field
+    checks, after ``super().__post_init__()``.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if f.type == "tuple[float, ...]" else (value,):
+                if f.type in ("float", "tuple[float, ...]"):
+                    try:
+                        finite = math.isfinite(v)
+                    except OverflowError:
+                        finite = False
+                    if not finite:
+                        raise ValueError(f"{f.name} must be a finite number, got {v}")
+                if "rule" in f.metadata and not f.metadata["holds"](v):
+                    raise ValueError(f"{f.name} {f.metadata['rule']}, got {v}")
 
 
 class AxisKind(enum.Enum):
@@ -113,7 +141,7 @@ class PlModel:
 
 
 @dataclass(frozen=True)
-class NvCalibration:
+class NvCalibration(Settings):
     """Linear map between temperature and the NV zero-field splitting.
 
     ``slope`` is signed (MHz per degC); the default configuration uses a
@@ -122,16 +150,11 @@ class NvCalibration:
 
     d_ref_mhz: float = 2870.0
     t_ref_c: float = 25.0
-    slope_mhz_per_c: float = -0.07379
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.slope_mhz_per_c == 0:
-            raise ValueError("slope_mhz_per_c must be nonzero")
+    slope_mhz_per_c: float = field(default=-0.07379, metadata=NONZERO)
 
 
 @dataclass(frozen=True)
-class SivCalibration:
+class SivCalibration(Settings):
     """Linear maps between temperature and the SiV zero-phonon line.
 
     Position and FWHM both shift linearly; only the position slope must be
@@ -141,26 +164,16 @@ class SivCalibration:
     pos_ref_nm: float = 737.0
     fwhm_ref_nm: float = 4.8
     t_ref_c: float = 25.0
-    pos_slope_nm_per_c: float = 0.0084
+    pos_slope_nm_per_c: float = field(default=0.0084, metadata=NONZERO)
     fwhm_slope_nm_per_c: float = 0.0398
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.pos_slope_nm_per_c == 0:
-            raise ValueError("pos_slope_nm_per_c must be nonzero")
 
 
 @dataclass(frozen=True)
-class HeatingModel:
+class HeatingModel(Settings):
     """Steady-state laser heating: T = t_ambient + slope * power."""
 
     t_ambient_c: float = 25.0
-    slope_k_per_mw: float = 0.0735
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.slope_k_per_mw < 0:
-            raise ValueError(f"slope_k_per_mw must be >= 0, got {self.slope_k_per_mw}")
+    slope_k_per_mw: float = field(default=0.0735, metadata=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

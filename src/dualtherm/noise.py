@@ -15,12 +15,12 @@ other subsystem sees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .forward import check_finite
+from .forward import NON_NEGATIVE, POSITIVE, Settings
 
 RngSeed = int
 """Master seed: an unsigned 64-bit integer."""
@@ -66,7 +66,7 @@ def sample_poisson_counts(
 
 
 @dataclass(frozen=True)
-class DriftState:
+class DriftState(Settings):
     """Mean-reverting multiplicative intensity drift.
 
     The log of ``current_factor`` follows an Ornstein-Uhlenbeck process with
@@ -76,18 +76,9 @@ class DriftState:
     over 95% of seeded runs.
     """
 
-    current_factor: float = 1.0
-    reversion_rate: float = 1.0 / 300.0
-    stationary_rel_std: float = 7e-4
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.current_factor > 0:
-            raise ValueError(f"current_factor must be > 0, got {self.current_factor}")
-        if not self.reversion_rate > 0:
-            raise ValueError(f"reversion_rate must be > 0, got {self.reversion_rate}")
-        if self.stationary_rel_std < 0:
-            raise ValueError(f"stationary_rel_std must be >= 0, got {self.stationary_rel_std}")
+    current_factor: float = field(default=1.0, metadata=POSITIVE)
+    reversion_rate: float = field(default=1.0 / 300.0, metadata=POSITIVE)
+    stationary_rel_std: float = field(default=7e-4, metadata=NON_NEGATIVE)
 
 
 def drift_step(state: DriftState, dt_s: float, rng: np.random.Generator) -> DriftState:
@@ -108,7 +99,7 @@ def drift_step(state: DriftState, dt_s: float, rng: np.random.Generator) -> Drif
 
 
 @dataclass(frozen=True)
-class BFieldProcess:
+class BFieldProcess(Settings):
     """Piecewise-constant fluctuating magnetic-field projection.
 
     Every ``dwell_s`` seconds the field is redrawn: magnitude uniform on
@@ -118,22 +109,17 @@ class BFieldProcess:
     of the resample clock across steps.
     """
 
-    b_max_mt: float
-    dwell_s: float = 0.5
+    b_max_mt: float = field(metadata=NON_NEGATIVE)
+    dwell_s: float = field(default=0.5, metadata=POSITIVE)
     current_projection_mt: float = 0.0
-    time_since_resample_s: float = 0.0
+    time_since_resample_s: float = field(default=0.0, metadata=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if self.b_max_mt < 0:
-            raise ValueError(f"b_max_mt must be >= 0, got {self.b_max_mt}")
-        if not self.dwell_s > 0:
-            raise ValueError(f"dwell_s must be > 0, got {self.dwell_s}")
+        super().__post_init__()
         if abs(self.current_projection_mt) > self.b_max_mt:
             raise ValueError(
                 f"|current_projection_mt| = {abs(self.current_projection_mt)} exceeds b_max_mt = {self.b_max_mt}"
             )
-        if self.time_since_resample_s < 0:
-            raise ValueError("time_since_resample_s must be >= 0")
 
 
 def _draw_projection(proc: BFieldProcess, rng: np.random.Generator) -> float:

@@ -39,15 +39,20 @@ from .fitting import (
     select_dip_count,
 )
 from .forward import (
+    FRACTION,
     GYROMAGNETIC_MHZ_PER_MT,
+    NON_NEGATIVE,
+    POSITIVE,
     AxisKind,
     HeatingModel,
     NvCalibration,
     OdmrModel,
     PlModel,
     SivCalibration,
+    Settings,
     SpectrumTrace,
-    check_finite,
+    bound,
+    integer_at_least,
     nv_resonance_of_temperature,
     odmr_expected_counts,
     pl_expected_counts,
@@ -84,38 +89,28 @@ class ScenarioKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OdmrSettings:
+class OdmrSettings(Settings):
     """ODMR channel: photon budget, line shape, and sweep grid."""
 
-    baseline_rate_cps: float = 5e8
-    contrast: float = 0.12
-    linewidth_mhz: float = 12.0
+    baseline_rate_cps: float = field(default=5e8, metadata=POSITIVE)
+    contrast: float = field(default=0.12, metadata=FRACTION)
+    linewidth_mhz: float = field(default=12.0, metadata=POSITIVE)
     sweep_start_mhz: float = 2820.0
     sweep_stop_mhz: float = 2920.0
-    sweep_points: int = 201
-    sweep_time_s: float = 1.5
+    sweep_points: int = field(default=201, metadata=integer_at_least(8))
+    sweep_time_s: float = field(default=1.5, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.baseline_rate_cps > 0:
-            raise ValueError(f"baseline_rate_cps must be > 0, got {self.baseline_rate_cps}")
-        if not 0.0 < self.contrast < 1.0:
-            raise ValueError(f"contrast must lie in (0, 1), got {self.contrast}")
-        if not self.linewidth_mhz > 0:
-            raise ValueError(f"linewidth_mhz must be > 0, got {self.linewidth_mhz}")
+        super().__post_init__()
         if not self.sweep_stop_mhz > self.sweep_start_mhz:
             raise ValueError("sweep_stop_mhz must exceed sweep_start_mhz")
-        if not isinstance(self.sweep_points, int) or self.sweep_points < 8:
-            raise ValueError(f"sweep_points must be an integer >= 8, got {self.sweep_points}")
-        if not self.sweep_time_s > 0:
-            raise ValueError(f"sweep_time_s must be > 0, got {self.sweep_time_s}")
 
     def axis(self) -> FloatArray:
         return np.linspace(self.sweep_start_mhz, self.sweep_stop_mhz, self.sweep_points)
 
 
 @dataclass(frozen=True)
-class PlSettings:
+class PlSettings(Settings):
     """PL channel: photon budget and spectrometer window.
 
     The window defaults cover the SiV zero-phonon line with room for its
@@ -124,32 +119,20 @@ class PlSettings:
     the default window.
     """
 
-    peak_amplitude_cps: float = 1.3e5
-    background_cps: float = 2e4
+    peak_amplitude_cps: float = field(default=1.3e5, metadata=POSITIVE)
+    background_cps: float = field(default=2e4, metadata=NON_NEGATIVE)
     window_start_nm: float = 715.0
     window_stop_nm: float = 760.0
-    step_nm: float = 0.1
-    exposure_s: float = 1.3
+    step_nm: float = field(default=0.1, metadata=POSITIVE)
+    exposure_s: float = field(default=1.3, metadata=POSITIVE)
     nv_peak_nm: float = 637.0
-    nv_peak_fwhm_nm: float = 3.0
-    nv_peak_amplitude_cps: float = 6e4
+    nv_peak_fwhm_nm: float = field(default=3.0, metadata=POSITIVE)
+    nv_peak_amplitude_cps: float = field(default=6e4, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.peak_amplitude_cps > 0:
-            raise ValueError(f"peak_amplitude_cps must be > 0, got {self.peak_amplitude_cps}")
-        if self.background_cps < 0:
-            raise ValueError(f"background_cps must be >= 0, got {self.background_cps}")
+        super().__post_init__()
         if not self.window_stop_nm > self.window_start_nm:
             raise ValueError("window_stop_nm must exceed window_start_nm")
-        if not self.step_nm > 0:
-            raise ValueError(f"step_nm must be > 0, got {self.step_nm}")
-        if not self.exposure_s > 0:
-            raise ValueError(f"exposure_s must be > 0, got {self.exposure_s}")
-        if not self.nv_peak_fwhm_nm > 0:
-            raise ValueError(f"nv_peak_fwhm_nm must be > 0, got {self.nv_peak_fwhm_nm}")
-        if not self.nv_peak_amplitude_cps > 0:
-            raise ValueError(f"nv_peak_amplitude_cps must be > 0, got {self.nv_peak_amplitude_cps}")
         # counted, not built: a tiny step would make the axis huge
         n_steps = (self.window_stop_nm - self.window_start_nm) / self.step_nm
         if not math.isfinite(n_steps):
@@ -174,56 +157,35 @@ class PlSettings:
 
 
 @dataclass(frozen=True)
-class BfieldSettings:
+class BfieldSettings(Settings):
     """Fluctuating-field amplitude, resample dwell, and coupling strength."""
 
-    b_max_mt: float = 0.0
-    dwell_s: float = 0.5
-    gyromagnetic_mhz_per_mt: float = GYROMAGNETIC_MHZ_PER_MT
+    b_max_mt: float = field(default=0.0, metadata=NON_NEGATIVE)
+    dwell_s: float = field(default=0.5, metadata=POSITIVE)
+    gyromagnetic_mhz_per_mt: float = field(default=GYROMAGNETIC_MHZ_PER_MT, metadata=POSITIVE)
 
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.b_max_mt < 0:
-            raise ValueError(f"b_max_mt must be >= 0, got {self.b_max_mt}")
-        if not self.dwell_s > 0:
-            raise ValueError(f"dwell_s must be > 0, got {self.dwell_s}")
-        if not self.gyromagnetic_mhz_per_mt > 0:
-            raise ValueError(
-                f"gyromagnetic_mhz_per_mt must be > 0, got {self.gyromagnetic_mhz_per_mt}"
-            )
+
+# linear calibrations are extrapolation outside this band
+_RAMP_BAND = bound("must lie in [0, 200] degC", lambda t: 0.0 <= t <= 200.0)
 
 
 @dataclass(frozen=True)
-class RampParams:
-    t_start_c: float = 25.0
-    t_stop_c: float = 65.0
-    n_steps: int = 10
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        for name, t in (("t_start_c", self.t_start_c), ("t_stop_c", self.t_stop_c)):
-            # linear calibrations are extrapolation outside this band
-            if not 0.0 <= t <= 200.0:
-                raise ValueError(f"{name} must lie in [0, 200] degC, got {t}")
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps}")
+class RampParams(Settings):
+    t_start_c: float = field(default=25.0, metadata=_RAMP_BAND)
+    t_stop_c: float = field(default=65.0, metadata=_RAMP_BAND)
+    n_steps: int = field(default=10, metadata=integer_at_least(1))
 
 
 @dataclass(frozen=True)
-class PrecisionParams:
-    integration_times_s: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
-    repetitions: int = 100
+class PrecisionParams(Settings):
+    integration_times_s: tuple[float, ...] = field(default=(0.1, 0.3, 1.0, 3.0, 10.0, 30.0), metadata=POSITIVE)
+    repetitions: int = field(default=100, metadata=integer_at_least(2))
     channels: tuple[str, ...] = ("siv",)
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        super().__post_init__()
         if not self.integration_times_s:
             raise ValueError("integration_times_s must be non-empty")
-        for t in self.integration_times_s:
-            if not t > 0:
-                raise ValueError(f"integration times must be > 0, got {t}")
-        if not isinstance(self.repetitions, int) or self.repetitions < 2:
-            raise ValueError(f"repetitions must be an integer >= 2, got {self.repetitions}")
         if not self.channels:
             raise ValueError("channels must be non-empty")
         for ch in self.channels:
@@ -236,25 +198,18 @@ class PrecisionParams:
 
 
 @dataclass(frozen=True)
-class LaserParams:
-    power_low_mw: float = 85.0
-    power_high_mw: float = 145.0
-    period_s: float = 200.0
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.power_low_mw < 0 or self.power_high_mw < 0:
-            raise ValueError("laser power levels must be >= 0")
-        if not self.period_s > 0:
-            raise ValueError(f"period_s must be > 0, got {self.period_s}")
+class LaserParams(Settings):
+    power_low_mw: float = field(default=85.0, metadata=NON_NEGATIVE)
+    power_high_mw: float = field(default=145.0, metadata=NON_NEGATIVE)
+    period_s: float = field(default=200.0, metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Settings):
     kind: ScenarioKind = ScenarioKind.RAMP
     seed: int = 1
-    duration_s: float = 300.0
-    sample_period_s: float = 1.5
+    duration_s: float = field(default=300.0, metadata=POSITIVE)
+    sample_period_s: float = field(default=1.5, metadata=POSITIVE)
     noiseless: bool = False
     odmr: OdmrSettings = field(default_factory=OdmrSettings)
     pl: PlSettings = field(default_factory=PlSettings)
@@ -270,12 +225,8 @@ class ScenarioConfig:
     laser: LaserParams = field(default_factory=LaserParams)
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        super().__post_init__()
         validate_seed(self.seed)
-        if not self.duration_s > 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if not self.sample_period_s > 0:
-            raise ValueError(f"sample_period_s must be > 0, got {self.sample_period_s}")
 
 
 @dataclass(frozen=True)

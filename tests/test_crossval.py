@@ -178,6 +178,14 @@ def test_monitor_config_validation():
         MonitorConfig(window_samples=5, min_window=10)
 
 
+@pytest.mark.parametrize("name", ["window_samples", "min_window"])
+def test_monitor_config_window_sizes_are_integers(name):
+    # a window of 20.5 samples was taken, and tumbling_verdicts then
+    # screened no window at all
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        MonitorConfig(**{name: 20.5 if name == "window_samples" else 2.5})
+
+
 def test_tumbling_verdicts_partition():
     rng = np.random.default_rng(4)
     pairs = _window(rng, n=50)

@@ -141,6 +141,15 @@ def test_bfield_projection_bounded_by_amplitude():
         BFieldProcess(b_max_mt=0.5, current_projection_mt=0.6)
 
 
+def test_bfield_process_refuses_non_finite_settings():
+    # a NaN clock phase used to hold the projection at its start value for
+    # good, and an infinite amplitude overflowed inside bfield_sweep
+    with pytest.raises(ValueError, match="time_since_resample_s must be a finite number, got nan"):
+        BFieldProcess(b_max_mt=0.5, time_since_resample_s=math.nan)
+    with pytest.raises(ValueError, match="b_max_mt must be a finite number, got inf"):
+        BFieldProcess(b_max_mt=math.inf)
+
+
 def test_bfield_sweep_holds_between_resamples():
     proc = bfield_resample(BFieldProcess(b_max_mt=1.0, dwell_s=0.5), np.random.default_rng(1))
     held, projections = bfield_sweep(proc, 0.2, 1, np.random.default_rng(2))

@@ -1,6 +1,7 @@
 """Scenario engine: determinism, truth tracking, channel structure."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from dualtherm import (
     AxisKind,
+    BFieldProcess,
     BfieldSettings,
     DriftState,
     HeatingModel,
@@ -236,6 +238,12 @@ def test_ramp_params_validation():
         RampParams(n_steps=0)
     with pytest.raises(ValueError):
         ScenarioConfig(sample_period_s=0.0)
+
+
+def test_ramp_step_count_is_not_a_bool():
+    # True passed as n_steps >= 1 although OdmrSettings refused sweep_points=True
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got True"):
+        RampParams(n_steps=True)
 
 
 @pytest.mark.parametrize(
@@ -539,24 +547,35 @@ def test_precision_sweep_nv_floor_matches_the_cramer_rao_bound():
     assert abs(ratio - 1.0) < 5.0 * standard_error, f"sigma^2 t / CRB^2 = {ratio:.3f} +/- {standard_error:.3f}"
 
 
+_SETTINGS = (
+    ScenarioConfig,
+    OdmrSettings,
+    PlSettings,
+    BfieldSettings,
+    RampParams,
+    PrecisionParams,
+    LaserParams,
+    NvCalibration,
+    SivCalibration,
+    HeatingModel,
+    DriftState,
+    MonitorConfig,
+    BFieldProcess,
+)
+
+#: the arguments a settings class needs besides the field under test
+_REQUIRED = {BFieldProcess: {"b_max_mt": 0.5}}
+
+
+def _build(cls, name, value):
+    return cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+
 def _float_fields():
     """``(settings class, field name, whether the field is a tuple)`` for every float field of the settings."""
     return [
         (cls, f.name, f.type != "float")
-        for cls in (
-            ScenarioConfig,
-            OdmrSettings,
-            PlSettings,
-            BfieldSettings,
-            RampParams,
-            PrecisionParams,
-            LaserParams,
-            NvCalibration,
-            SivCalibration,
-            HeatingModel,
-            DriftState,
-            MonitorConfig,
-        )
+        for cls in _SETTINGS
         for f in fields(cls)
         if f.type in ("float", "tuple[float, ...]")
     ]
@@ -568,13 +587,52 @@ def _float_fields():
 )
 def test_settings_reject_non_finite_numbers(cls, name, is_tuple, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-        cls(**{name: (1.0, value) if is_tuple else value})
+        _build(cls, name, (1.0, value) if is_tuple else value)
 
 
 def test_settings_cover_every_float_field():
     names = {(cls.__name__, name) for cls, name, _ in _float_fields()}
     assert ("ScenarioConfig", "duration_s") in names and ("PrecisionParams", "integration_times_s") in names
-    assert len(names) == 41
+    assert len(names) == 45
+
+
+def _just_outside(rule):
+    """Values that just miss a declared bound, found from its rule text."""
+    if rule.startswith("must be an integer >= "):
+        n = int(rule.rsplit(" ", 1)[1])
+        return [n - 1, n + 0.5, float(n), True]
+    tiny = math.ulp(0.0)
+    return {
+        "must be > 0": [0.0, -tiny],
+        "must be >= 0": [-tiny],
+        "must lie in (0, 1)": [0.0, 1.0],
+        "must be nonzero": [0.0, -0.0],
+        "must lie in [0, 200] degC": [-tiny, math.nextafter(200.0, math.inf)],
+    }[rule]
+
+
+def _bounded_fields():
+    """``(settings class, field)`` for every field that declares a bound."""
+    return [(cls, f) for cls in _SETTINGS for f in fields(cls) if "rule" in f.metadata]
+
+
+@pytest.mark.parametrize(
+    "cls,f", [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}") for cls, f in _bounded_fields()]
+)
+def test_declared_bounds_refuse_values_just_outside(cls, f):
+    default = getattr(cls(**_REQUIRED.get(cls, {})), f.name)
+    is_tuple = f.type == "tuple[float, ...]"
+    for v in default if is_tuple else (default,):
+        assert f.metadata["holds"](v), (f.name, v)
+    for value in _just_outside(f.metadata["rule"]):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{f.name} {f.metadata['rule']}, got {value}") + "$"):
+            _build(cls, f.name, (1.0, value) if is_tuple else value)
+
+
+def test_every_single_field_bound_is_declared():
+    names = {(cls.__name__, f.name) for cls, f in _bounded_fields()}
+    assert ("MonitorConfig", "window_samples") in names and ("BFieldProcess", "time_since_resample_s") in names
+    assert len(names) == 37
 
 
 def test_infinite_duration_is_refused_before_the_run():
