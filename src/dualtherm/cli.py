@@ -25,13 +25,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .crossval import calibration_slope, channel_regression, tumbling_verdicts
 from .fitting import FitResult, fit_odmr_dips, fit_pl_peak, select_dip_count
-from .forward import (
-    AxisKind,
-    SpectrumTrace,
-    nv_resonance_of_temperature,
-    pl_expected_counts,
-    siv_zpl_of_temperature,
-)
+from .forward import AxisKind, SpectrumTrace
 from .noise import sample_poisson_counts, subsystem_generators
 from .records import (
     format_number,
@@ -43,7 +37,7 @@ from .records import (
     write_records_csv,
     write_records_json,
 )
-from .scenarios import ScenarioConfig, ScenarioKind, odmr_sweep_counts, run_scenario
+from .scenarios import ScenarioConfig, ScenarioKind, odmr_sweep_counts, pl_counts, run_scenario
 from .thermometry import Channel, TemperatureEstimate, nv_shot_noise_sensitivity
 
 _EXIT_OK = 0
@@ -131,22 +125,15 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_or_default(args)
     gens = subsystem_generators(config.seed)
-    t_c = float(args.temperature)
-    noiseless = bool(args.noiseless)
     if args.channel == "odmr":
-        axis = config.odmr.axis()
-        tau_s = config.odmr.sweep_time_s / axis.size
-        d_mhz = nv_resonance_of_temperature(config.nv_cal, t_c)
-        expected = odmr_sweep_counts(config, axis, d_mhz, np.zeros(axis.size), tau_s)
-        rng = gens["odmr"]
-        axis_label, exposure_s = "freq_MHz", tau_s
+        axis, exposure_s = config.odmr.axis(), config.odmr.sweep_time_s / config.odmr.sweep_points
+        expected = odmr_sweep_counts(config, args.temperature, 0.0, exposure_s)
+        rng, axis_label = gens["odmr"], "freq_MHz"
     else:
-        axis = config.pl.axis()
-        model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_c))
-        expected = pl_expected_counts(model, axis, config.pl.exposure_s)
-        rng = gens["pl"]
-        axis_label, exposure_s = "wavelength_nm", config.pl.exposure_s
-    counts = expected if noiseless else sample_poisson_counts(expected, rng).astype(np.float64)
+        axis, exposure_s = config.pl.axis(), config.pl.exposure_s
+        expected = pl_counts(config, args.temperature, exposure_s)
+        rng, axis_label = gens["pl"], "wavelength_nm"
+    counts = expected if args.noiseless else sample_poisson_counts(expected, rng).astype(np.float64)
 
     if args.format == "csv":
         lines = [f"{axis_label},counts"]
@@ -199,11 +186,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     axis, counts = _read_trace_csv(args.input)
     if args.kind == "odmr":
         trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
-        choice = args.n_dips
-        if choice == "auto":
+        if args.n_dips == "auto":
             n_dips, fit = select_dip_count(trace)
         else:
-            n_dips = int(choice)
+            n_dips = int(args.n_dips)
             fit = fit_odmr_dips(trace, n_dips)
         payload = _fit_payload(fit, n_dips)
     else:

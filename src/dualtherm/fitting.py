@@ -32,11 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .forward import AxisKind, SpectrumTrace, unit_lorentzian
+from .forward import AxisKind, SpectrumTrace, check_spectra, unit_lorentzian
 
 FloatArray = NDArray[np.float64]
 
 MAX_ITERATIONS = 200
+#: the fewest samples a spectrum must have to be fitted
+MIN_FIT_SAMPLES = 8
 #: a two-dip candidate still no physical pair (``_physical_pairs``) after
 #: this many iterations is given up: partially resolved pairs that drift to
 #: a lopsided or over-wide pair run on to the cap and are then rejected
@@ -425,18 +427,22 @@ def _peak_result(
     )
 
 
+def _check_sample_count(axis: FloatArray) -> None:
+    if axis.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {axis.size}")
+
+
 def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
-    The trace needs at least 8 samples.  The fit starts from the samples
-    alone (``_peak_init``).  A converged result whose center escaped the
-    fitted interval is demoted to ``converged = False``.
+    The trace needs at least ``MIN_FIT_SAMPLES`` samples.  The fit starts
+    from the samples alone (``_peak_init``).  A converged result whose
+    center escaped the fitted interval is demoted to ``converged = False``.
     """
     if trace.axis_kind is not AxisKind.WAVELENGTH_NM:
         raise ValueError(f"expected a wavelength-axis trace, got {trace.axis_kind}")
     axis, counts = trace.axis, trace.counts
-    if axis.size < 8:
-        raise ValueError(f"need at least 8 samples, got {axis.size}")
+    _check_sample_count(axis)
     p0 = np.array([_peak_init(axis, counts)])
     return _peak_result(axis, *_fit(_peak_model, axis, counts[None], p0, MAX_ITERATIONS)[0])
 
@@ -500,13 +506,6 @@ def _two_dip_starts(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResu
     return np.where((pair_costs <= sample_costs)[:, None], starts[0], starts[1])
 
 
-def _check_odmr_trace(trace: SpectrumTrace) -> None:
-    if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
-        raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
-    if trace.axis.size < 8:
-        raise ValueError(f"need at least 8 samples, got {trace.axis.size}")
-
-
 def fit_odmr_dips(trace: SpectrumTrace, n_dips: int) -> FitResult:
     """Fit one or two Lorentzian absorption dips with a shared flat baseline.
 
@@ -516,7 +515,8 @@ def fit_odmr_dips(trace: SpectrumTrace, n_dips: int) -> FitResult:
     The fit is a stack of one (``fit_odmr_stack``), which says where it
     starts.
     """
-    _check_odmr_trace(trace)
+    if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
+        raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
     return fit_odmr_stack(trace.axis, trace.counts[None], n_dips)[0]
 
 
@@ -528,9 +528,12 @@ def fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[Fi
     the start ``select_dip_count`` uses too.  Each result equals the one
     ``fit_odmr_dips`` returns for its row, bit for bit.  Every row is in
     flight at once, so the caller bounds the stack (the record pipeline by
-    ``scenarios.FIT_CHUNK_RECORDS``).
+    ``scenarios.FIT_CHUNK_RECORDS``).  The spectra must pass
+    ``forward.check_spectra`` and have at least ``MIN_FIT_SAMPLES`` samples.
     """
     _odmr_param_names(n_dips)  # rejects any n_dips but 1 and 2
+    axis, counts = check_spectra(axis, counts, rows=True)
+    _check_sample_count(axis)
     if not len(counts):
         return []
     if n_dips == 1:
@@ -819,6 +822,8 @@ def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[
     changed none of 600 choices against the full fit (``_bic_choice`` of
     ``fit_odmr_dips`` with one and two dips), and one of 15 changed 4.
     """
+    axis, counts = check_spectra(axis, counts, rows=True)
+    _check_sample_count(axis)
     picked = np.flatnonzero(~_screened_out(second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
     twos: list[FitResult | None] = [None] * len(ones)

@@ -14,9 +14,11 @@ All functions here are pure and deterministic; noise lives in
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,30 +45,71 @@ def integer_at_least(n: int) -> dict[str, Any]:
     return bound(f"must be an integer >= {n}", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= n)
 
 
+FINITE = bound("must be a finite number", math.isfinite)
+
+#: the rule of each declared field type but ``int``, which its bound checks (``integer_at_least``,
+#: or ``noise.validate_seed`` for the seed); a field typed as a class holds an instance of it
+_TYPE_RULES = {
+    float: FINITE["rule"],
+    bool: "must be true or false",
+    tuple[float, ...]: "must be a list of numbers",
+    tuple[str, ...]: "must be a list of strings",
+}
+
+
+def _stored(hint: Any, v: Any) -> Any:
+    """``v`` in the form a field declared as ``hint`` stores it, or ``None`` if it has another type."""
+    if hint is float:
+        if type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool):
+            try:
+                return float(v)
+            except OverflowError:
+                return math.inf
+        return None
+    if hint in (tuple[float, ...], tuple[str, ...]):
+        items = tuple(_stored(hint.__args__[0], x) for x in v) if isinstance(v, (list, tuple)) else (None,)
+        return None if None in items else items
+    return v if isinstance(v, hint) else None
+
+
+@functools.cache
+def declared_fields(cls: type) -> tuple[tuple[str, Any, tuple[Mapping[str, Any], ...]], ...]:
+    """``(name, declared type, bounds)`` of each field of the settings class ``cls``, read once."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        finite = (FINITE,) if hints[f.name] in (float, tuple[float, ...]) else ()
+        out.append((f.name, hints[f.name], finite + ((f.metadata,) if "rule" in f.metadata else ())))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Settings:
     """Base of the settings dataclasses: checks what their fields declare.
 
-    Every value of a ``float`` or ``tuple[float, ...]`` field must be
-    finite, and every value of a field whose metadata holds a ``bound``
-    must pass it; a tuple's values are its elements.  A failed bound reads
-    ``"{name} {rule}, got {value}"``.  A subclass adds only its cross-field
-    checks, after ``super().__post_init__()``.
+    Field by field, a value must have the field's declared type
+    (``_TYPE_RULES``); a number is stored as a ``float``, a list as a
+    tuple.  Then every value of a ``float`` or ``tuple[float, ...]`` field
+    must be finite, and every value must pass the field's declared bound;
+    a tuple's values are its elements.  A failed type or bound reads
+    ``"{name} {rule}, got {value!r}"``.  A subclass adds only its
+    cross-field checks, after ``super().__post_init__()``.
     """
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for v in value if f.type == "tuple[float, ...]" else (value,):
-                if f.type in ("float", "tuple[float, ...]"):
-                    try:
-                        finite = math.isfinite(v)
-                    except OverflowError:
-                        finite = False
-                    if not finite:
-                        raise ValueError(f"{f.name} must be a finite number, got {v}")
-                if "rule" in f.metadata and not f.metadata["holds"](v):
-                    raise ValueError(f"{f.name} {f.metadata['rule']}, got {v}")
+        for name, hint, bounds in declared_fields(type(self)):
+            value = getattr(self, name)
+            if hint is not int:
+                stored = _stored(hint, value)
+                if stored is None:
+                    rule = _TYPE_RULES.get(hint, f"must be of type {hint.__name__}")
+                    raise ValueError(f"{name} {rule}, got {value!r}")
+                object.__setattr__(self, name, stored)
+                value = stored
+            for v in value if isinstance(value, tuple) else (value,):
+                for b in bounds:
+                    if not b["holds"](v):
+                        raise ValueError(f"{name} {b['rule']}, got {v!r}")
 
 
 class AxisKind(enum.Enum):
@@ -185,22 +228,7 @@ class SpectrumTrace:
     counts: FloatArray
 
     def __post_init__(self) -> None:
-        axis = np.asarray(self.axis, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.float64)
-        if axis.ndim != 1 or axis.size == 0:
-            raise ValueError("axis must be a non-empty 1-d sequence")
-        if counts.shape != axis.shape:
-            raise ValueError(
-                f"counts length {counts.shape} does not match axis length {axis.shape}"
-            )
-        for name, values in (("axis", axis), ("counts", counts)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {values[bad[0]]} at sample {bad[0]}")
-        if not np.all(np.diff(axis) > 0):
-            raise ValueError("axis must be strictly increasing")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
+        axis, counts = check_spectra(self.axis, self.counts)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "counts", counts)
 
@@ -210,6 +238,29 @@ def _check_axis(axis: FloatArray) -> FloatArray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("axis must be a non-empty 1-d sequence")
     return arr
+
+
+def check_spectra(axis: FloatArray, counts: FloatArray, rows: bool = False) -> tuple[FloatArray, FloatArray]:
+    """``axis`` and ``counts`` as float arrays, once they are valid spectra.
+
+    The axis is finite, strictly increasing and non-empty; the counts are
+    finite and non-negative, ``(n,)`` on ``n`` samples or, with ``rows``,
+    ``(B, n)``.
+    """
+    axis = _check_axis(axis)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != (2 if rows else 1) or counts.shape[-1:] != axis.shape:
+        shape = "(B, n)" if rows else "(n,)"
+        raise ValueError(f"counts of shape {counts.shape} are not {shape} for an axis of n = {axis.size} samples")
+    for name, values in (("axis", axis), ("counts", counts)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {values.flat[bad[0]]} at sample {bad[0] % axis.size}")
+    if not np.all(np.diff(axis) > 0):
+        raise ValueError("axis must be strictly increasing")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    return axis, counts
 
 
 def odmr_expected_counts(model: OdmrModel, axis: FloatArray, exposure_s: float) -> FloatArray:

@@ -31,7 +31,7 @@ from .crossval import MonitorConfig, pair_z, tumbling_verdicts
 # and refuses to attach where it is missing
 from .crossval import artifact_monitor  # noqa: F401
 from .fitting import (
-    FitResult,
+    MIN_FIT_SAMPLES,
     fit_odmr_dips,
     fit_odmr_stack,
     fit_pl_peak,
@@ -97,7 +97,7 @@ class OdmrSettings(Settings):
     linewidth_mhz: float = field(default=12.0, metadata=POSITIVE)
     sweep_start_mhz: float = 2820.0
     sweep_stop_mhz: float = 2920.0
-    sweep_points: int = field(default=201, metadata=integer_at_least(8))
+    sweep_points: int = field(default=201, metadata=integer_at_least(MIN_FIT_SAMPLES))
     sweep_time_s: float = field(default=1.5, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
@@ -137,8 +137,8 @@ class PlSettings(Settings):
         n_steps = (self.window_stop_nm - self.window_start_nm) / self.step_nm
         if not math.isfinite(n_steps):
             raise ValueError(f"PL window holds no finite number of {self.step_nm} nm steps")
-        if round(n_steps) + 1 < 8:
-            raise ValueError("PL window must contain at least 8 samples")
+        if round(n_steps) + 1 < MIN_FIT_SAMPLES:
+            raise ValueError(f"PL window must contain at least {MIN_FIT_SAMPLES} samples")
 
     def axis(self) -> FloatArray:
         n = int(round((self.window_stop_nm - self.window_start_nm) / self.step_nm)) + 1
@@ -193,8 +193,6 @@ class PrecisionParams(Settings):
                 raise ValueError(f"channels entries must be 'nv' or 'siv', got {ch!r}")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"channels must not repeat a channel, got {list(self.channels)}")
-        object.__setattr__(self, "integration_times_s", tuple(float(t) for t in self.integration_times_s))
-        object.__setattr__(self, "channels", tuple(self.channels))
 
 
 @dataclass(frozen=True)
@@ -258,33 +256,31 @@ class ScenarioRecord:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def _nv_summary(fit: FitResult, n_dips: int) -> tuple[float, float]:
-    # mean contrast and mean linewidth over the fitted dips
-    contrast = sum(fit.params[f"contrast_{d}"] for d in range(1, n_dips + 1)) / n_dips
-    fwhm = sum(fit.params[f"fwhm_{d}"] for d in range(1, n_dips + 1)) / n_dips
-    return contrast, fwhm
-
-
 def odmr_sweep_counts(
-    config: ScenarioConfig,
-    axis: FloatArray,
-    d_mhz: float | FloatArray,
-    b_points: FloatArray,
-    exposure_s: float,
+    config: ScenarioConfig, t_nv_c: float | FloatArray, b_points: float | FloatArray, exposure_s: float
 ) -> FloatArray:
-    """Expected counts of an ODMR sweep on ``axis``, ``exposure_s`` per sample.
+    """Expected counts of an ODMR sweep on the configured axis, ``exposure_s`` per sample.
 
-    The Zeeman pair about the splitting ``d_mhz`` (``zeeman_resonances``),
-    each line with half the configured contrast, in the field projection
-    ``b_points`` each sample sees.  Zero field is ``b_points`` of zeros:
-    the pair merges into one dip of the full contrast.  A ``(B, 1)`` column
-    of splittings with ``(B, n)`` or ``(B, 1)`` field projections gives one
-    row of counts per sweep.
+    The Zeeman pair about the splitting at ``t_nv_c``, each line with half
+    the configured contrast, in the field projection ``b_points`` each
+    sample sees; at zero field the pair merges into one dip.  A ``(B, 1)``
+    column of temperatures with ``(B, n)`` or ``(B, 1)`` projections gives
+    one row of counts per sweep.
     """
+    d_mhz = nv_resonance_of_temperature(config.nv_cal, t_nv_c)
     f_lo, f_hi = zeeman_resonances(d_mhz, b_points, config.bfield.gyromagnetic_mhz_per_mt)
     line = (config.odmr.linewidth_mhz, 0.5 * config.odmr.contrast)
     model = OdmrModel(config.odmr.baseline_rate_cps, ((f_lo, *line), (f_hi, *line)))
-    return odmr_expected_counts(model, axis, exposure_s)
+    return odmr_expected_counts(model, config.odmr.axis(), exposure_s)
+
+
+def pl_counts(config: ScenarioConfig, t_siv_c: float | FloatArray, exposure_s: float) -> FloatArray:
+    """Expected counts of a PL spectrum at ``t_siv_c``, ``exposure_s`` per bin (``PlSettings.model``).
+
+    A ``(B, 1)`` column of temperatures gives one row of counts per spectrum.
+    """
+    model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_siv_c))
+    return pl_expected_counts(model, config.pl.axis(), exposure_s)
 
 
 def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArray:
@@ -319,11 +315,9 @@ def _synthesise(
     bproc = BFieldProcess(b_max_mt=config.bfield.b_max_mt, dwell_s=config.bfield.dwell_s)
     if b_active:
         bproc = bfield_resample(bproc, gens["bfield"])
-    odmr_axis = config.odmr.axis()
-    pl_axis = config.pl.axis()
-    n_pts = odmr_axis.size
+    n_pts = config.odmr.sweep_points
     tau_s = config.odmr.sweep_time_s / n_pts
-    nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
+    nv_line_counts = pl_expected_counts(config.pl.nv_line(), config.pl.axis(), config.pl.exposure_s)
 
     for start in range(0, len(truth), FIT_CHUNK_RECORDS):
         rows = truth[start : start + FIT_CHUNK_RECORDS]
@@ -342,14 +336,12 @@ def _synthesise(
             # without a field every sample sees B = 0, where the Zeeman pair
             # merges into one dip; nothing is drawn from the field stream
             b_points = np.zeros((len(rows), 1))
-        d_mhz = nv_resonance_of_temperature(config.nv_cal, rows[:, :1])
-        odmr_counts = odmr_sweep_counts(config, odmr_axis, d_mhz, b_points, tau_s) * factors
-        pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, rows[:, 1:2]))
-        pl_counts = pl_expected_counts(pl_model, pl_axis, config.pl.exposure_s) * factors
+        odmr = odmr_sweep_counts(config, rows[:, :1], b_points, tau_s) * factors
+        pl = pl_counts(config, rows[:, 1:2], config.pl.exposure_s) * factors
         if not config.noiseless:
-            odmr_counts = sample_poisson_counts(odmr_counts, gens["odmr"]).astype(np.float64)
-            pl_counts = sample_poisson_counts(pl_counts, gens["pl"]).astype(np.float64)
-        yield b_points[:, 0], odmr_counts, _without_nv_line(pl_counts, nv_line_counts)
+            odmr = sample_poisson_counts(odmr, gens["odmr"]).astype(np.float64)
+            pl = sample_poisson_counts(pl, gens["pl"]).astype(np.float64)
+        yield b_points[:, 0], odmr, _without_nv_line(pl, nv_line_counts)
 
 
 def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecord]:
@@ -380,17 +372,19 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
     rows = truth.tolist()
-    for b_par, odmr_counts, pl_counts in _synthesise(config, truth):
-        ones = fit_odmr_stack(odmr_axis, odmr_counts, 1)
-        twos = fit_two_dip_candidates(odmr_axis, odmr_counts, ones)
-        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_counts, pl_counts, ones, twos):
+    for b_par, odmr_chunk, pl_chunk in _synthesise(config, truth):
+        ones = fit_odmr_stack(odmr_axis, odmr_chunk, 1)
+        twos = fit_two_dip_candidates(odmr_axis, odmr_chunk, ones)
+        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_chunk, pl_chunk, ones, twos):
             k = len(readouts)
             time_s = k * config.sample_period_s
             true_t_c, _, laser_mw = rows[k]
             odmr_trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr)
             n_dips, nv_fit = select_dip_count(odmr_trace, one=one, two=two)
             d_center, d_sigma = nv_fit.derived["d_center"]
-            nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
+            # mean contrast and mean linewidth over the fitted dips
+            nv_contrast = sum(nv_fit.params[f"contrast_{d}"] for d in range(1, n_dips + 1)) / n_dips
+            nv_fwhm = sum(nv_fit.params[f"fwhm_{d}"] for d in range(1, n_dips + 1)) / n_dips
             est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, time_s)
 
             pl_fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl))
@@ -478,17 +472,14 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
 
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
-    d_mhz = nv_resonance_of_temperature(config.nv_cal, config.heating_nv.t_ambient_c)
-    pl_model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, config.heating_siv.t_ambient_c))
 
     results: dict[str, list[tuple[float, float]]] = {ch: [] for ch in p.channels}
     for channel in p.channels:
         for t_int in p.integration_times_s:
             if channel == "nv":
-                tau_s = t_int / odmr_axis.size
-                expected = odmr_sweep_counts(config, odmr_axis, d_mhz, np.zeros(odmr_axis.size), tau_s)
+                expected = odmr_sweep_counts(config, config.heating_nv.t_ambient_c, 0.0, t_int / odmr_axis.size)
             else:
-                expected = pl_expected_counts(pl_model, pl_axis, t_int)
+                expected = pl_counts(config, config.heating_siv.t_ambient_c, t_int)
                 nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, t_int)
             values = []
             for _ in range(p.repetitions):
@@ -531,14 +522,11 @@ def recovered_step_amplitude(
     return mean_hi - mean_lo, math.sqrt(var_lo + var_hi)
 
 
-def run_scenario(
-    config: ScenarioConfig,
-) -> list[ScenarioRecord] | dict[str, list[tuple[float, float]]]:
+def run_scenario(config: ScenarioConfig) -> list[ScenarioRecord] | dict[str, list[tuple[float, float]]]:
     """Dispatch a configured scenario to its runner."""
-    if config.kind is ScenarioKind.RAMP:
-        return run_ramp(config)
-    if config.kind is ScenarioKind.PRECISION_SWEEP:
-        return run_precision_sweep(config)
-    if config.kind is ScenarioKind.BFIELD_ARTIFACT:
-        return run_bfield_artifact(config)
-    return run_laser_modulation(config)
+    return {
+        ScenarioKind.RAMP: run_ramp,
+        ScenarioKind.PRECISION_SWEEP: run_precision_sweep,
+        ScenarioKind.BFIELD_ARTIFACT: run_bfield_artifact,
+        ScenarioKind.LASER_MODULATION: run_laser_modulation,
+    }[config.kind](config)

@@ -787,3 +787,25 @@ def test_fit_odmr_stack_validates_its_inputs():
     assert fit_odmr_stack(ODMR_AXIS, counts[:0], 1) == []
     with pytest.raises(ValueError, match="n_dips"):
         fit_odmr_stack(ODMR_AXIS, counts[:2], 3)
+
+
+def test_stack_fits_refuse_what_a_trace_refuses():
+    counts, _ = _stack_corpus(1)
+    ones = fit_odmr_stack(ODMR_AXIS, counts, 1)
+    with_nan, negative = counts.copy(), counts.copy()
+    with_nan[1, 5] = np.nan
+    negative[2, 7] = -1.0
+    cases = [
+        (ODMR_AXIS, counts[0], r"counts of shape \(201,\) are not \(B, n\) for an axis of n = 201 samples"),
+        (ODMR_AXIS[:4], counts[:, :4], "need at least 8 samples, got 4"),
+        (ODMR_AXIS[::-1], counts, "axis must be strictly increasing"),
+        (ODMR_AXIS, with_nan, "counts must be finite, got nan at sample 5"),
+        (ODMR_AXIS, negative, "counts must be non-negative"),
+    ]
+    for axis, rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            fit_odmr_stack(axis, rows, 1)
+        with pytest.raises(ValueError, match=message):
+            fit_two_dip_candidates(axis, rows, ones)
+    with pytest.raises(ValueError, match="need at least 8 samples, got 4"):
+        fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS[:4], counts[0, :4]), 1)

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -639,3 +640,61 @@ def test_infinite_duration_is_refused_before_the_run():
     # an infinite session used to pass validation and overflow in the run
     with pytest.raises(ValueError, match="duration_s must be a finite number"):
         ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, duration_s=math.inf)
+
+
+def _wrong_types(hint):
+    """Values of the wrong type for a field declared as ``hint``."""
+    if hint in (float, int):
+        return ["1.0", None, True]
+    if hint is bool:
+        return [1, "no"]
+    if hint == tuple[float, ...]:
+        return [1.0, [1.0, "x"], [1.0, True]]
+    if hint == tuple[str, ...]:
+        return ["siv", ["siv", 1]]
+    if hint is ScenarioKind:
+        return ["ramp"]
+    return [{}]
+
+
+def _typed_fields():
+    """``(settings class, field name, declared type)`` for every field of the settings."""
+    return [(cls, name, hint) for cls in _SETTINGS for name, hint in get_type_hints(cls).items()]
+
+
+@pytest.mark.parametrize(
+    "cls,name,hint", [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}") for case in _typed_fields()]
+)
+def test_declared_types_refuse_values_of_another_type(cls, name, hint):
+    for value in _wrong_types(hint):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} ")):
+            _build(cls, name, value)
+
+
+def test_every_field_type_is_one_the_settings_check():
+    hints = [hint for _, _, hint in _typed_fields()]
+    counts = {hint: hints.count(hint) for hint in (float, int, bool, tuple[float, ...], tuple[str, ...])}
+    assert counts == {float: 44, int: 6, bool: 1, tuple[float, ...]: 1, tuple[str, ...]: 1}
+    classes = [hint for hint in hints if hint not in counts]
+    assert len(classes) == 13 and ScenarioKind in classes
+
+
+def test_library_configs_of_the_wrong_type_are_refused_before_the_run():
+    # each of these used to run, or fail later, as another run than asked for
+    with pytest.raises(ValueError, match="^kind must be of type ScenarioKind, got 'ramp'$"):
+        run_scenario(ScenarioConfig(kind="ramp", duration_s=15.0))
+    with pytest.raises(ValueError, match="^noiseless must be true or false, got 'no'$"):
+        run_bfield_artifact(ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, duration_s=15.0, noiseless="no"))
+    with pytest.raises(ValueError, match=r"^odmr must be of type OdmrSettings, got \{\}$"):
+        run_bfield_artifact(ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, duration_s=15.0, odmr={}))
+    with pytest.raises(ValueError, match="^contrast must be a finite number, got '0.1'$"):
+        OdmrSettings(contrast="0.1")
+    with pytest.raises(ValueError, match=r"^z_threshold must be a finite number, got \(1\+2j\)$"):
+        MonitorConfig(z_threshold=1 + 2j)
+
+
+def test_numbers_are_stored_as_floats():
+    config = ScenarioConfig(duration_s=60, precision=PrecisionParams(integration_times_s=[1, np.float32(3.0)]))
+    assert config.duration_s == 60.0 and type(config.duration_s) is float
+    assert config.precision.integration_times_s == (1.0, 3.0)
+    assert all(type(t) is float for t in config.precision.integration_times_s)
