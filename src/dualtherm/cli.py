@@ -126,12 +126,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_or_default(args)
     gens = subsystem_generators(config.seed)
     if args.channel == "odmr":
-        axis, exposure_s = config.odmr.axis(), config.odmr.sweep_time_s / config.odmr.sweep_points
-        expected = odmr_sweep_counts(config, args.temperature, 0.0, exposure_s)
+        axis = config.odmr.axis()
+        exposure_s = config.odmr.sweep_time_s / axis.size
+        expected = odmr_sweep_counts(config, axis, args.temperature, 0.0, exposure_s)
         rng, axis_label = gens["odmr"], "freq_MHz"
     else:
         axis, exposure_s = config.pl.axis(), config.pl.exposure_s
-        expected = pl_counts(config, args.temperature, exposure_s)
+        expected = pl_counts(config, axis, args.temperature, exposure_s)
         rng, axis_label = gens["pl"], "wavelength_nm"
     counts = expected if args.noiseless else sample_poisson_counts(expected, rng).astype(np.float64)
 
@@ -186,10 +187,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     axis, counts = _read_trace_csv(args.input)
     if args.kind == "odmr":
         trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
-        if args.n_dips == "auto":
+        choice = args.n_dips
+        if choice == "auto":
             n_dips, fit = select_dip_count(trace)
         else:
-            n_dips = int(args.n_dips)
+            n_dips = int(choice)
             fit = fit_odmr_dips(trace, n_dips)
         payload = _fit_payload(fit, n_dips)
     else:

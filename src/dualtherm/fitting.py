@@ -432,6 +432,20 @@ def _check_sample_count(axis: FloatArray) -> None:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {axis.size}")
 
 
+def _check_trace(trace: SpectrumTrace, kind: AxisKind) -> None:
+    # the trace checked its spectrum when it was built, so a fit of it checks only its kind and size
+    if trace.axis_kind is not kind:
+        raise ValueError(f"expected a {kind.value.split('_')[0]}-axis trace, got {trace.axis_kind}")
+    _check_sample_count(trace.axis)
+
+
+def _check_stack(axis: FloatArray, counts: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """``check_spectra`` of a ``(B, n)`` count matrix with enough samples to fit."""
+    axis, counts = check_spectra(axis, counts, rows=True)
+    _check_sample_count(axis)
+    return axis, counts
+
+
 def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
@@ -439,10 +453,8 @@ def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     from the samples alone (``_peak_init``).  A converged result whose
     center escaped the fitted interval is demoted to ``converged = False``.
     """
-    if trace.axis_kind is not AxisKind.WAVELENGTH_NM:
-        raise ValueError(f"expected a wavelength-axis trace, got {trace.axis_kind}")
+    _check_trace(trace, AxisKind.WAVELENGTH_NM)
     axis, counts = trace.axis, trace.counts
-    _check_sample_count(axis)
     p0 = np.array([_peak_init(axis, counts)])
     return _peak_result(axis, *_fit(_peak_model, axis, counts[None], p0, MAX_ITERATIONS)[0])
 
@@ -515,9 +527,8 @@ def fit_odmr_dips(trace: SpectrumTrace, n_dips: int) -> FitResult:
     The fit is a stack of one (``fit_odmr_stack``), which says where it
     starts.
     """
-    if trace.axis_kind is not AxisKind.FREQUENCY_MHZ:
-        raise ValueError(f"expected a frequency-axis trace, got {trace.axis_kind}")
-    return fit_odmr_stack(trace.axis, trace.counts[None], n_dips)[0]
+    _check_trace(trace, AxisKind.FREQUENCY_MHZ)
+    return _fit_odmr_stack(trace.axis, trace.counts[None], n_dips)[0]
 
 
 def fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[FitResult]:
@@ -531,15 +542,18 @@ def fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[Fi
     ``scenarios.FIT_CHUNK_RECORDS``).  The spectra must pass
     ``forward.check_spectra`` and have at least ``MIN_FIT_SAMPLES`` samples.
     """
+    return _fit_odmr_stack(*_check_stack(axis, counts), n_dips)
+
+
+def _fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[FitResult]:
+    """``fit_odmr_stack`` of spectra already checked."""
     _odmr_param_names(n_dips)  # rejects any n_dips but 1 and 2
-    axis, counts = check_spectra(axis, counts, rows=True)
-    _check_sample_count(axis)
     if not len(counts):
         return []
     if n_dips == 1:
         starts = np.array([_odmr_init(axis, row, 1) for row in counts])
     else:
-        starts = _two_dip_starts(axis, counts, fit_odmr_stack(axis, counts, 1))
+        starts = _two_dip_starts(axis, counts, _fit_odmr_stack(axis, counts, 1))
     return _fit_dips(axis, counts, starts)
 
 
@@ -821,9 +835,13 @@ def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[
     hold their stack open.  On 1.0 mT sessions a patience of 20 or 30
     changed none of 600 choices against the full fit (``_bic_choice`` of
     ``fit_odmr_dips`` with one and two dips), and one of 15 changed 4.
+    The spectra are checked as by ``fit_odmr_stack``.
     """
-    axis, counts = check_spectra(axis, counts, rows=True)
-    _check_sample_count(axis)
+    return _two_dip_candidates(*_check_stack(axis, counts), ones)
+
+
+def _two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> list[FitResult | None]:
+    """``fit_two_dip_candidates`` of spectra already checked."""
     picked = np.flatnonzero(~_screened_out(second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
     twos: list[FitResult | None] = [None] * len(ones)
@@ -854,7 +872,7 @@ def select_dip_count(
         if two is not None:
             raise ValueError("a two-dip candidate needs the one-dip fit it was started from")
         one = fit_odmr_dips(trace, 1)
-        two = fit_two_dip_candidates(trace.axis, trace.counts[None], [one])[0]
+        two = _two_dip_candidates(trace.axis, trace.counts[None], [one])[0]
     if two is None:
         return 1, one
     return _bic_choice(trace, one, two)

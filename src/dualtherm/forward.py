@@ -55,6 +55,7 @@ _TYPE_RULES = {
     tuple[float, ...]: "must be a list of numbers",
     tuple[str, ...]: "must be a list of strings",
 }
+_TUPLE_TYPES = (tuple[float, ...], tuple[str, ...])
 
 
 def _stored(hint: Any, v: Any) -> Any:
@@ -66,7 +67,7 @@ def _stored(hint: Any, v: Any) -> Any:
             except OverflowError:
                 return math.inf
         return None
-    if hint in (tuple[float, ...], tuple[str, ...]):
+    if hint in _TUPLE_TYPES:
         items = tuple(_stored(hint.__args__[0], x) for x in v) if isinstance(v, (list, tuple)) else (None,)
         return None if None in items else items
     return v if isinstance(v, hint) else None
@@ -91,9 +92,10 @@ class Settings:
     (``_TYPE_RULES``); a number is stored as a ``float``, a list as a
     tuple.  Then every value of a ``float`` or ``tuple[float, ...]`` field
     must be finite, and every value must pass the field's declared bound;
-    a tuple's values are its elements.  A failed type or bound reads
-    ``"{name} {rule}, got {value!r}"``.  A subclass adds only its
-    cross-field checks, after ``super().__post_init__()``.
+    the values of a tuple field are its elements, of any other field the
+    field's value itself.  A failed type or bound reads ``"{name} {rule},
+    got {value!r}"``.  A subclass adds only its cross-field checks, after
+    ``super().__post_init__()``.
     """
 
     def __post_init__(self) -> None:
@@ -106,7 +108,7 @@ class Settings:
                     raise ValueError(f"{name} {rule}, got {value!r}")
                 object.__setattr__(self, name, stored)
                 value = stored
-            for v in value if isinstance(value, tuple) else (value,):
+            for v in value if hint in _TUPLE_TYPES else (value,):
                 for b in bounds:
                     if not b["holds"](v):
                         raise ValueError(f"{name} {b['rule']}, got {v!r}")

@@ -32,6 +32,7 @@ from .crossval import MonitorConfig, pair_z, tumbling_verdicts
 from .crossval import artifact_monitor  # noqa: F401
 from .fitting import (
     MIN_FIT_SAMPLES,
+    FitResult,
     fit_odmr_dips,
     fit_odmr_stack,
     fit_pl_peak,
@@ -256,10 +257,21 @@ class ScenarioRecord:
                 raise ValueError(f"{name} must be >= 0")
 
 
+def _nv_summary(fit: FitResult, n_dips: int) -> tuple[float, float]:
+    # mean contrast and mean linewidth over the fitted dips
+    contrast = sum(fit.params[f"contrast_{d}"] for d in range(1, n_dips + 1)) / n_dips
+    fwhm = sum(fit.params[f"fwhm_{d}"] for d in range(1, n_dips + 1)) / n_dips
+    return contrast, fwhm
+
+
 def odmr_sweep_counts(
-    config: ScenarioConfig, t_nv_c: float | FloatArray, b_points: float | FloatArray, exposure_s: float
+    config: ScenarioConfig,
+    axis: FloatArray,
+    t_nv_c: float | FloatArray,
+    b_points: float | FloatArray,
+    exposure_s: float,
 ) -> FloatArray:
-    """Expected counts of an ODMR sweep on the configured axis, ``exposure_s`` per sample.
+    """Expected counts of an ODMR sweep on ``axis``, ``exposure_s`` per sample.
 
     The Zeeman pair about the splitting at ``t_nv_c``, each line with half
     the configured contrast, in the field projection ``b_points`` each
@@ -271,16 +283,16 @@ def odmr_sweep_counts(
     f_lo, f_hi = zeeman_resonances(d_mhz, b_points, config.bfield.gyromagnetic_mhz_per_mt)
     line = (config.odmr.linewidth_mhz, 0.5 * config.odmr.contrast)
     model = OdmrModel(config.odmr.baseline_rate_cps, ((f_lo, *line), (f_hi, *line)))
-    return odmr_expected_counts(model, config.odmr.axis(), exposure_s)
+    return odmr_expected_counts(model, axis, exposure_s)
 
 
-def pl_counts(config: ScenarioConfig, t_siv_c: float | FloatArray, exposure_s: float) -> FloatArray:
-    """Expected counts of a PL spectrum at ``t_siv_c``, ``exposure_s`` per bin (``PlSettings.model``).
+def pl_counts(config: ScenarioConfig, axis: FloatArray, t_siv_c: float | FloatArray, exposure_s: float) -> FloatArray:
+    """Expected counts of a PL spectrum on ``axis`` at ``t_siv_c``, ``exposure_s`` per bin (``PlSettings.model``).
 
     A ``(B, 1)`` column of temperatures gives one row of counts per spectrum.
     """
     model = config.pl.model(*siv_zpl_of_temperature(config.siv_cal, t_siv_c))
-    return pl_expected_counts(model, config.pl.axis(), exposure_s)
+    return pl_expected_counts(model, axis, exposure_s)
 
 
 def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArray:
@@ -296,9 +308,9 @@ def _without_nv_line(counts: FloatArray, nv_line_counts: FloatArray) -> FloatArr
 
 
 def _synthesise(
-    config: ScenarioConfig, truth: FloatArray
+    config: ScenarioConfig, truth: FloatArray, odmr_axis: FloatArray, pl_axis: FloatArray
 ) -> Iterator[tuple[FloatArray, FloatArray, FloatArray]]:
-    """Both channels' spectra, ``FIT_CHUNK_RECORDS`` records at a time.
+    """Both channels' spectra on their axes, ``FIT_CHUNK_RECORDS`` records at a time.
 
     ``truth`` holds one ``(t_nv_c, t_siv_c, laser_mw)`` row per record.
     Each chunk yields the field at the start of each record's sweep and the
@@ -315,9 +327,9 @@ def _synthesise(
     bproc = BFieldProcess(b_max_mt=config.bfield.b_max_mt, dwell_s=config.bfield.dwell_s)
     if b_active:
         bproc = bfield_resample(bproc, gens["bfield"])
-    n_pts = config.odmr.sweep_points
+    n_pts = odmr_axis.size
     tau_s = config.odmr.sweep_time_s / n_pts
-    nv_line_counts = pl_expected_counts(config.pl.nv_line(), config.pl.axis(), config.pl.exposure_s)
+    nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, config.pl.exposure_s)
 
     for start in range(0, len(truth), FIT_CHUNK_RECORDS):
         rows = truth[start : start + FIT_CHUNK_RECORDS]
@@ -336,12 +348,12 @@ def _synthesise(
             # without a field every sample sees B = 0, where the Zeeman pair
             # merges into one dip; nothing is drawn from the field stream
             b_points = np.zeros((len(rows), 1))
-        odmr = odmr_sweep_counts(config, rows[:, :1], b_points, tau_s) * factors
-        pl = pl_counts(config, rows[:, 1:2], config.pl.exposure_s) * factors
+        odmr_counts = odmr_sweep_counts(config, odmr_axis, rows[:, :1], b_points, tau_s) * factors
+        pl_spectra = pl_counts(config, pl_axis, rows[:, 1:2], config.pl.exposure_s) * factors
         if not config.noiseless:
-            odmr = sample_poisson_counts(odmr, gens["odmr"]).astype(np.float64)
-            pl = sample_poisson_counts(pl, gens["pl"]).astype(np.float64)
-        yield b_points[:, 0], odmr, _without_nv_line(pl, nv_line_counts)
+            odmr_counts = sample_poisson_counts(odmr_counts, gens["odmr"]).astype(np.float64)
+            pl_spectra = sample_poisson_counts(pl_spectra, gens["pl"]).astype(np.float64)
+        yield b_points[:, 0], odmr_counts, _without_nv_line(pl_spectra, nv_line_counts)
 
 
 def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecord]:
@@ -372,19 +384,17 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
     odmr_axis = config.odmr.axis()
     pl_axis = config.pl.axis()
     rows = truth.tolist()
-    for b_par, odmr_chunk, pl_chunk in _synthesise(config, truth):
-        ones = fit_odmr_stack(odmr_axis, odmr_chunk, 1)
-        twos = fit_two_dip_candidates(odmr_axis, odmr_chunk, ones)
-        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_chunk, pl_chunk, ones, twos):
+    for b_par, odmr_counts, pl_counts in _synthesise(config, truth, odmr_axis, pl_axis):
+        ones = fit_odmr_stack(odmr_axis, odmr_counts, 1)
+        twos = fit_two_dip_candidates(odmr_axis, odmr_counts, ones)
+        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_counts, pl_counts, ones, twos):
             k = len(readouts)
             time_s = k * config.sample_period_s
             true_t_c, _, laser_mw = rows[k]
             odmr_trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr)
             n_dips, nv_fit = select_dip_count(odmr_trace, one=one, two=two)
             d_center, d_sigma = nv_fit.derived["d_center"]
-            # mean contrast and mean linewidth over the fitted dips
-            nv_contrast = sum(nv_fit.params[f"contrast_{d}"] for d in range(1, n_dips + 1)) / n_dips
-            nv_fwhm = sum(nv_fit.params[f"fwhm_{d}"] for d in range(1, n_dips + 1)) / n_dips
+            nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
             est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, time_s)
 
             pl_fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl))
@@ -477,9 +487,10 @@ def run_precision_sweep(config: ScenarioConfig) -> dict[str, list[tuple[float, f
     for channel in p.channels:
         for t_int in p.integration_times_s:
             if channel == "nv":
-                expected = odmr_sweep_counts(config, config.heating_nv.t_ambient_c, 0.0, t_int / odmr_axis.size)
+                tau_s = t_int / odmr_axis.size
+                expected = odmr_sweep_counts(config, odmr_axis, config.heating_nv.t_ambient_c, 0.0, tau_s)
             else:
-                expected = pl_counts(config, config.heating_siv.t_ambient_c, t_int)
+                expected = pl_counts(config, pl_axis, config.heating_siv.t_ambient_c, t_int)
                 nv_line_counts = pl_expected_counts(config.pl.nv_line(), pl_axis, t_int)
             values = []
             for _ in range(p.repetitions):
@@ -522,11 +533,14 @@ def recovered_step_amplitude(
     return mean_hi - mean_lo, math.sqrt(var_lo + var_hi)
 
 
-def run_scenario(config: ScenarioConfig) -> list[ScenarioRecord] | dict[str, list[tuple[float, float]]]:
+def run_scenario(
+    config: ScenarioConfig,
+) -> list[ScenarioRecord] | dict[str, list[tuple[float, float]]]:
     """Dispatch a configured scenario to its runner."""
-    return {
-        ScenarioKind.RAMP: run_ramp,
-        ScenarioKind.PRECISION_SWEEP: run_precision_sweep,
-        ScenarioKind.BFIELD_ARTIFACT: run_bfield_artifact,
-        ScenarioKind.LASER_MODULATION: run_laser_modulation,
-    }[config.kind](config)
+    if config.kind is ScenarioKind.RAMP:
+        return run_ramp(config)
+    if config.kind is ScenarioKind.PRECISION_SWEEP:
+        return run_precision_sweep(config)
+    if config.kind is ScenarioKind.BFIELD_ARTIFACT:
+        return run_bfield_artifact(config)
+    return run_laser_modulation(config)

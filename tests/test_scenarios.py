@@ -645,7 +645,7 @@ def test_infinite_duration_is_refused_before_the_run():
 def _wrong_types(hint):
     """Values of the wrong type for a field declared as ``hint``."""
     if hint in (float, int):
-        return ["1.0", None, True]
+        return ["1.0", None, True, (), (8,)]
     if hint is bool:
         return [1, "no"]
     if hint == tuple[float, ...]:
