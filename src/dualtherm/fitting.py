@@ -288,7 +288,7 @@ def _fit(
     a stack of parameter vectors, retires rows early: a row whose accepted
     iterate fails it once the row has run ``_PAIR_PATIENCE`` iterations
     leaves there, not converged.
-    Only the two-dip candidates of ``fit_two_dip_candidates`` pass one;
+    Only the two-dip candidates of ``fit_odmr_candidates`` pass one;
     every other fit runs to convergence or the cap.
 
     The caller bounds the stack: the record pipeline passes at
@@ -439,13 +439,6 @@ def _check_trace(trace: SpectrumTrace, kind: AxisKind) -> None:
     _check_sample_count(trace.axis)
 
 
-def _check_stack(axis: FloatArray, counts: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """``check_spectra`` of a ``(B, n)`` count matrix with enough samples to fit."""
-    axis, counts = check_spectra(axis, counts, rows=True)
-    _check_sample_count(axis)
-    return axis, counts
-
-
 def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
@@ -524,37 +517,22 @@ def fit_odmr_dips(trace: SpectrumTrace, n_dips: int) -> FitResult:
     Dips have independent center/width/contrast.  For ``n_dips = 2`` the dips
     are reported in ascending center order, and ``derived["d_center"]`` holds
     the midpoint of the dip pattern with its propagated 1-sigma uncertainty.
-    The fit is a stack of one (``fit_odmr_stack``), which says where it
-    starts.
-    """
-    _check_trace(trace, AxisKind.FREQUENCY_MHZ)
-    return _fit_odmr_stack(trace.axis, trace.counts[None], n_dips)[0]
-
-
-def fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[FitResult]:
-    """``fit_odmr_dips`` of every row of ``counts`` ``(B, n)`` on ``axis``, fitted as one stack by ``_fit``.
-
     A one-dip fit starts from the samples alone (``_odmr_init``).  A two-dip
     fit first fits one dip and starts from ``_two_dip_starts`` of that fit,
-    the start ``select_dip_count`` uses too.  Each result equals the one
-    ``fit_odmr_dips`` returns for its row, bit for bit.  Every row is in
-    flight at once, so the caller bounds the stack (the record pipeline by
-    ``scenarios.FIT_CHUNK_RECORDS``).  The spectra must pass
-    ``forward.check_spectra`` and have at least ``MIN_FIT_SAMPLES`` samples.
+    the start of the candidates of ``fit_odmr_candidates`` too.
     """
-    return _fit_odmr_stack(*_check_stack(axis, counts), n_dips)
-
-
-def _fit_odmr_stack(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[FitResult]:
-    """``fit_odmr_stack`` of spectra already checked."""
+    _check_trace(trace, AxisKind.FREQUENCY_MHZ)
     _odmr_param_names(n_dips)  # rejects any n_dips but 1 and 2
-    if not len(counts):
-        return []
+    axis, counts = trace.axis, trace.counts[None]
+    [one] = _one_dip_fits(axis, counts)
     if n_dips == 1:
-        starts = np.array([_odmr_init(axis, row, 1) for row in counts])
-    else:
-        starts = _two_dip_starts(axis, counts, _fit_odmr_stack(axis, counts, 1))
-    return _fit_dips(axis, counts, starts)
+        return one
+    return _fit_dips(axis, counts, _two_dip_starts(axis, counts, [one]))[0]
+
+
+def _one_dip_fits(axis: FloatArray, counts: FloatArray) -> list[FitResult]:
+    """One-dip fits of the rows of ``counts``, each started from its samples alone, as one stack."""
+    return _fit_dips(axis, counts, np.array([_odmr_init(axis, row, 1) for row in counts]))
 
 
 def _fit_dips(
@@ -704,7 +682,7 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     return shapes, squares
 
 
-def second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> FloatArray:
+def _second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> FloatArray:
     """Rao score estimates of the chi-square a second dip can buy, one per row of ``counts``.
 
     ``ones[i]`` is the one-dip fit of ``counts[i]`` on ``axis``.  Linearises
@@ -728,7 +706,7 @@ def second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitRe
 
     Trusted records are scored ``SCREEN_BLOCK_RECORDS`` at a time, so that
     each pass over the cached grid, the screen's main memory traffic, serves
-    the whole block.
+    the whole block.  ``fit_odmr_candidates`` checks the spectra first.
     """
     if len(ones) != len(counts):
         raise ValueError(f"got {len(ones)} one-dip fits for {len(counts)} spectra")
@@ -752,7 +730,7 @@ def second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitRe
 def _block_scores(
     axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult], lor: FloatArray, lor2: FloatArray
 ) -> FloatArray:
-    """``second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
+    """``_second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
     n_records = len(ones)
     weights = 1.0 / np.maximum(counts, 1.0)
     root_w = np.sqrt(weights)
@@ -791,7 +769,7 @@ def _bic_margin(n_samples: int) -> float:
 
 
 def _screened_out(score: float | FloatArray, n_samples: int) -> bool | NDArray[np.bool_]:
-    """Whether a ``second_dip_scores`` score rules the two-dip fit out, leaving the choice at one dip.
+    """Whether a ``_second_dip_scores`` score rules the two-dip fit out, leaving the choice at one dip.
 
     A second dip costs the BIC margin ``3 ln n``, and a kept pair must also
     clear ``MIN_DIP_SIGNIFICANCE`` (5) sigma of contrast in each dip
@@ -818,14 +796,18 @@ def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[i
     return 1, one
 
 
-def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> list[FitResult | None]:
-    """The two-dip fits ``select_dip_count`` needs for a run of records, as one stack.
+def fit_odmr_candidates(axis: FloatArray, counts: FloatArray) -> list[tuple[FitResult, FitResult | None]]:
+    """The fits ``select_dip_count`` chooses between, for every row of ``counts`` ``(B, n)`` on ``axis``.
 
-    ``ones[i]`` is the one-dip fit of ``counts[i]`` on ``axis``.  A record
-    whose ``second_dip_scores`` score rules the second dip out
-    (``_screened_out``) gets ``None``.  Every other record's candidate starts
-    from ``_two_dip_starts`` of its one-dip fit, and all of them are fitted
-    as one stack.
+    Row ``i`` gets its one-dip fit, which equals ``fit_odmr_dips`` of it
+    with one dip bit for bit, and its two-dip candidate, or ``None`` where
+    the row's ``_second_dip_scores`` score rules the second dip out
+    (``_screened_out``).  The one-dip fits are one stack; every candidate
+    starts from ``_two_dip_starts`` of its one-dip fit, and the candidates
+    are a second stack.  Every row of a stack is in flight at once, so the
+    caller bounds it (the record pipeline by ``scenarios.FIT_CHUNK_RECORDS``).
+    The spectra must pass ``forward.check_spectra`` and have at least
+    ``MIN_FIT_SAMPLES`` samples.
 
     A candidate that is still no physical pair (``_physical_pairs``) after
     ``_PAIR_PATIENCE`` iterations is retired there, not converged, so
@@ -835,24 +817,23 @@ def fit_two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[
     hold their stack open.  On 1.0 mT sessions a patience of 20 or 30
     changed none of 600 choices against the full fit (``_bic_choice`` of
     ``fit_odmr_dips`` with one and two dips), and one of 15 changed 4.
-    The spectra are checked as by ``fit_odmr_stack``.
     """
-    return _two_dip_candidates(*_check_stack(axis, counts), ones)
-
-
-def _two_dip_candidates(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> list[FitResult | None]:
-    """``fit_two_dip_candidates`` of spectra already checked."""
-    picked = np.flatnonzero(~_screened_out(second_dip_scores(axis, counts, ones), axis.size))
+    axis, counts = check_spectra(axis, counts, rows=True)
+    _check_sample_count(axis)
+    if not len(counts):
+        return []
+    ones = _one_dip_fits(axis, counts)
+    picked = np.flatnonzero(~_screened_out(_second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
     twos: list[FitResult | None] = [None] * len(ones)
     physical = functools.partial(_physical_pairs, axis)
     for i, fit in zip(picked.tolist(), _fit_dips(axis, counts[picked], starts, physical)):
         twos[i] = fit
-    return twos
+    return list(zip(ones, twos))
 
 
 def select_dip_count(
-    trace: SpectrumTrace, *, one: FitResult | None = None, two: FitResult | None = None
+    trace: SpectrumTrace, fits: tuple[FitResult, FitResult | None] | None = None
 ) -> tuple[int, FitResult]:
     """Choose between the one- and two-dip models by BIC.
 
@@ -862,17 +843,15 @@ def select_dip_count(
     ``_dip_pair_admissible``).  The two-dip fit is skipped where the score
     screen shows that no second dip could be kept (``_screened_out``).
 
-    Without ``one``, the one-dip fit of ``trace`` is made here and the
-    candidate comes from ``fit_two_dip_candidates``.  A caller that fitted a
-    run of records passes ``one``, the record's one-dip fit, and ``two``,
-    its entry of ``fit_two_dip_candidates``: ``None`` means the screen ruled
-    the second dip out.
+    ``fits`` is the trace's entry of ``fit_odmr_candidates``, the one-dip
+    fit and the two-dip candidate or ``None``; a caller that fitted a run of
+    records passes it.  Without it the trace is checked and fitted here, as
+    a stack of one.
     """
-    if one is None:
-        if two is not None:
-            raise ValueError("a two-dip candidate needs the one-dip fit it was started from")
-        one = fit_odmr_dips(trace, 1)
-        two = _two_dip_candidates(trace.axis, trace.counts[None], [one])[0]
+    if fits is None:
+        _check_trace(trace, AxisKind.FREQUENCY_MHZ)
+        [fits] = fit_odmr_candidates(trace.axis, trace.counts[None])
+    one, two = fits
     if two is None:
         return 1, one
     return _bic_choice(trace, one, two)

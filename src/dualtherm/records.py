@@ -126,6 +126,8 @@ def write_precision_series(
     series: dict[str, list[tuple[float, float]]], path: str | Path, fmt: str = "csv"
 ) -> None:
     """Write a precision sweep result (per-channel sigma vs integration time)."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if not series or not any(series.values()):
         raise ValueError("refusing to write an empty precision series")
     with open(path, "w", encoding="utf-8", newline="") as stream:
@@ -134,7 +136,7 @@ def write_precision_series(
             for channel in series:
                 for t_int, sigma in series[channel]:
                     stream.write(f"{channel},{format_number(t_int)},{format_number(sigma)}\n")
-        elif fmt == "json":
+        else:
             payload = {
                 channel: [
                     {"integration_time_s": json_number(t_int), "sigma_T_C": json_number(sigma)}
@@ -143,5 +145,3 @@ def write_precision_series(
                 for channel, pairs in series.items()
             }
             stream.write(json_text(payload))
-        else:
-            raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

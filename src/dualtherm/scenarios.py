@@ -33,10 +33,9 @@ from .crossval import artifact_monitor  # noqa: F401
 from .fitting import (
     MIN_FIT_SAMPLES,
     FitResult,
+    fit_odmr_candidates,
     fit_odmr_dips,
-    fit_odmr_stack,
     fit_pl_peak,
-    fit_two_dip_candidates,
     select_dip_count,
 )
 from .forward import (
@@ -371,10 +370,10 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
 
     The run goes in chunks of ``FIT_CHUNK_RECORDS`` records from truth to
     fits: the chunk's spectra as two count matrices (``_synthesise``), one
-    stack of one-dip fits on the shared ODMR axis, one
-    ``fit_two_dip_candidates`` call (the score screen and one stack of the
-    candidates it lets through), then per record the dip-count choice, the
-    PL fit and the readouts.  Every record comes out as if handled alone.
+    ``fit_odmr_candidates`` call on the shared ODMR axis (a stack of one-dip
+    fits, the score screen and a stack of the two-dip candidates it lets
+    through), then per record the dip-count choice, the PL fit and the
+    readouts.  Every record comes out as if handled alone.
     The readouts of the whole run then go through the tumbling-window
     artifact monitor, and each record is built once, flagged if its window
     was.
@@ -385,14 +384,13 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
     pl_axis = config.pl.axis()
     rows = truth.tolist()
     for b_par, odmr_counts, pl_counts in _synthesise(config, truth, odmr_axis, pl_axis):
-        ones = fit_odmr_stack(odmr_axis, odmr_counts, 1)
-        twos = fit_two_dip_candidates(odmr_axis, odmr_counts, ones)
-        for b_par_mt, odmr, pl, one, two in zip(b_par.tolist(), odmr_counts, pl_counts, ones, twos):
+        candidates = fit_odmr_candidates(odmr_axis, odmr_counts)
+        for b_par_mt, odmr, pl, fits in zip(b_par.tolist(), odmr_counts, pl_counts, candidates):
             k = len(readouts)
             time_s = k * config.sample_period_s
             true_t_c, _, laser_mw = rows[k]
             odmr_trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, odmr_axis, odmr)
-            n_dips, nv_fit = select_dip_count(odmr_trace, one=one, two=two)
+            n_dips, nv_fit = select_dip_count(odmr_trace, fits)
             d_center, d_sigma = nv_fit.derived["d_center"]
             nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
             est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, time_s)

@@ -40,11 +40,10 @@ from dualtherm.fitting import (
     _physical_pairs,
     _screen_shapes,
     _screened_out,
+    _second_dip_scores,
     _two_dip_starts,
     _weighted_cost,
-    fit_odmr_stack,
-    fit_two_dip_candidates,
-    second_dip_scores,
+    fit_odmr_candidates,
 )
 from dip_reference import select_dip_count_unscreened
 
@@ -183,6 +182,11 @@ def test_odmr_fit_validates_inputs():
     short = SpectrumTrace(AxisKind.FREQUENCY_MHZ, trace.axis[:5], trace.counts[:5])
     with pytest.raises(ValueError):
         fit_odmr_dips(short, 1)
+    # the bare selector checks the trace itself
+    with pytest.raises(ValueError, match="frequency-axis"):
+        select_dip_count(pl)
+    with pytest.raises(ValueError, match="need at least 8 samples, got 5"):
+        select_dip_count(short)
 
 
 @pytest.mark.parametrize("n_dips", [1, 2])
@@ -270,15 +274,12 @@ def test_select_dip_count_reads_a_missing_candidate_as_screened_out():
     rng = np.random.default_rng(6)
     model = OdmrModel(baseline_rate=5e8, dips=((2856.0, 12.0, 0.06), (2884.0, 12.0, 0.06)))
     trace = _odmr_trace(model, 1.5 / 201, rng)
-    one = fit_odmr_dips(trace, 1)
-    [two] = fit_two_dip_candidates(ODMR_AXIS, trace.counts[None], [one])
+    [(one, two)] = fit_odmr_candidates(ODMR_AXIS, trace.counts[None])
     n_dips, fit = select_dip_count(trace)
     assert n_dips == 2 and fit.params == two.params
-    assert select_dip_count(trace, one=one, two=two) == (2, two)
+    assert select_dip_count(trace, (one, two)) == (2, two)
     # the caller's screen ruled the pair out: the one-dip fit stands
-    assert select_dip_count(trace, one=one) == (1, one)
-    with pytest.raises(ValueError, match="one-dip fit"):
-        select_dip_count(trace, two=two)
+    assert select_dip_count(trace, (one, None)) == (1, one)
 
 
 @pytest.mark.parametrize("depth_sigma", [4.5, 6.0])
@@ -491,7 +492,7 @@ def test_screened_dip_count_agrees_with_unscreened_selector():
     # ... and the screen must skip the two-dip fit on clean spectra
     skipped = 0
     for trace in clean:
-        score = second_dip_scores(ODMR_AXIS, trace.counts[None], [fit_odmr_dips(trace, 1)])[0]
+        score = _second_dip_scores(ODMR_AXIS, trace.counts[None], [fit_odmr_dips(trace, 1)])[0]
         skipped += _screened_out(score, ODMR_AXIS.size)
     assert skipped >= 36, skipped
 
@@ -522,7 +523,7 @@ def test_screen_at_the_admissible_significance_keeps_every_choice():
         n_full, fit_full = select_dip_count_unscreened(trace)
         assert n_screened == n_full, f"spectrum {i}"
         assert fit_screened.params == fit_full.params, f"spectrum {i}"
-        scores.append(float(second_dip_scores(ODMR_AXIS, trace.counts[None], [fit_odmr_dips(trace, 1)])[0]))
+        scores.append(float(_second_dip_scores(ODMR_AXIS, trace.counts[None], [fit_odmr_dips(trace, 1)])[0]))
         chosen.append(n_full)
     scores = np.array(scores)
     kept = np.array(chosen) == 2
@@ -541,7 +542,7 @@ def test_backend_name_reports_numpy():
 def _reference_score(trace: SpectrumTrace, one: FitResult) -> float:
     """The score of one trace as a per-trace loop over the candidate grid.
 
-    Trusts the fit as ``second_dip_scores`` does and projects with one
+    Trusts the fit as ``_second_dip_scores`` does and projects with one
     vector product per candidate; the batched screen must agree with it.
     """
     margin = 3.0 * math.log(trace.axis.size)
@@ -607,9 +608,9 @@ def test_block_scores_equal_single_trace_scores(block):
     traces, ones, kinds = _screen_corpus()
     n = ODMR_AXIS.size
     counts = np.array([t.counts for t in traces])
-    single = np.array([second_dip_scores(ODMR_AXIS, c[None], [o])[0] for c, o in zip(counts, ones)])
+    single = np.array([_second_dip_scores(ODMR_AXIS, c[None], [o])[0] for c, o in zip(counts, ones)])
     scores = np.concatenate(
-        [second_dip_scores(ODMR_AXIS, counts[i : i + block], ones[i : i + block]) for i in range(0, len(traces), block)]
+        [_second_dip_scores(ODMR_AXIS, counts[i : i + block], ones[i : i + block]) for i in range(0, len(traces), block)]
     )
     reference = np.array([_reference_score(t, o) for t, o in zip(traces, ones)])
     assert [o.converged for o in ones] == [kind != "stopped" for kind in kinds]
@@ -632,9 +633,9 @@ def test_block_scores_equal_single_trace_scores(block):
 def test_block_scores_validate_their_inputs():
     traces, ones, _ = _screen_corpus()
     counts = np.array([t.counts for t in traces])
-    assert second_dip_scores(ODMR_AXIS, counts[:0], []).shape == (0,)
+    assert _second_dip_scores(ODMR_AXIS, counts[:0], []).shape == (0,)
     with pytest.raises(ValueError, match="one-dip fits"):
-        second_dip_scores(ODMR_AXIS, counts[:2], ones[:1])
+        _second_dip_scores(ODMR_AXIS, counts[:2], ones[:1])
 
 
 def test_block_score_memory_stays_small():
@@ -643,10 +644,10 @@ def test_block_score_memory_stays_small():
     traces, ones, kinds = _screen_corpus()
     trusted = [i for i, kind in enumerate(kinds) if kind in ("quiet", "split", "faint")][:8]
     block_counts, block_ones = np.array([traces[i].counts for i in trusted]), [ones[i] for i in trusted]
-    second_dip_scores(ODMR_AXIS, block_counts[:1], block_ones[:1])
+    _second_dip_scores(ODMR_AXIS, block_counts[:1], block_ones[:1])
     tracemalloc.start()
     try:
-        second_dip_scores(ODMR_AXIS, block_counts, block_ones)
+        _second_dip_scores(ODMR_AXIS, block_counts, block_ones)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -750,7 +751,7 @@ def _assert_same_fit(fit, ref):
     assert fit.derived == ref.derived
 
 
-def test_fit_odmr_stack_equals_fit_odmr_dips():
+def test_fit_odmr_candidates_equal_fit_odmr_dips():
     counts, starts = _stack_corpus(2)
     traces = [SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS, c) for c in counts]
     for n_dips in (1, 2):
@@ -758,9 +759,24 @@ def test_fit_odmr_stack_equals_fit_odmr_dips():
         for stacked, row, init in zip(_fit_dips(ODMR_AXIS, counts, inits), counts, inits):
             [alone] = _fit_dips(ODMR_AXIS, row[None], init[None])
             _assert_same_fit(stacked, alone)
-        # from the samples, each trace starts as fit_odmr_dips starts it
-        for stacked, trace in zip(fit_odmr_stack(ODMR_AXIS, counts, n_dips), traces):
-            _assert_same_fit(stacked, fit_odmr_dips(trace, n_dips))
+    # from the samples, each trace starts as fit_odmr_dips starts it
+    candidates = fit_odmr_candidates(ODMR_AXIS, counts)
+    ones = [one for one, _ in candidates]
+    pairs = _fit_dips(ODMR_AXIS, counts, _two_dip_starts(ODMR_AXIS, counts, ones))
+    for (one, two), pair, row, trace in zip(candidates, pairs, counts, traces):
+        _assert_same_fit(one, fit_odmr_dips(trace, 1))
+        _assert_same_fit(pair, fit_odmr_dips(trace, 2))
+        # each row is fitted as in a stack of one
+        [(one_alone, two_alone)] = fit_odmr_candidates(ODMR_AXIS, row[None])
+        _assert_same_fit(one, one_alone)
+        assert (two is None) == (two_alone is None)
+        if two is not None:
+            _assert_same_fit(two, two_alone)
+        # a candidate not retired early is the full two-dip fit
+        if two is not None and two.converged:
+            _assert_same_fit(two, pair)
+    # the corpus reaches both outcomes of the screen
+    assert 0 < sum(two is None for _, two in candidates) < len(candidates)
 
 
 def test_two_dip_starts_do_not_depend_on_the_stack():
@@ -782,16 +798,13 @@ def test_two_dip_starts_do_not_depend_on_the_stack():
     assert _two_dip_starts(ODMR_AXIS, counts[:0], []).shape == (0, 7)
 
 
-def test_fit_odmr_stack_validates_its_inputs():
+def test_fit_odmr_candidates_of_no_spectra_are_empty():
     counts, _ = _stack_corpus(1)
-    assert fit_odmr_stack(ODMR_AXIS, counts[:0], 1) == []
-    with pytest.raises(ValueError, match="n_dips"):
-        fit_odmr_stack(ODMR_AXIS, counts[:2], 3)
+    assert fit_odmr_candidates(ODMR_AXIS, counts[:0]) == []
 
 
 def test_stack_fits_refuse_what_a_trace_refuses():
     counts, _ = _stack_corpus(1)
-    ones = fit_odmr_stack(ODMR_AXIS, counts, 1)
     with_nan, negative = counts.copy(), counts.copy()
     with_nan[1, 5] = np.nan
     negative[2, 7] = -1.0
@@ -804,8 +817,6 @@ def test_stack_fits_refuse_what_a_trace_refuses():
     ]
     for axis, rows, message in cases:
         with pytest.raises(ValueError, match=message):
-            fit_odmr_stack(axis, rows, 1)
-        with pytest.raises(ValueError, match=message):
-            fit_two_dip_candidates(axis, rows, ones)
+            fit_odmr_candidates(axis, rows)
     with pytest.raises(ValueError, match="need at least 8 samples, got 4"):
         fit_odmr_dips(SpectrumTrace(AxisKind.FREQUENCY_MHZ, ODMR_AXIS[:4], counts[0, :4]), 1)

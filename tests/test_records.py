@@ -97,6 +97,16 @@ def test_unknown_format_rejected(tmp_path):
         write_records(_records()[:1], tmp_path / "records.xml", "xml")
 
 
+def test_precision_series_refusals_leave_an_existing_file_alone(tmp_path):
+    path = tmp_path / "precision.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match="format"):
+        write_precision_series({"siv": [(0.1, 0.5)]}, path, "xml")
+    with pytest.raises(ValueError, match="empty"):
+        write_precision_series({"siv": []}, path, "csv")
+    assert path.read_bytes() == b"kept\n"
+
+
 def test_parse_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

@@ -302,17 +302,17 @@ def test_two_dip_fits_rarely_reach_the_iteration_cap(monkeypatch):
     margin let through stopped at ``MAX_ITERATIONS``; the screen at the
     admissible significance lets 362 through.  The pipeline fits the two-dip
     candidates of a chunk of records as one stack, so the iterations are
-    read off the candidates ``fit_two_dip_candidates`` returns.
+    read off the candidates ``fit_odmr_candidates`` returns.
     """
-    candidates = scenarios.fit_two_dip_candidates
+    candidates = scenarios.fit_odmr_candidates
     iterations = []
 
-    def counted(axis, counts, ones):
-        twos = candidates(axis, counts, ones)
-        iterations.extend(two.iterations for two in twos if two is not None)
-        return twos
+    def counted(axis, counts):
+        fits = candidates(axis, counts)
+        iterations.extend(two.iterations for _, two in fits if two is not None)
+        return fits
 
-    monkeypatch.setattr(scenarios, "fit_two_dip_candidates", counted)
+    monkeypatch.setattr(scenarios, "fit_odmr_candidates", counted)
     for seed in range(10):
         run_bfield_artifact(
             ScenarioConfig(
@@ -429,8 +429,8 @@ def test_pipeline_dip_count_equals_a_fresh_selection(monkeypatch, seed, duration
     select = scenarios.select_dip_count
     captured = []
 
-    def spy(trace, **kwargs):
-        result = select(trace, **kwargs)
+    def spy(trace, *args):
+        result = select(trace, *args)
         captured.append((trace, result))
         return result
 
@@ -459,8 +459,8 @@ def test_retired_candidates_choose_what_the_full_fit_chooses(monkeypatch, seed):
     select = scenarios.select_dip_count
     captured = []
 
-    def spy(trace, **kwargs):
-        result = select(trace, **kwargs)
+    def spy(trace, *args):
+        result = select(trace, *args)
         captured.append((trace, result))
         return result
 
@@ -481,15 +481,15 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     Fitted in full, the dip narrows far below the sample step and the fit
     runs to ``MAX_ITERATIONS`` before ``_dip_pair_admissible`` rejects it.
     """
-    candidates = fitting.fit_two_dip_candidates
+    candidates = fitting.fit_odmr_candidates
     captured = []
 
-    def spy(axis, counts, ones):
-        twos = candidates(axis, counts, ones)
-        captured.extend((axis, row, one, two) for row, one, two in zip(counts, ones, twos) if two is not None)
-        return twos
+    def spy(axis, counts):
+        fits = candidates(axis, counts)
+        captured.extend((axis, row, one, two) for row, (one, two) in zip(counts, fits) if two is not None)
+        return fits
 
-    monkeypatch.setattr(scenarios, "fit_two_dip_candidates", spy)
+    monkeypatch.setattr(scenarios, "fit_odmr_candidates", spy)
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=seed, duration_s=120.0)
     run_bfield_artifact(cfg)
     [(axis, counts, one, two)] = captured
