@@ -39,7 +39,7 @@ FloatArray = NDArray[np.float64]
 MAX_ITERATIONS = 200
 #: the fewest samples a spectrum must have to be fitted
 MIN_FIT_SAMPLES = 8
-#: a two-dip candidate still no physical pair (``_physical_pairs``) after
+#: a two-dip candidate still no physical pair (``_physical_dips``) after
 #: this many iterations is given up: partially resolved pairs that drift to
 #: a lopsided or over-wide pair run on to the cap and are then rejected
 _PAIR_PATIENCE = 30
@@ -83,7 +83,9 @@ class FitResult:
     covariance: the root of each diagonal entry, 0 for a negative one and
     NaN for a NaN one.  ``derived`` holds quantities computed from the
     fitted parameters with propagated uncertainty (for dip fits, the dip
-    pattern midpoint ``d_center``).
+    pattern midpoint ``d_center``).  ``converged`` means the fit stopped at
+    a cost minimum on physical lines: ``_physical_lines`` for a peak,
+    ``_physical_dips`` for dips.
     """
 
     param_names: tuple[str, ...]
@@ -120,13 +122,19 @@ class RegressionResult:
             raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
+def _median(values: FloatArray) -> float:
+    """Median of a non-empty 1-d array, bit for bit as ``np.median``, which imports ``numpy.ma`` on first use."""
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    middle = ordered[half] if ordered.size % 2 else (ordered[half - 1] + ordered[half]) / 2
+    # a NaN sorts last and makes the median NaN
+    return float(ordered[-1] if math.isnan(ordered[-1]) else middle)
+
+
 def _edge_median(counts: FloatArray) -> float:
     # flat-level estimate from the outer 10% of samples (5% per end, >= 3 each)
     n_edge = max(3, int(math.ceil(0.05 * counts.size)))
-    edges = np.sort(np.concatenate([counts[:n_edge], counts[-n_edge:]]))
-    # the mean of the middle pair, as np.median takes it; a NaN sorts last
-    # and makes the median NaN
-    return float(edges[-1] if math.isnan(edges[-1]) else (edges[n_edge - 1] + edges[n_edge]) / 2)
+    return _median(np.concatenate([counts[:n_edge], counts[-n_edge:]]))
 
 
 def _half_prominence_fwhm(
@@ -287,9 +295,9 @@ def _fit(
     matrix comes out bit for bit as before.  ``physical``, a predicate over
     a stack of parameter vectors, retires rows early: a row whose accepted
     iterate fails it once the row has run ``_PAIR_PATIENCE`` iterations
-    leaves there, not converged.
-    Only the two-dip candidates of ``fit_odmr_candidates`` pass one;
-    every other fit runs to convergence or the cap.
+    leaves there, not converged.  Only the two-dip candidates of
+    ``fit_odmr_candidates`` pass one (``_physical_dips``); every other fit
+    runs to convergence or the cap.
 
     The caller bounds the stack: the record pipeline passes at
     most ``scenarios.FIT_CHUNK_RECORDS`` rows, single fits pass one.  Every
@@ -407,8 +415,7 @@ def _peak_result(
 ) -> FitResult:
     """A ``_fit`` row of a peak fit on ``axis`` as a ``FitResult``: width folded, parameters named.
 
-    A fit whose center escaped the fitted interval is reported as not
-    converged.
+    A fit whose peak is no physical line (``_physical_lines``) reads not converged.
     """
     _fold_widths(p, cov, (3,))
     # model order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
@@ -422,7 +429,7 @@ def _peak_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged and bool(axis[0] <= values[0] <= axis[-1]),
+        converged=converged and bool(_physical_lines(axis, values[:1], values[1:2])),
         iterations=iterations,
     )
 
@@ -443,8 +450,9 @@ def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
     The trace needs at least ``MIN_FIT_SAMPLES`` samples.  The fit starts
-    from the samples alone (``_peak_init``).  A converged result whose
-    center escaped the fitted interval is demoted to ``converged = False``.
+    from the samples alone (``_peak_init``).  A converged result whose peak
+    is no physical line (``_physical_lines``) is demoted to
+    ``converged = False``.
     """
     _check_trace(trace, AxisKind.WAVELENGTH_NM)
     axis, counts = trace.axis, trace.counts
@@ -556,10 +564,10 @@ def _dips_result(
 ) -> FitResult:
     """A ``_fit`` row of a dip fit on ``axis`` as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived.
 
-    A fit whose contrasts leave (0, 1) or sum to 1 or more, a spectrum with
-    negative expected counts, is reported as not converged, and so is a
-    one-dip fit narrower than the median sample step: at low counts such a
-    dip fits a single empty bin, not a line.
+    A fit whose dips are not physical (``_physical_dips``) is reported as
+    not converged: at low counts a dip narrower than the sample step fits a
+    single empty bin, and a second dip far fainter than the first is no
+    Zeeman pair.
     """
     names = _odmr_param_names(p.size // 3)
     _fold_widths(p, cov, range(2, p.size, 3))
@@ -569,12 +577,8 @@ def _dips_result(
         cov = cov[np.ix_(perm, perm)]
 
     params = dict(zip(names, (float(v) for v in p)))
-
-    contrasts = p[3::3].tolist()
-    valid = min(contrasts) > 0.0 and sum(contrasts) < 1.0
     if p.size == 4:
         d_center, d_var = params["center_1"], cov[1, 1]
-        valid = valid and params["fwhm_1"] >= _median_step(axis.tobytes())
     else:
         d_center = 0.5 * (params["center_1"] + params["center_2"])
         d_var = 0.25 * (cov[1, 1] + cov[4, 4] + 2.0 * cov[1, 4])
@@ -585,56 +589,42 @@ def _dips_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged and valid,
+        converged=converged and bool(_physical_dips(axis, p)),
         iterations=iterations,
         derived={"d_center": (d_center, math.sqrt(max(d_var, 0.0)))},
     )
 
 
-def _dip_pair_admissible(trace: SpectrumTrace, res: FitResult) -> bool:
-    """Reject two-dip solutions that cannot describe a real spectrum.
+def _physical_lines(axis: FloatArray, centers: FloatArray, widths: FloatArray) -> NDArray[np.bool_]:
+    """Which stacked lines ``centers[..., :]``, ``widths[..., :]`` are all physical on ``axis``.
 
-    A second dip with a free center can always buy chi-square by swallowing a
-    single low-fluctuating sample, so BIC alone picks phantom dips on a few
-    percent of clean spectra, and a free width can likewise flatten a second
-    dip into a faint tilt of the whole baseline.  The fit must therefore
-    have converged to a physical pair (``_physical_pairs``, the test that
-    also retires hopeless candidates early) with both dips detected at
-    ``MIN_DIP_SIGNIFICANCE`` sigma, not merely fitted.
+    Physical: every center inside the scanned span, and every width (either
+    sign, as the models are even in it) from one median sample step up to
+    the span.
     """
-    if not res.converged:
-        return False
-    if not _physical_pairs(trace.axis, np.array([res.params[name] for name in res.param_names])):
-        return False
-    return not any(
-        res.params[f"contrast_{d}"] < MIN_DIP_SIGNIFICANCE * res.std_errors[f"contrast_{d}"] for d in (1, 2)
-    )
+    step, lo, hi, widths = _median_step(axis.tobytes()), axis[0], axis[-1], np.abs(widths)
+    return ((lo <= centers) & (centers <= hi) & (step <= widths) & (widths <= hi - lo)).all(axis=-1)
 
 
-def _physical_pairs(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
-    """Which two-dip parameter vectors ``p[..., :] = [b, c_1, w_1, C_1, c_2, w_2, C_2]`` are physical pairs on ``axis``.
+def _physical_dips(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
+    """Which dip parameter vectors ``p[..., :] = [b, c_1, w_1, C_1, ...]`` of one or two dips are physical on ``axis``.
 
-    Physical: contrasts in (0, 1) summing below 1 and within
-    ``MAX_DIP_CONTRAST_RATIO`` of each other, centers inside the scanned
-    span, and widths (either sign, as ``_dips_model`` is even in them) from
-    one median sample step up to the span.
+    Physical: lines that pass ``_physical_lines``, with contrasts in (0, 1)
+    summing below 1 and within ``MAX_DIP_CONTRAST_RATIO`` of each other.
     """
-    step = _median_step(axis.tobytes())
-    lo, hi = axis[0], axis[-1]
-    centers, widths, contrasts = p[..., 1::3], np.abs(p[..., 2::3]), p[..., 3::3]
+    contrasts = p[..., 3::3]
     return (
-        ((0.0 < contrasts) & (contrasts < 1.0)).all(axis=-1)
+        _physical_lines(axis, p[..., 1::3], p[..., 2::3])
+        & ((0.0 < contrasts) & (contrasts < 1.0)).all(axis=-1)
         & (contrasts.max(axis=-1) <= MAX_DIP_CONTRAST_RATIO * contrasts.min(axis=-1))
         & (contrasts.sum(axis=-1) < 1.0)
-        & ((lo <= centers) & (centers <= hi)).all(axis=-1)
-        & ((step <= widths) & (widths <= hi - lo)).all(axis=-1)
     )
 
 
 @functools.lru_cache(maxsize=2)
 def _median_step(axis_bytes: bytes) -> float:
     """Median sample step of the float64 axis held in ``axis_bytes``."""
-    return float(np.median(np.diff(np.frombuffer(axis_bytes, dtype=np.float64))))
+    return _median(np.diff(np.frombuffer(axis_bytes, dtype=np.float64)))
 
 
 @functools.lru_cache(maxsize=2)
@@ -773,7 +763,7 @@ def _screened_out(score: float | FloatArray, n_samples: int) -> bool | NDArray[n
 
     A second dip costs the BIC margin ``3 ln n``, and a kept pair must also
     clear ``MIN_DIP_SIGNIFICANCE`` (5) sigma of contrast in each dip
-    (``_dip_pair_admissible``).  Where the score is trusted the fit is
+    (``_bic_choice``).  Where the score is trusted the fit is
     linear enough that the chi-square a dip buys equals its Wald statistic
     ``(C / sigma_C)^2``, so an admissible dip buys at least
     ``MIN_DIP_SIGNIFICANCE**2``.  A score below ``max(3 ln n,
@@ -785,13 +775,21 @@ def _screened_out(score: float | FloatArray, n_samples: int) -> bool | NDArray[n
 
 
 def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[int, FitResult]:
-    """Keep the two-dip candidate ``two`` only if it wins BIC and is admissible."""
+    """Keep the two-dip candidate ``two`` only if it wins BIC, converged and detects each dip.
+
+    A second dip with a free center can always buy chi-square by swallowing
+    a single low-fluctuating sample, so BIC alone picks phantom dips.  The
+    pair must have converged, which ``_dips_result`` grants only to
+    physical dips (``_physical_dips``), with each dip detected at
+    ``MIN_DIP_SIGNIFICANCE`` sigma of contrast, not merely fitted.
+    """
     n = trace.axis.size
     bic = {}
     for n_dips, res in ((1, one), (2, two)):
         k = len(res.param_names)
         bic[n_dips] = res.reduced_chi2 * (n - k) + k * math.log(n)
-    if bic[2] < bic[1] and _dip_pair_admissible(trace, two):
+    faint = any(two.params[f"contrast_{d}"] < MIN_DIP_SIGNIFICANCE * two.std_errors[f"contrast_{d}"] for d in (1, 2))
+    if bic[2] < bic[1] and two.converged and not faint:
         return 2, two
     return 1, one
 
@@ -809,7 +807,7 @@ def fit_odmr_candidates(axis: FloatArray, counts: FloatArray) -> list[tuple[FitR
     The spectra must pass ``forward.check_spectra`` and have at least
     ``MIN_FIT_SAMPLES`` samples.
 
-    A candidate that is still no physical pair (``_physical_pairs``) after
+    A candidate that is still no physical pair (``_physical_dips``) after
     ``_PAIR_PATIENCE`` iterations is retired there, not converged, so
     ``_bic_choice`` keeps one dip, as it would after the full fit: such
     candidates drift to a lopsided pair or widen a dip past the sweep, where
@@ -826,7 +824,7 @@ def fit_odmr_candidates(axis: FloatArray, counts: FloatArray) -> list[tuple[FitR
     picked = np.flatnonzero(~_screened_out(_second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
     twos: list[FitResult | None] = [None] * len(ones)
-    physical = functools.partial(_physical_pairs, axis)
+    physical = functools.partial(_physical_dips, axis)
     for i, fit in zip(picked.tolist(), _fit_dips(axis, counts[picked], starts, physical)):
         twos[i] = fit
     return list(zip(ones, twos))
@@ -839,8 +837,9 @@ def select_dip_count(
 
     BIC = weighted chi-square + n_params * ln(n_samples); the lower value
     wins and ties go to the single-dip model.  The two-dip candidate is only
-    eligible when it passes the physical-admissibility screen (see
-    ``_dip_pair_admissible``).  The two-dip fit is skipped where the score
+    eligible when it converged, which it does only as a physical pair
+    (``_physical_dips``), and detects each dip at ``MIN_DIP_SIGNIFICANCE``
+    sigma (``_bic_choice``).  The two-dip fit is skipped where the score
     screen shows that no second dip could be kept (``_screened_out``).
 
     ``fits`` is the trace's entry of ``fit_odmr_candidates``, the one-dip

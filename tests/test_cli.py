@@ -1,10 +1,15 @@
 """End-to-end command-line checks driven through ``main(argv)`` in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualtherm
 from dualtherm import (
     AxisKind,
     OdmrModel,
@@ -120,6 +125,33 @@ def test_fit_auto_keeps_one_dip_on_clean_data(tmp_path, capsys):
     assert main(["fit", "--input", str(spectrum), "--kind", "odmr"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_dips"] == 1
+
+
+def test_fit_of_two_dips_on_a_field_off_spectrum_reads_not_converged(tmp_path, capsys):
+    """Forced to two dips, one 12 MHz line fits a second dip of 0.1 MHz on a 0.5 MHz sample step.
+
+    Such a dip fits a single bin, not a line, and must not read as converged.
+    """
+    spectrum = tmp_path / "odmr.csv"
+    assert main(["simulate", "--channel", "odmr", "--seed", "6", "--out", str(spectrum)]) == 0
+    assert main(["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert min(payload["params"]["fwhm_1"], payload["params"]["fwhm_2"]) < 0.5
+    assert payload["converged"] is False
+
+
+def test_a_scenario_run_leaves_numpy_ma_unimported(tmp_path):
+    """``np.median`` imports ``numpy.ma`` on its first call, a cost of every cold start; no stage calls it."""
+    config = _write_config(tmp_path, kind="bfield_artifact", duration_s=30.0, bfield={"b_max_mt": 0.5})
+    code = (
+        "import sys; from dualtherm.cli import main; "
+        f"assert main(['scenario', '--config', {config!r}, '--out', {str(tmp_path / 'records.csv')!r}]) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(dualtherm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_fit_recovers_noiseless_pl_center(tmp_path, capsys):

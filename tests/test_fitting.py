@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,18 +27,19 @@ from dualtherm import (
 from dualtherm.fitting import (
     MAX_DIP_CONTRAST_RATIO,
     MAX_ITERATIONS,
+    _bic_choice,
     _bic_margin,
-    _dip_pair_admissible,
     _dips_model,
     _dips_result,
     _fit,
     _fit_dips,
+    _median,
     _odmr_init,
     _odmr_param_names,
     _peak_init,
     _peak_model,
     _peak_result,
-    _physical_pairs,
+    _physical_dips,
     _screen_shapes,
     _screened_out,
     _second_dip_scores,
@@ -226,6 +228,39 @@ def test_one_dip_fits_narrower_than_a_sample_step_do_not_converge():
     assert converged >= 20, converged
 
 
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(1, 40):
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, n)
+        assert _median(values) == float(np.median(values)), n
+        values[rng.integers(n)] = np.nan
+        assert math.isnan(_median(values)), n
+
+
+def test_weak_pl_peak_fit_on_a_single_bin_does_not_converge():
+    # a 30 cps peak on 100 cps for 1 s: the fit collapses onto one bin at
+    # 728.1 nm, 9 nm from the line, which would read as a SiV temperature
+    # far below absolute zero
+    model = PlModel(background_rate=100.0, peaks=((737.0, 4.8, 30.0),))
+    fit = fit_pl_peak(_pl_trace(model, rng=np.random.default_rng(1)))
+    assert fit.params["fwhm"] < 1e-4
+    assert fit.params["center"] == pytest.approx(728.1, abs=1e-6)
+    assert not fit.converged
+
+
+def test_pl_fits_narrower_than_a_sample_step_do_not_converge():
+    # on a flat 10 counts per bin the weights 1 / max(counts, 1) let a peak
+    # collapse onto a single bin that fluctuates high
+    step = float(np.median(np.diff(PL_AXIS)))
+    narrow = 0
+    for seed in range(100):
+        counts = np.random.default_rng(seed).poisson(np.full(PL_AXIS.size, 10.0)).astype(np.float64)
+        fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, counts))
+        narrow += fit.params["fwhm"] < step
+        assert fit.params["fwhm"] >= step or not fit.converged, seed
+    assert narrow >= 10, narrow
+
+
 def test_pl_fit_at_ten_counts_per_bin_keeps_the_center_but_reads_the_background_low():
     """The weights ``1 / max(counts, 1)`` bias a sparse fit's flat level low.
 
@@ -350,31 +385,46 @@ def _pair_fit(contrast_1: float, contrast_2: float) -> FitResult:
     )
 
 
-def test_dip_pair_admissible_limits_the_contrast_ratio():
+def _pair_result(contrast_1: float, contrast_2: float) -> FitResult:
+    # the ``_pair_fit`` vector as ``_dips_result`` reports a converged ``_fit`` row of it
+    fit = _pair_fit(contrast_1, contrast_2)
+    p = np.array([fit.params[name] for name in fit.param_names])
+    return _dips_result(ODMR_AXIS, p, fit.covariance, 1.0, 1.0, 5, True)
+
+
+def test_dip_pairs_keep_the_contrast_ratio():
     # the lines of a Zeeman pair carry half the contrast each; a 12% dip
-    # beside a 0.11% one (11 sigma) is no such pair
+    # beside a 0.11% one (11 sigma) is no such pair, and its fit reads not
+    # converged, so the selector keeps one dip even where the pair wins BIC
     trace = _odmr_trace(OdmrModel(baseline_rate=5e8, dips=((2870.0, 12.0, 0.12),)))
-    assert not _dip_pair_admissible(trace, _pair_fit(0.12, 0.0011))
-    assert not _dip_pair_admissible(trace, _pair_fit(0.0011, 0.12))
-    assert _dip_pair_admissible(trace, _pair_fit(0.06, 0.06))
-    assert _dip_pair_admissible(trace, _pair_fit(0.0299 * MAX_DIP_CONTRAST_RATIO, 0.03))
-    assert not _dip_pair_admissible(trace, _pair_fit(0.0301 * MAX_DIP_CONTRAST_RATIO, 0.03))
+    # a one-dip chi-square far above the pair's, so that the pair wins BIC
+    one = replace(fit_odmr_dips(trace, 1), reduced_chi2=10.0)
+    for contrasts, kept in [
+        ((0.12, 0.0011), False),
+        ((0.0011, 0.12), False),
+        ((0.06, 0.06), True),
+        ((0.0299 * MAX_DIP_CONTRAST_RATIO, 0.03), True),
+        ((0.0301 * MAX_DIP_CONTRAST_RATIO, 0.03), False),
+    ]:
+        two = _pair_result(*contrasts)
+        assert two.converged is kept, contrasts
+        assert _bic_choice(trace, one, two)[0] == (2 if kept else 1), contrasts
 
 
-def _physical_pair_reference(axis: np.ndarray, p: np.ndarray) -> bool:
-    # the admissibility checks one dip at a time, as a loop
+def _physical_dips_reference(axis: np.ndarray, p: np.ndarray) -> bool:
+    # the physical-dip checks one dip at a time, as a loop
     step = float(np.median(np.diff(axis)))
     lo, hi = float(axis[0]), float(axis[-1])
-    for j in (1, 4):
+    for j in range(1, p.size, 3):
         center, fwhm, contrast = p[j], abs(p[j + 1]), p[j + 2]
         if not (0.0 < contrast < 1.0 and lo <= center <= hi and step <= fwhm <= hi - lo):
             return False
-    c1, c2 = p[3], p[6]
-    return max(c1, c2) <= MAX_DIP_CONTRAST_RATIO * min(c1, c2) and c1 + c2 < 1.0
+    contrasts = p[3::3]
+    return max(contrasts) <= MAX_DIP_CONTRAST_RATIO * min(contrasts) and sum(contrasts) < 1.0
 
 
-def test_physical_pairs_match_the_per_dip_checks():
-    """Raw LM iterates: either width sign and either dip order give the same verdict."""
+def test_physical_dips_match_the_per_dip_checks():
+    """Raw LM iterates of one and two dips: either width sign and either dip order give the same verdict."""
     rng = np.random.default_rng(13)
     n = 4000
     p = np.column_stack(
@@ -388,14 +438,15 @@ def test_physical_pairs_match_the_per_dip_checks():
             rng.uniform(-0.1, 0.7, n),
         ]
     )
-    physical = _physical_pairs(ODMR_AXIS, p)
-    assert physical.tolist() == [_physical_pair_reference(ODMR_AXIS, row) for row in p]
-    assert 100 < physical.sum() < n - 100
-    flipped = p * np.array([1, 1, -1, 1, 1, -1, 1])
+    for vectors in (p, p[:, :4]):
+        physical = _physical_dips(ODMR_AXIS, vectors)
+        assert physical.tolist() == [_physical_dips_reference(ODMR_AXIS, row) for row in vectors]
+        assert 100 < physical.sum() < n - 100
+        flipped = vectors * np.array([1, 1, -1, 1, 1, -1, 1])[: vectors.shape[1]]
+        assert (_physical_dips(ODMR_AXIS, flipped) == physical).all()
+        assert not _physical_dips(ODMR_AXIS, np.full(vectors.shape[1], np.nan))
     swapped = p[:, [0, 4, 5, 6, 1, 2, 3]]
-    assert (_physical_pairs(ODMR_AXIS, flipped) == physical).all()
-    assert (_physical_pairs(ODMR_AXIS, swapped) == physical).all()
-    assert not _physical_pairs(ODMR_AXIS, np.full(7, np.nan))
+    assert (_physical_dips(ODMR_AXIS, swapped) == _physical_dips(ODMR_AXIS, p)).all()
 
 
 def test_linear_regression_matches_polyfit():

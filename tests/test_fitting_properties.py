@@ -34,7 +34,7 @@ from dualtherm.fitting import (
     _peak_init,
     _peak_model,
     _peak_result,
-    _physical_pairs,
+    _physical_dips,
 )
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
@@ -222,7 +222,7 @@ def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, case):
             ]
         )
         if kind == "2 dips retired":
-            physical = functools.partial(_physical_pairs, ODMR_AXIS)
+            physical = functools.partial(_physical_dips, ODMR_AXIS)
     counts = np.round(counts)
     starts = np.array([init(axis, c) for c in counts])
 

@@ -479,7 +479,7 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     """A field-off candidate whose second dip shrinks into a gap between samples stops at the patience.
 
     Fitted in full, the dip narrows far below the sample step and the fit
-    runs to ``MAX_ITERATIONS`` before ``_dip_pair_admissible`` rejects it.
+    runs to ``MAX_ITERATIONS`` and reads not converged.
     """
     candidates = fitting.fit_odmr_candidates
     captured = []

@@ -24,9 +24,10 @@ always tests the tree it sits in.  Items:
   JSON of two precision sweeps over both channels, ``simulate`` CSV and
   JSON of both channels, noisy and ``--noiseless``, ``fit --n-dips
   auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
-  pl``.
+  pl`` of simulated spectra and of a weak peak (30 cps at 737 nm on
+  100 cps for 1 s).
 
-220 lines in all.
+221 lines in all.
 
 It takes about 10 s of CPU time.
 """
@@ -50,12 +51,14 @@ from dualtherm.config import scenario_config_from_dict  # noqa: E402
 from dualtherm.forward import (  # noqa: E402
     GYROMAGNETIC_MHZ_PER_MT,
     OdmrModel,
+    PlModel,
     odmr_expected_counts,
+    pl_expected_counts,
     zeeman_resonances,
 )
 from dualtherm.noise import sample_poisson_counts  # noqa: E402
 from dualtherm.records import format_number, write_records_csv  # noqa: E402
-from dualtherm.scenarios import ScenarioConfig, run_scenario  # noqa: E402
+from dualtherm.scenarios import PlSettings, ScenarioConfig, run_scenario  # noqa: E402
 
 
 def _session(kind: str, seed: int, duration_s: float = 300.0, b_max_mt: float = 0.0, **extra: object) -> dict:
@@ -98,9 +101,9 @@ def _cli(label: str, argv: list[str], out: Path) -> str:
     return f"{_digest(data)}  cli {label}"
 
 
-def _write_spectrum(path: Path, axis: np.ndarray, counts: np.ndarray) -> None:
-    """An ODMR spectrum CSV in the layout of ``dualtherm simulate``."""
-    lines = ["freq_MHz,counts"] + [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, counts)]
+def _write_spectrum(path: Path, axis: np.ndarray, counts: np.ndarray, axis_label: str = "freq_MHz") -> None:
+    """A spectrum CSV in the layout of ``dualtherm simulate``."""
+    lines = [f"{axis_label},counts"] + [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, counts)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -159,6 +162,12 @@ def cli_items(tmp: Path) -> Iterator[str]:
     for seed in range(3, 6):
         cli.main(["simulate", "--channel", "pl", "--seed", str(seed), "--out", str(spectrum)])
         yield _cli(f"fit --kind pl, simulated pl seed {seed}", ["fit", "--input", str(spectrum), "--kind", "pl"], out)
+    # a peak too weak to fit: its fit collapses onto a single bin
+    pl_axis = PlSettings().axis()
+    expected = pl_expected_counts(PlModel(background_rate=100.0, peaks=((737.0, 4.8, 30.0),)), pl_axis, 1.0)
+    counts = sample_poisson_counts(expected, np.random.default_rng(1))
+    _write_spectrum(spectrum, pl_axis, counts.astype(np.float64), "wavelength_nm")
+    yield _cli("fit --kind pl, weak 737 nm peak seed 1", ["fit", "--input", str(spectrum), "--kind", "pl"], out)
 
 
 def main() -> int:
