@@ -39,10 +39,10 @@ FloatArray = NDArray[np.float64]
 MAX_ITERATIONS = 200
 #: the fewest samples a spectrum must have to be fitted
 MIN_FIT_SAMPLES = 8
-#: a two-dip candidate still no physical pair (``_physical_dips``) after
-#: this many iterations is given up: partially resolved pairs that drift to
-#: a lopsided or over-wide pair run on to the cap and are then rejected
-_PAIR_PATIENCE = 30
+#: a fit whose lines are still not physical after this many iterations is
+#: given up: partially resolved pairs that drift to a lopsided or over-wide
+#: pair, and dips that chase a gap between samples, would run on to the cap
+_PATIENCE = 30
 #: stop when the relative decrease of the weighted cost falls below this
 COST_RTOL = 1e-10
 _STEP_XTOL = 1e-12
@@ -137,28 +137,24 @@ def _edge_median(counts: FloatArray) -> float:
     return _median(np.concatenate([counts[:n_edge], counts[-n_edge:]]))
 
 
-def _half_prominence_fwhm(
-    axis: FloatArray, counts: FloatArray, idx: int, level: float, invert: bool
-) -> float:
-    """Width between the half-prominence crossings around the extremum at ``idx``.
+def _half_prominence_fwhm(axis: FloatArray, counts: FloatArray, idx: int, level: float) -> float:
+    """Width between the crossings of ``level`` around the peak of ``counts`` at ``idx``.
 
-    ``invert`` selects dip geometry (counts rise toward the crossing level)
-    versus peak geometry.  Falls back to twice the one-sided width when a
-    crossing is missing, and to a sixth of the axis span when the width is
-    not positive: on a flat spectrum the only crossing is at the extremum
-    itself, and the model is undefined at zero width.
+    A dip is measured as the peak of the negated counts and level.  Falls
+    back to twice the one-sided width when a crossing is missing, and to a
+    sixth of the axis span when the width is not positive: on a flat
+    spectrum the only crossing is at the extremum itself, and the model is
+    undefined at zero width.
     """
-    y = counts if not invert else -counts
-    lvl = level if not invert else -level
     half: list[float] = []
     for direction in (1, -1):
         j = idx
         crossing = math.nan
-        while 0 <= j + direction < y.size:
+        while 0 <= j + direction < counts.size:
             nxt = j + direction
-            if y[nxt] <= lvl:
-                y0, y1 = y[j], y[nxt]
-                frac = 0.0 if y1 == y0 else (lvl - y0) / (y1 - y0)
+            if counts[nxt] <= level:
+                y0, y1 = counts[j], counts[nxt]
+                frac = 0.0 if y1 == y0 else (level - y0) / (y1 - y0)
                 crossing = abs(axis[nxt] - axis[j]) * frac + abs(axis[j] - axis[idx])
                 break
             j = nxt
@@ -273,11 +269,10 @@ _RowFit = tuple[FloatArray, FloatArray, float, float, int, bool]
 
 def _fit(
     model: Callable[[FloatArray, FloatArray], tuple[FloatArray, FloatArray]],
+    physical: Callable[[FloatArray, FloatArray], NDArray[np.bool_]],
     axis: FloatArray,
     counts: FloatArray,
     p0: FloatArray,
-    max_iterations: int,
-    physical: Callable[[FloatArray], NDArray[np.bool_]] | None = None,
 ) -> list[_RowFit]:
     """Damped Gauss-Newton minimisation of the weighted squared residual, for a stack of spectra.
 
@@ -288,16 +283,18 @@ def _fit(
     fit: failure shows as ``converged = False``.
 
     Every row is in flight from the first step and keeps its own damping,
-    iteration count and retries; a row that converges, stalls or reaches
-    ``max_iterations`` takes its covariance and leaves, and the stack
-    shrinks.  Whenever any row steps, the normal equations of the whole
+    iteration count and retries; a row that converges, stalls, reaches
+    ``MAX_ITERATIONS`` or is retired takes its covariance and leaves, and
+    the stack shrinks.  Whenever any row steps, the normal equations of the whole
     stack are recomputed: a row that did not step kept its Jacobian, so its
-    matrix comes out bit for bit as before.  ``physical``, a predicate over
-    a stack of parameter vectors, retires rows early: a row whose accepted
-    iterate fails it once the row has run ``_PAIR_PATIENCE`` iterations
-    leaves there, not converged.  Only the two-dip candidates of
-    ``fit_odmr_candidates`` pass one (``_physical_dips``); every other fit
-    runs to convergence or the cap.
+    matrix comes out bit for bit as before.
+
+    ``physical(axis, p)``, the line shape's test of a stack of parameter
+    vectors (``_physical_dips`` or ``_physical_peak``), ends every row by
+    one rule.  A row whose accepted iterate fails it once the row has run
+    ``_PATIENCE`` iterations is retired there, not converged; a row that
+    leaves otherwise is converged only if it stopped at a cost minimum and
+    its parameters pass it.
 
     The caller bounds the stack: the record pipeline passes at
     most ``scenarios.FIT_CHUNK_RECORDS`` rows, single fits pass one.  Every
@@ -305,8 +302,6 @@ def _fit(
     call, which makes one BLAS or LAPACK call per row, so a row comes out
     bit for bit as when fitted alone.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     n_rows, k = p0.shape
     dof = axis.size - k
     results: list[_RowFit | None] = [None] * n_rows
@@ -337,8 +332,8 @@ def _fit(
             p_try = p + delta
             m_try, jac_try = model(axis, p_try)
             cost_try = _weighted_cost(c, m_try, w)
-            if physical is not None and max(it) >= _PAIR_PATIENCE:
-                hopeless = (~physical(p_try)).tolist()
+            if max(it) >= _PATIENCE:
+                hopeless = (~physical(axis, p_try)).tolist()
             else:
                 hopeless = [False] * len(rows)
 
@@ -351,7 +346,7 @@ def _fit(
                     lam[s] = max(lam[s] * 0.3, 1e-12)
                     if (now - trial) / max(now, 1e-300) < COST_RTOL or small[s] or trial == 0.0:
                         done.append((s, True))
-                    elif it[s] == max_iterations or (hopeless[s] and it[s] >= _PAIR_PATIENCE):
+                    elif it[s] == MAX_ITERATIONS or (hopeless[s] and it[s] >= _PATIENCE):
                         done.append((s, False))
                     else:
                         it[s] += 1
@@ -371,11 +366,13 @@ def _fit(
             if not done:
                 continue
 
-            # finished rows take their covariance and leave the stack
+            # finished rows take their covariance and leave the stack,
+            # converged only on physical lines
             leave = [s for s, _ in done]
             cov, rms, chi2 = _solution_stats(c[leave], w[leave], m[leave], jac[leave], cost[leave], dof)
-            for i, (p_row, (s, converged)) in enumerate(zip(p[leave], done)):
-                results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], converged)
+            ok = physical(axis, p[leave]).tolist()
+            for i, (p_row, (s, stopped)) in enumerate(zip(p[leave], done)):
+                results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], stopped and ok[i])
             if len(leave) == len(rows):
                 break
             gone = set(leave)
@@ -400,23 +397,14 @@ def _peak_init(axis: FloatArray, counts: FloatArray) -> list[float]:
     idx = int(np.argmax(counts))
     amplitude = max(float(counts[idx]) - background, 1e-6 * max(background, 1.0))
     level = background + 0.5 * (counts[idx] - background)
-    fwhm = _half_prominence_fwhm(axis, counts, idx, level, invert=False)
+    fwhm = _half_prominence_fwhm(axis, counts, idx, level)
     return [background, amplitude, float(axis[idx]), float(fwhm)]
 
 
 def _peak_result(
-    axis: FloatArray,
-    p: FloatArray,
-    cov: FloatArray,
-    residual_rms: float,
-    reduced_chi2: float,
-    iterations: int,
-    converged: bool,
+    p: FloatArray, cov: FloatArray, residual_rms: float, reduced_chi2: float, iterations: int, converged: bool
 ) -> FitResult:
-    """A ``_fit`` row of a peak fit on ``axis`` as a ``FitResult``: width folded, parameters named.
-
-    A fit whose peak is no physical line (``_physical_lines``) reads not converged.
-    """
+    """A ``_fit`` row of a peak fit as a ``FitResult``: width folded, parameters named."""
     _fold_widths(p, cov, (3,))
     # model order [bg, amp, c, w] -> named order (center, fwhm, amplitude, background)
     perm = [2, 3, 1, 0]
@@ -429,7 +417,7 @@ def _peak_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged and bool(_physical_lines(axis, values[:1], values[1:2])),
+        converged=converged,
         iterations=iterations,
     )
 
@@ -450,14 +438,13 @@ def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
     The trace needs at least ``MIN_FIT_SAMPLES`` samples.  The fit starts
-    from the samples alone (``_peak_init``).  A converged result whose peak
-    is no physical line (``_physical_lines``) is demoted to
-    ``converged = False``.
+    from the samples alone (``_peak_init``) and converges only on a physical
+    line (``_physical_peak``).
     """
     _check_trace(trace, AxisKind.WAVELENGTH_NM)
     axis, counts = trace.axis, trace.counts
     p0 = np.array([_peak_init(axis, counts)])
-    return _peak_result(axis, *_fit(_peak_model, axis, counts[None], p0, MAX_ITERATIONS)[0])
+    return _peak_result(*_fit(_peak_model, _physical_peak, axis, counts[None], p0)[0])
 
 
 def _odmr_param_names(n_dips: int) -> tuple[str, ...]:
@@ -475,7 +462,7 @@ def _odmr_init(axis: FloatArray, counts: FloatArray, n_dips: int) -> list[float]
     idx = int(np.argmin(counts))
     depth = max(baseline - float(counts[idx]), 1e-6 * max(baseline, 1.0))
     level = baseline - 0.5 * depth
-    fwhm = _half_prominence_fwhm(axis, counts, idx, level, invert=True)
+    fwhm = _half_prominence_fwhm(axis, -counts, idx, -level)
     contrast = min(max(depth / max(baseline, 1e-300), 1e-4), 0.8)
     start = [baseline, float(axis[idx]), float(fwhm), contrast]
     if n_dips == 2:
@@ -543,32 +530,15 @@ def _one_dip_fits(axis: FloatArray, counts: FloatArray) -> list[FitResult]:
     return _fit_dips(axis, counts, np.array([_odmr_init(axis, row, 1) for row in counts]))
 
 
-def _fit_dips(
-    axis: FloatArray,
-    counts: FloatArray,
-    starts: FloatArray,
-    physical: Callable[[FloatArray], NDArray[np.bool_]] | None = None,
-) -> list[FitResult]:
+def _fit_dips(axis: FloatArray, counts: FloatArray, starts: FloatArray) -> list[FitResult]:
     """``_fit`` of a stack of dip fits, each row reported by ``_dips_result``."""
-    return [_dips_result(axis, *row) for row in _fit(_dips_model, axis, counts, starts, MAX_ITERATIONS, physical)]
+    return [_dips_result(*row) for row in _fit(_dips_model, _physical_dips, axis, counts, starts)]
 
 
 def _dips_result(
-    axis: FloatArray,
-    p: FloatArray,
-    cov: FloatArray,
-    residual_rms: float,
-    reduced_chi2: float,
-    iterations: int,
-    converged: bool,
+    p: FloatArray, cov: FloatArray, residual_rms: float, reduced_chi2: float, iterations: int, converged: bool
 ) -> FitResult:
-    """A ``_fit`` row of a dip fit on ``axis`` as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived.
-
-    A fit whose dips are not physical (``_physical_dips``) is reported as
-    not converged: at low counts a dip narrower than the sample step fits a
-    single empty bin, and a second dip far fainter than the first is no
-    Zeeman pair.
-    """
+    """A ``_fit`` row of a dip fit as a ``FitResult``: widths folded, dips in center order, ``d_center`` derived."""
     names = _odmr_param_names(p.size // 3)
     _fold_widths(p, cov, range(2, p.size, 3))
     if p.size == 7 and p[1] > p[4]:
@@ -589,7 +559,7 @@ def _dips_result(
         covariance=cov,
         residual_rms=residual_rms,
         reduced_chi2=reduced_chi2,
-        converged=converged and bool(_physical_dips(axis, p)),
+        converged=converged,
         iterations=iterations,
         derived={"d_center": (d_center, math.sqrt(max(d_var, 0.0)))},
     )
@@ -610,7 +580,9 @@ def _physical_dips(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
     """Which dip parameter vectors ``p[..., :] = [b, c_1, w_1, C_1, ...]`` of one or two dips are physical on ``axis``.
 
     Physical: lines that pass ``_physical_lines``, with contrasts in (0, 1)
-    summing below 1 and within ``MAX_DIP_CONTRAST_RATIO`` of each other.
+    summing below 1 and within ``MAX_DIP_CONTRAST_RATIO`` of each other.  At
+    low counts a dip narrower than the sample step fits a single empty bin,
+    and a second dip far fainter than the first is no Zeeman pair.
     """
     contrasts = p[..., 3::3]
     return (
@@ -619,6 +591,11 @@ def _physical_dips(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
         & (contrasts.max(axis=-1) <= MAX_DIP_CONTRAST_RATIO * contrasts.min(axis=-1))
         & (contrasts.sum(axis=-1) < 1.0)
     )
+
+
+def _physical_peak(axis: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
+    """Which peak parameter vectors ``p[..., :] = [bg, A, c, w]`` are physical lines on ``axis`` (``_physical_lines``)."""
+    return _physical_lines(axis, p[..., 2:3], p[..., 3:4])
 
 
 @functools.lru_cache(maxsize=2)
@@ -779,8 +756,8 @@ def _bic_choice(trace: SpectrumTrace, one: FitResult, two: FitResult) -> tuple[i
 
     A second dip with a free center can always buy chi-square by swallowing
     a single low-fluctuating sample, so BIC alone picks phantom dips.  The
-    pair must have converged, which ``_dips_result`` grants only to
-    physical dips (``_physical_dips``), with each dip detected at
+    pair must have converged, which ``_fit`` grants only to physical dips
+    (``_physical_dips``), with each dip detected at
     ``MIN_DIP_SIGNIFICANCE`` sigma of contrast, not merely fitted.
     """
     n = trace.axis.size
@@ -808,13 +785,13 @@ def fit_odmr_candidates(axis: FloatArray, counts: FloatArray) -> list[tuple[FitR
     ``MIN_FIT_SAMPLES`` samples.
 
     A candidate that is still no physical pair (``_physical_dips``) after
-    ``_PAIR_PATIENCE`` iterations is retired there, not converged, so
+    ``_PATIENCE`` iterations is retired there by ``_fit``, not converged, so
     ``_bic_choice`` keeps one dip, as it would after the full fit: such
     candidates drift to a lopsided pair or widen a dip past the sweep, where
     the cost has no finite minimum, and would otherwise run to the cap and
     hold their stack open.  On 1.0 mT sessions a patience of 20 or 30
     changed none of 600 choices against the full fit (``_bic_choice`` of
-    ``fit_odmr_dips`` with one and two dips), and one of 15 changed 4.
+    one- and two-dip fits never retired), and one of 15 changed 4.
     """
     axis, counts = check_spectra(axis, counts, rows=True)
     _check_sample_count(axis)
@@ -824,8 +801,7 @@ def fit_odmr_candidates(axis: FloatArray, counts: FloatArray) -> list[tuple[FitR
     picked = np.flatnonzero(~_screened_out(_second_dip_scores(axis, counts, ones), axis.size))
     starts = _two_dip_starts(axis, counts[picked], [ones[i] for i in picked])
     twos: list[FitResult | None] = [None] * len(ones)
-    physical = functools.partial(_physical_dips, axis)
-    for i, fit in zip(picked.tolist(), _fit_dips(axis, counts[picked], starts, physical)):
+    for i, fit in zip(picked.tolist(), _fit_dips(axis, counts[picked], starts)):
         twos[i] = fit
     return list(zip(ones, twos))
 

@@ -114,10 +114,11 @@ def parse_records_csv(path: str | Path) -> list[ScenarioRecord]:
             cells = line.split(",")
             if len(cells) != len(_COLUMNS):
                 raise ValueError(f"line {line_no}: expected {len(_COLUMNS)} cells, got {len(cells)}")
-            kwargs = {
-                attr: cell == "1" if _TYPES[attr] is bool else _TYPES[attr](cell)
-                for (_, attr), cell in zip(_COLUMNS, cells)
-            }
+            kwargs = {}
+            for (column, attr), cell in zip(_COLUMNS, cells):
+                if _TYPES[attr] is bool and cell not in ("0", "1"):
+                    raise ValueError(f"line {line_no}, column {column}: expected 0 or 1, got {cell!r}")
+                kwargs[attr] = cell == "1" if _TYPES[attr] is bool else _TYPES[attr](cell)
             records.append(ScenarioRecord(**kwargs))
     return records
 

@@ -251,6 +251,8 @@ class ScenarioRecord:
     artifact_flag: bool
 
     def __post_init__(self) -> None:
+        if self.nv_n_dips not in (1, 2):
+            raise ValueError(f"nv_n_dips must be 1 or 2, got {self.nv_n_dips}")
         for name in ("nv_f0_sigma_mhz", "siv_pos_sigma_nm", "t_nv_sigma_c", "t_siv_sigma_c"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

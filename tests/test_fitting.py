@@ -24,9 +24,9 @@ from dualtherm import (
     select_dip_count,
     subsystem_generators,
 )
+from dualtherm import fitting
 from dualtherm.fitting import (
     MAX_DIP_CONTRAST_RATIO,
-    MAX_ITERATIONS,
     _bic_choice,
     _bic_margin,
     _dips_model,
@@ -40,6 +40,7 @@ from dualtherm.fitting import (
     _peak_model,
     _peak_result,
     _physical_dips,
+    _physical_peak,
     _screen_shapes,
     _screened_out,
     _second_dip_scores,
@@ -130,7 +131,7 @@ def test_fit_reports_positive_width_regardless_of_start():
     counts = _pl_trace(pl).counts
     start = _peak_init(PL_AXIS, counts)
     start[3] = -4.0
-    fit2 = _peak_result(PL_AXIS, *_fit(_peak_model, PL_AXIS, counts[None], np.array([start]), MAX_ITERATIONS)[0])
+    fit2 = _peak_result(*_fit(_peak_model, _physical_peak, PL_AXIS, counts[None], np.array([start]))[0])
     assert fit2.params["fwhm"] == pytest.approx(5.0, rel=1e-8)
 
 
@@ -386,10 +387,13 @@ def _pair_fit(contrast_1: float, contrast_2: float) -> FitResult:
 
 
 def _pair_result(contrast_1: float, contrast_2: float) -> FitResult:
-    # the ``_pair_fit`` vector as ``_dips_result`` reports a converged ``_fit`` row of it
+    # the ``_pair_fit`` vector with the verdict of a ``_fit`` row that stops
+    # on it: the fit of its own noiseless counts, started there
     fit = _pair_fit(contrast_1, contrast_2)
     p = np.array([fit.params[name] for name in fit.param_names])
-    return _dips_result(ODMR_AXIS, p, fit.covariance, 1.0, 1.0, 5, True)
+    [(p_fit, *_, converged)] = _fit(_dips_model, _physical_dips, ODMR_AXIS, _dips_model(ODMR_AXIS, p)[0][None], p[None])
+    assert p_fit.tobytes() == p.tobytes()
+    return _dips_result(p, fit.covariance, 1.0, 1.0, 5, converged)
 
 
 def test_dip_pairs_keep_the_contrast_ratio():
@@ -634,7 +638,9 @@ def _screen_corpus() -> tuple[list[SpectrumTrace], list[FitResult], list[str]]:
         if kind == "stopped":
             # fit_odmr_dips(trace, 1) stopped after one iteration
             start = np.array([_odmr_init(ODMR_AXIS, trace.counts, 1)])
-            ones.append(_dips_result(ODMR_AXIS, *_fit(_dips_model, ODMR_AXIS, trace.counts[None], start, 1)[0]))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fitting, "MAX_ITERATIONS", 1)
+                ones.append(_fit_dips(ODMR_AXIS, trace.counts[None], start)[0])
         else:
             ones.append(fit_odmr_dips(trace, 1))
         kinds.append(kind)
@@ -730,7 +736,8 @@ def _stack_corpus(n_dips: int) -> tuple[np.ndarray, np.ndarray]:
 
     Quiet and field-split spectra at the pipeline's exposure, a sparse row of
     at most 10 counts per bin, and a noiseless row started at its own
-    parameters, whose weighted cost is 0 from the start.
+    parameters, whose weighted cost is 0 from the start; its dips share the
+    contrast of the first start, so that they are physical.
     """
     tau = 1.5 / 201
     rng = np.random.default_rng(8101)
@@ -744,34 +751,36 @@ def _stack_corpus(n_dips: int) -> tuple[np.ndarray, np.ndarray]:
     assert counts[-1].max() <= 10
     starts = [_odmr_init(ODMR_AXIS, c, n_dips) for c in counts]
     truth = np.array(starts[0])
+    truth[3::3] = truth[3] / n_dips
     counts.append(_dips_model(ODMR_AXIS, truth)[0])
     starts.append(truth)
     return np.array(counts), np.array(starts)
 
 
-def _fitted(model, axis, counts, starts, max_iterations) -> list[tuple]:
+def _fitted(model, physical, axis, counts, starts) -> list[tuple]:
     """Each row of a stacked ``_fit``, as bytes."""
     return [
         (p.tobytes(), cov.tobytes(), np.float64(rms).tobytes(), np.float64(chi2).tobytes(), iterations, converged)
-        for p, cov, rms, chi2, iterations, converged in _fit(model, axis, counts, starts, max_iterations)
+        for p, cov, rms, chi2, iterations, converged in _fit(model, physical, axis, counts, starts)
     ]
 
 
-def _fitted_alone(model, axis, counts, starts, max_iterations) -> list[tuple]:
+def _fitted_alone(model, physical, axis, counts, starts) -> list[tuple]:
     """Each row fitted as a stack of one, as bytes."""
-    return [_fitted(model, axis, counts[i : i + 1], starts[i : i + 1], max_iterations)[0] for i in range(len(counts))]
+    return [_fitted(model, physical, axis, counts[i : i + 1], starts[i : i + 1])[0] for i in range(len(counts))]
 
 
 @pytest.mark.parametrize("max_iterations", [200, 3])
 @pytest.mark.parametrize("n_dips", [1, 2])
-def test_stacked_fit_rows_equal_fits_of_one(n_dips, max_iterations):
+def test_stacked_fit_rows_equal_fits_of_one(monkeypatch, n_dips, max_iterations):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", max_iterations)
     counts, starts = _stack_corpus(n_dips)
-    alone = _fitted_alone(_dips_model, ODMR_AXIS, counts, starts, max_iterations)
-    assert _fitted(_dips_model, ODMR_AXIS, counts, starts, max_iterations) == alone
-    assert _fitted(_dips_model, ODMR_AXIS, counts[::-1], starts[::-1], max_iterations) == alone[::-1]
+    alone = _fitted_alone(_dips_model, _physical_dips, ODMR_AXIS, counts, starts)
+    assert _fitted(_dips_model, _physical_dips, ODMR_AXIS, counts, starts) == alone
+    assert _fitted(_dips_model, _physical_dips, ODMR_AXIS, counts[::-1], starts[::-1]) == alone[::-1]
     # a longer stack, in which every spectrum leaves three times
     tiled = np.concatenate([counts, counts[::-1], counts])
-    long_rows = _fitted(_dips_model, ODMR_AXIS, tiled, np.concatenate([starts, starts[::-1], starts]), max_iterations)
+    long_rows = _fitted(_dips_model, _physical_dips, ODMR_AXIS, tiled, np.concatenate([starts, starts[::-1], starts]))
     assert long_rows == alone + alone[::-1] + alone
     # the corpus reaches the paths it is meant to: the noiseless row ends at
     # zero cost, rows leave the stack at different iterations, and a small
@@ -781,7 +790,7 @@ def test_stacked_fit_rows_equal_fits_of_one(n_dips, max_iterations):
     assert max_iterations > 3 or any(n == 3 and not converged for *_, n, converged in alone)
 
 
-def test_stacked_peak_fits_equal_fits_of_one():
+def test_stacked_peak_fits_equal_fits_of_one(monkeypatch):
     rng = np.random.default_rng(8102)
     peaks = [PlModel(background_rate=2e4, peaks=((735.0 + 0.5 * k, 4.8, 1.3e5),)) for k in range(9)]
     # and a sparse spectrum of a few counts per bin
@@ -790,8 +799,9 @@ def test_stacked_peak_fits_equal_fits_of_one():
     starts = np.array([[c[:20].mean(), c.max() - c[:20].mean(), PL_AXIS[np.argmax(c)], 4.0] for c in counts])
     tiled, tiled_starts = np.concatenate([counts, counts[::-1]]), np.concatenate([starts, starts[::-1]])
     for max_iterations in (200, 2):
-        alone = _fitted_alone(_peak_model, PL_AXIS, counts, starts, max_iterations)
-        assert _fitted(_peak_model, PL_AXIS, tiled, tiled_starts, max_iterations) == alone + alone[::-1]
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", max_iterations)
+        alone = _fitted_alone(_peak_model, _physical_peak, PL_AXIS, counts, starts)
+        assert _fitted(_peak_model, _physical_peak, PL_AXIS, tiled, tiled_starts) == alone + alone[::-1]
 
 
 def _assert_same_fit(fit, ref):

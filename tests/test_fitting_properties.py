@@ -12,6 +12,7 @@ entries as the counts grow, so the scale properties compare parameters only.
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +23,11 @@ from dualtherm import (
     SpectrumTrace,
     fit_odmr_dips,
     fit_pl_peak,
+    fitting,
     odmr_expected_counts,
     pl_expected_counts,
 )
 from dualtherm.fitting import (
-    MAX_ITERATIONS,
     _dips_model,
     _fit,
     _fit_dips,
@@ -35,6 +36,7 @@ from dualtherm.fitting import (
     _peak_model,
     _peak_result,
     _physical_dips,
+    _physical_peak,
 )
 
 ODMR_AXIS = np.linspace(2820.0, 2920.0, 201)
@@ -138,8 +140,7 @@ def _dips_from(trace, start):
 
 def _peak_from(trace, start):
     """The peak fit of ``trace`` from ``start``, in model order ``[bg, A, c, w]``."""
-    row = _fit(_peak_model, trace.axis, trace.counts[None], np.array([start]), MAX_ITERATIONS)[0]
-    return _peak_result(trace.axis, *row)
+    return _peak_result(*_fit(_peak_model, _physical_peak, trace.axis, trace.counts[None], np.array([start]))[0])
 
 
 @PROPERTY
@@ -200,18 +201,19 @@ def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, case):
 
     The spectra mix single dips and Zeeman-split pairs at several count
     levels, so rows leave the stack at different steps.  Two-dip stacks
-    also run with the retirement predicate of the two-dip candidates, and
-    peak stacks fit PL peaks placed and widened by the same draws.
+    also run with retirement put past the cap, as the unretired reference
+    fits run, and peak stacks fit PL peaks placed and widened by the same
+    draws.
     """
     kind, max_iterations = case
-    physical = None
+    patience = fitting._PATIENCE
     if kind == "peak":
-        model, axis, init = _peak_model, PL_AXIS, _peak_init
+        model, physical, axis, init = _peak_model, _physical_peak, PL_AXIS, _peak_init
         counts = np.array(
             [_pl_counts(735.0 + split, 40.0 * contrast, seed) * level for seed, _, split, contrast, level in spectra]
         )
     else:
-        model, axis = _dips_model, ODMR_AXIS
+        model, physical, axis = _dips_model, _physical_dips, ODMR_AXIS
         n_dips = 1 if kind == "1 dip" else 2
         init = functools.partial(_odmr_init, n_dips=n_dips)
         counts = np.array(
@@ -221,20 +223,21 @@ def test_stacked_fit_rows_do_not_depend_on_the_stack(spectra, case):
                 for seed, center, split, contrast, level in spectra
             ]
         )
-        if kind == "2 dips retired":
-            physical = functools.partial(_physical_dips, ODMR_AXIS)
+        if kind == "2 dips":
+            patience = max_iterations + 1
     counts = np.round(counts)
     starts = np.array([init(axis, c) for c in counts])
 
     def fitted(rows):
         return [
             (p.tobytes(), cov.tobytes(), np.float64(rms).tobytes(), np.float64(chi2).tobytes(), iterations, converged)
-            for p, cov, rms, chi2, iterations, converged in _fit(
-                model, axis, counts[rows], starts[rows], max_iterations, physical
-            )
+            for p, cov, rms, chi2, iterations, converged in _fit(model, physical, axis, counts[rows], starts[rows])
         ]
 
-    alone = [fitted([i])[0] for i in range(len(counts))]
-    assert fitted(slice(None)) == alone
-    order = np.random.default_rng(spectra[0][0]).permutation(len(counts))
-    assert fitted(order) == [alone[i] for i in order]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "MAX_ITERATIONS", max_iterations)
+        patch.setattr(fitting, "_PATIENCE", patience)
+        alone = [fitted([i])[0] for i in range(len(counts))]
+        assert fitted(slice(None)) == alone
+        order = np.random.default_rng(spectra[0][0]).permutation(len(counts))
+        assert fitted(order) == [alone[i] for i in order]

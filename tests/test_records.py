@@ -114,6 +114,30 @@ def test_parse_rejects_foreign_header(tmp_path):
         parse_records_csv(path)
 
 
+@pytest.mark.parametrize(
+    ("column", "cell", "message"),
+    [
+        ("artifact_flag", "yes", "line 2, column artifact_flag: expected 0 or 1, got 'yes'"),
+        ("artifact_flag", "2", "line 2, column artifact_flag: expected 0 or 1, got '2'"),
+        ("nv_n_dips", "7", "nv_n_dips must be 1 or 2, got 7"),
+    ],
+    ids=["flag-yes", "flag-2", "n-dips-7"],
+)
+def test_parse_refuses_cells_outside_their_values(tmp_path, capsys, column, cell, message):
+    path = tmp_path / "records.csv"
+    write_records([_exact_record(0, 25.5)], path, "csv")
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = cell
+    path.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        parse_records_csv(path)
+    assert str(refused.value) == message
+    assert main(["crossval", "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_precision_series_output(tmp_path):
     series = {"siv": [(0.1, 0.5), (1.0, 0.155)]}
     path = tmp_path / "precision.csv"

@@ -360,9 +360,9 @@ def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
     fit = fitting._fit
     stacks = []
 
-    def spy(model, axis, counts, p0, *args, **kwargs):
+    def spy(model, physical, axis, counts, p0):
         stacks.append((model, p0.shape))
-        return fit(model, axis, counts, p0, *args, **kwargs)
+        return fit(model, physical, axis, counts, p0)
 
     monkeypatch.setattr(fitting, "_fit", spy)
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=0, duration_s=300.0, bfield=BfieldSettings(b_max_mt=0.5))
@@ -450,7 +450,7 @@ def test_pipeline_dip_count_equals_a_fresh_selection(monkeypatch, seed, duration
 
 @pytest.mark.parametrize("seed", [2, 7, 9, 13])
 def test_retired_candidates_choose_what_the_full_fit_chooses(monkeypatch, seed):
-    """Retiring unphysical two-dip candidates after ``_PAIR_PATIENCE`` iterations changes no choice.
+    """Retiring unphysical fits after ``_PATIENCE`` iterations changes no choice of the fits never retired.
 
     At 1.0 mT each of these sessions has a candidate that is no physical
     pair after 15 iterations but is kept after the full fit, so a patience
@@ -478,8 +478,9 @@ def test_retired_candidates_choose_what_the_full_fit_chooses(monkeypatch, seed):
 def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, seed):
     """A field-off candidate whose second dip shrinks into a gap between samples stops at the patience.
 
-    Fitted in full, the dip narrows far below the sample step and the fit
-    runs to ``MAX_ITERATIONS`` and reads not converged.
+    Fitted in full, with retirement put past the cap, the dip narrows far
+    below the sample step and the fit runs to ``MAX_ITERATIONS`` and reads
+    not converged.
     """
     candidates = fitting.fit_odmr_candidates
     captured = []
@@ -494,9 +495,11 @@ def test_field_off_candidates_that_chase_a_sample_gap_are_retired(monkeypatch, s
     run_bfield_artifact(cfg)
     [(axis, counts, one, two)] = captured
     assert not two.converged
-    assert two.iterations <= fitting._PAIR_PATIENCE + 1
+    assert two.iterations <= fitting._PATIENCE + 1
     trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
-    [full] = fitting._fit_dips(axis, counts[None], fitting._two_dip_starts(axis, counts[None], [one]))
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "_PATIENCE", fitting.MAX_ITERATIONS + 1)
+        [full] = fitting._fit_dips(axis, counts[None], fitting._two_dip_starts(axis, counts[None], [one]))
     assert not full.converged and full.iterations == fitting.MAX_ITERATIONS
     step = float(np.median(np.diff(trace.axis)))
     assert min(full.params["fwhm_1"], full.params["fwhm_2"]) < 0.1 * step

@@ -23,11 +23,12 @@ always tests the tree it sits in.  Items:
   the ``crossval`` report of a few of those sessions, ``scenario`` CSV and
   JSON of two precision sweeps over both channels, ``simulate`` CSV and
   JSON of both channels, noisy and ``--noiseless``, ``fit --n-dips
-  auto|1|2`` of field-off and Zeeman-split ODMR spectra, and ``fit --kind
+  auto|1|2`` of field-off and Zeeman-split ODMR spectra, ``fit --n-dips
+  1|2`` of a 30% dip, 12 MHz wide, at 10 counts per bin, and ``fit --kind
   pl`` of simulated spectra and of a weak peak (30 cps at 737 nm on
   100 cps for 1 s).
 
-221 lines in all.
+223 lines in all.
 
 It takes about 10 s of CPU time.
 """
@@ -159,6 +160,13 @@ def cli_items(tmp: Path) -> Iterator[str]:
             for n_dips in ("auto", "1", "2"):
                 argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips]
                 yield _cli(f"fit --n-dips {n_dips}, {b_mt} mT pair seed {seed}", argv, out)
+    # a dip at 10 counts per bin, where a dip fit can shrink onto a single empty bin
+    expected = odmr_expected_counts(OdmrModel(10.0 / tau_s, ((2870.0, 12.0, 0.3),)), axis, tau_s)
+    counts = sample_poisson_counts(expected, np.random.default_rng(0))
+    _write_spectrum(spectrum, axis, counts.astype(np.float64))
+    for n_dips in ("1", "2"):
+        argv = ["fit", "--input", str(spectrum), "--kind", "odmr", "--n-dips", n_dips]
+        yield _cli(f"fit --n-dips {n_dips}, 30% dip at 10 counts per bin seed 0", argv, out)
     for seed in range(3, 6):
         cli.main(["simulate", "--channel", "pl", "--seed", str(seed), "--out", str(spectrum)])
         yield _cli(f"fit --kind pl, simulated pl seed {seed}", ["fit", "--input", str(spectrum), "--kind", "pl"], out)
