@@ -60,8 +60,6 @@ from .records import (
     parse_records_csv,
     write_precision_series,
     write_records,
-    write_records_csv,
-    write_records_json,
 )
 from .scenarios import (
     BfieldSettings,

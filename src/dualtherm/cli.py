@@ -17,8 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .records import (
     parse_records_csv,
     write_precision_series,
     write_records,
-    write_records_csv,
-    write_records_json,
 )
 from .scenarios import ScenarioConfig, ScenarioKind, odmr_sweep_counts, pl_counts, run_scenario
 from .thermometry import Channel, TemperatureEstimate, nv_shot_noise_sensitivity
@@ -44,6 +41,9 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_CONFIG = 3
 _EXIT_RUNTIME = 4
+
+#: what a subcommand returns: the writer of its result to an open text stream
+_Writer = Callable[[TextIO], object]
 
 
 def _finite_float(text: str) -> float:
@@ -115,14 +115,7 @@ def _load_or_default(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Writer:
     config = _load_or_default(args)
     gens = subsystem_generators(config.seed)
     if args.channel == "odmr":
@@ -139,7 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lines = [f"{axis_label},counts"]
         lines += [f"{format_number(a)},{format_number(c)}" for a, c in zip(axis, counts)]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
         payload = {
             "axis_kind": axis_label,
@@ -147,8 +140,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "axis": [json_number(a) for a in axis],
             "counts": [json_number(c) for c in counts],
         }
-        _emit(json_text(payload), args.out)
-    return _EXIT_OK
+        text = json_text(payload)
+    return lambda stream: stream.write(text)
 
 
 def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +176,7 @@ def _fit_payload(fit: FitResult, n_dips: int | None) -> dict[str, Any]:
     return payload
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> _Writer:
     axis, counts = _read_trace_csv(args.input)
     if args.kind == "odmr":
         trace = SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, counts)
@@ -197,31 +190,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, axis, counts)
         payload = _fit_payload(fit_pl_peak(trace), None)
-    _emit(json_text(payload), args.out)
-    return _EXIT_OK
+    return lambda stream: stream.write(json_text(payload))
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> _Writer:
     if not args.config:
         raise ConfigError("scenario requires --config")
     config = _load_or_default(args)
     result = run_scenario(config)
-    if config.kind is ScenarioKind.PRECISION_SWEEP:
-        if args.out is None:
-            raise ValueError("precision sweeps write files; pass --out")
-        write_precision_series(result, args.out, args.format)
-        return _EXIT_OK
-    if args.out is None:
-        if args.format == "csv":
-            write_records_csv(result, sys.stdout)
-        else:
-            write_records_json(result, sys.stdout)
-    else:
-        write_records(result, args.out, args.format)
-    return _EXIT_OK
+    write = write_precision_series if config.kind is ScenarioKind.PRECISION_SWEEP else write_records
+    return lambda stream: write(result, stream, args.format)
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
+def _cmd_sensitivity(args: argparse.Namespace) -> _Writer:
     eta = nv_shot_noise_sensitivity(args.contrast, args.linewidth_mhz, args.photon_rate_cps, args.dddt_mhz_per_k)
     payload = {
         "contrast": json_number(args.contrast),
@@ -230,11 +211,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         "dddt_mhz_per_k": json_number(args.dddt_mhz_per_k),
         "sensitivity_k_per_sqrt_hz": json_number(eta),
     }
-    _emit(json_text(payload), args.out)
-    return _EXIT_OK
+    return lambda stream: stream.write(json_text(payload))
 
 
-def _cmd_crossval(args: argparse.Namespace) -> int:
+def _cmd_crossval(args: argparse.Namespace) -> _Writer:
     records = parse_records_csv(args.input)
     config = _load_or_default(args)
     nv = np.array([r.nv_f0_mhz for r in records])
@@ -281,8 +261,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
             ],
         },
     }
-    _emit(json_text(payload), args.out)
-    return _EXIT_OK
+    return lambda stream: stream.write(json_text(payload))
 
 
 _DISPATCH = {
@@ -301,7 +280,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
-        return _DISPATCH[args.subcommand](args)
+        write = _DISPATCH[args.subcommand](args)
+        # the one output path; the file is opened only once the result is
+        # ready, so a refused run leaves an existing file as it was
+        if args.out is None:
+            write(sys.stdout)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as stream:
+                write(stream)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -311,6 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -212,6 +212,11 @@ def _peak_model(axis: FloatArray, p: FloatArray) -> tuple[FloatArray, FloatArray
     return bg + amp * lor, jac
 
 
+def _weights(counts: FloatArray) -> FloatArray:
+    """Least-squares weights of Poisson counts: the inverse variance, floored at one count."""
+    return 1.0 / np.maximum(counts, 1.0)
+
+
 def _weighted_cost(counts: FloatArray, model: FloatArray, weights: FloatArray) -> FloatArray:
     """Weighted squared residual over the last axis, one per stacked spectrum."""
     r = counts - model
@@ -310,7 +315,7 @@ def _fit(
         # the rows in flight, one slot each, and their state
         rows = list(range(n_rows))
         c, p = counts, p0
-        w = 1.0 / np.maximum(c, 1.0)
+        w = _weights(c)
         m, jac = model(axis, p)
         cost = _weighted_cost(c, m, w)
         lam = [1e-3] * n_rows
@@ -501,7 +506,7 @@ def _two_dip_starts(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResu
     starts = np.array([pairs, samples]).reshape(2, -1, 7)
     with np.errstate(all="ignore"):
         model, _ = _dips_model(axis, starts)
-        pair_costs, sample_costs = _weighted_cost(counts, model, 1.0 / np.maximum(counts, 1.0))
+        pair_costs, sample_costs = _weighted_cost(counts, model, _weights(counts))
     # a non-finite pair cost fails this test and falls back to the samples
     return np.where((pair_costs <= sample_costs)[:, None], starts[0], starts[1])
 
@@ -699,7 +704,7 @@ def _block_scores(
 ) -> FloatArray:
     """``_second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
     n_records = len(ones)
-    weights = 1.0 / np.maximum(counts, 1.0)
+    weights = _weights(counts)
     root_w = np.sqrt(weights)
     with np.errstate(all="ignore"):
         model, jac = _dips_model(axis, np.array([[one.params[name] for name in one.param_names] for one in ones]))

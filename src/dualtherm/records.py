@@ -11,34 +11,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Sequence, TextIO, get_type_hints
 
 from .scenarios import ScenarioRecord
 
-#: CSV column -> ScenarioRecord attribute, in emission order
-_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("time_s", "time_s"),
-    ("true_T_C", "true_t_c"),
-    ("laser_mW", "laser_mw"),
-    ("b_par_mT", "b_par_mt"),
-    ("nv_n_dips", "nv_n_dips"),
-    ("nv_f0_MHz", "nv_f0_mhz"),
-    ("nv_f0_sigma_MHz", "nv_f0_sigma_mhz"),
-    ("nv_contrast", "nv_contrast"),
-    ("nv_fwhm_MHz", "nv_fwhm_mhz"),
-    ("siv_pos_nm", "siv_pos_nm"),
-    ("siv_pos_sigma_nm", "siv_pos_sigma_nm"),
-    ("siv_fwhm_nm", "siv_fwhm_nm"),
-    ("T_nv_C", "t_nv_c"),
-    ("T_nv_sigma_C", "t_nv_sigma_c"),
-    ("T_siv_C", "t_siv_c"),
-    ("T_siv_sigma_C", "t_siv_sigma_c"),
-    ("z_score", "z_score"),
-    ("artifact_flag", "artifact_flag"),
+#: the record CSV header, in emission order
+CSV_HEADER = (
+    "time_s,true_T_C,laser_mW,b_par_mT,nv_n_dips,nv_f0_MHz,nv_f0_sigma_MHz,"
+    "nv_contrast,nv_fwhm_MHz,siv_pos_nm,siv_pos_sigma_nm,siv_fwhm_nm,"
+    "T_nv_C,T_nv_sigma_C,T_siv_C,T_siv_sigma_C,z_score,artifact_flag"
 )
-
-CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
+#: CSV column -> ScenarioRecord attribute, which is the column's name
+#: lowercased; interned, as attribute and keyword names are, for fast lookups
+_COLUMNS = {column: sys.intern(column.lower()) for column in CSV_HEADER.split(",")}
 
 #: ScenarioRecord attribute -> its type (int, bool or float), read off the
 #: field annotations; ints and bools are written as integers, bools as 0/1
@@ -72,32 +59,24 @@ def _json_cell(record: ScenarioRecord, attr: str) -> float | int | None:
     return json_number(value) if _TYPES[attr] is float else int(value)
 
 
-def write_records_csv(records: Sequence[ScenarioRecord], stream: TextIO) -> None:
-    if not records:
-        raise ValueError("refusing to write an empty record list")
-    stream.write(CSV_HEADER + "\n")
-    for record in records:
-        stream.write(",".join(_cell(record, attr) for _, attr in _COLUMNS) + "\n")
-
-
-def write_records_json(records: Sequence[ScenarioRecord], stream: TextIO) -> None:
-    if not records:
-        raise ValueError("refusing to write an empty record list")
-    rows = [{column: _json_cell(record, attr) for column, attr in _COLUMNS} for record in records]
-    stream.write(json_text(rows))
-
-
-def write_records(
-    records: Sequence[ScenarioRecord], path: str | Path, fmt: str = "csv"
-) -> None:
-    """Write records to ``path`` as ``csv`` or ``json``."""
+def _check_format(fmt: str) -> None:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        if fmt == "csv":
-            write_records_csv(records, stream)
-        else:
-            write_records_json(records, stream)
+
+
+def write_records(records: Sequence[ScenarioRecord], stream: TextIO, fmt: str = "csv") -> None:
+    """Write records to ``stream`` as ``csv`` or ``json``; a bad format or an
+    empty list is refused before anything is written."""
+    _check_format(fmt)
+    if not records:
+        raise ValueError("refusing to write an empty record list")
+    if fmt == "json":
+        rows = [{column: _json_cell(record, attr) for column, attr in _COLUMNS.items()} for record in records]
+        stream.write(json_text(rows))
+        return
+    stream.write(CSV_HEADER + "\n")
+    for record in records:
+        stream.write(",".join(_cell(record, attr) for attr in _COLUMNS.values()) + "\n")
 
 
 def parse_records_csv(path: str | Path) -> list[ScenarioRecord]:
@@ -115,34 +94,39 @@ def parse_records_csv(path: str | Path) -> list[ScenarioRecord]:
             if len(cells) != len(_COLUMNS):
                 raise ValueError(f"line {line_no}: expected {len(_COLUMNS)} cells, got {len(cells)}")
             kwargs = {}
-            for (column, attr), cell in zip(_COLUMNS, cells):
-                if _TYPES[attr] is bool and cell not in ("0", "1"):
-                    raise ValueError(f"line {line_no}, column {column}: expected 0 or 1, got {cell!r}")
-                kwargs[attr] = cell == "1" if _TYPES[attr] is bool else _TYPES[attr](cell)
+            for (column, attr), cell in zip(_COLUMNS.items(), cells):
+                kind = _TYPES[attr]
+                try:
+                    if kind is bool and cell not in ("0", "1"):
+                        raise ValueError
+                    kwargs[attr] = cell == "1" if kind is bool else kind(cell)
+                except ValueError:
+                    expected = "0 or 1" if kind is bool else "an integer" if kind is int else "a number"
+                    raise ValueError(f"line {line_no}, column {column}: expected {expected}, got {cell!r}") from None
             records.append(ScenarioRecord(**kwargs))
     return records
 
 
 def write_precision_series(
-    series: dict[str, list[tuple[float, float]]], path: str | Path, fmt: str = "csv"
+    series: dict[str, list[tuple[float, float]]], stream: TextIO, fmt: str = "csv"
 ) -> None:
-    """Write a precision sweep result (per-channel sigma vs integration time)."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    """Write a precision sweep result (per-channel sigma vs integration time)
+    to ``stream``; a bad format or an empty series is refused before anything
+    is written."""
+    _check_format(fmt)
     if not series or not any(series.values()):
         raise ValueError("refusing to write an empty precision series")
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        if fmt == "csv":
-            stream.write("channel,integration_time_s,sigma_T_C\n")
-            for channel in series:
-                for t_int, sigma in series[channel]:
-                    stream.write(f"{channel},{format_number(t_int)},{format_number(sigma)}\n")
-        else:
-            payload = {
-                channel: [
-                    {"integration_time_s": json_number(t_int), "sigma_T_C": json_number(sigma)}
-                    for t_int, sigma in pairs
-                ]
-                for channel, pairs in series.items()
-            }
-            stream.write(json_text(payload))
+    if fmt == "json":
+        payload = {
+            channel: [
+                {"integration_time_s": json_number(t_int), "sigma_T_C": json_number(sigma)}
+                for t_int, sigma in pairs
+            ]
+            for channel, pairs in series.items()
+        }
+        stream.write(json_text(payload))
+        return
+    stream.write("channel,integration_time_s,sigma_T_C\n")
+    for channel, pairs in series.items():
+        for t_int, sigma in pairs:
+            stream.write(f"{channel},{format_number(t_int)},{format_number(sigma)}\n")

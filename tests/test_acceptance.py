@@ -35,7 +35,7 @@ from dualtherm import (
     run_ramp,
     sample_poisson_counts,
     subsystem_generators,
-    write_records_csv,
+    write_records,
     zeeman_resonances,
 )
 
@@ -263,7 +263,7 @@ def test_seed_determinism_and_optical_channel_isolation():
             bfield=BfieldSettings(b_max_mt=0.5),
         )
         buf = io.StringIO()
-        write_records_csv(run_bfield_artifact(cfg), buf)
+        write_records(run_bfield_artifact(cfg), buf)
         return buf.getvalue()
 
     assert csv_bytes() == csv_bytes()

@@ -281,16 +281,6 @@ def test_scenario_seed_flag_overrides_config(tmp_path):
     assert outputs[0] != outputs[2]
 
 
-def test_precision_sweep_requires_out(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        kind="precision_sweep",
-        precision={"integration_times_s": [0.1], "repetitions": 2},
-    )
-    assert main(["scenario", "--config", config]) == 4
-    assert "pass --out" in capsys.readouterr().err
-
-
 def test_precision_sweep_writes_series(tmp_path):
     config = _write_config(
         tmp_path,
@@ -303,6 +293,60 @@ def test_precision_sweep_writes_series(tmp_path):
     assert lines[0] == "channel,integration_time_s,sigma_T_C"
     assert len(lines) == 2
     assert lines[1].startswith("siv,0.1,")
+
+
+#: one run of every kind of result; ``{name}`` is a file the test makes first
+_PRINTED_RUNS = {
+    "simulate-csv": ["simulate", "--channel", "odmr", "--seed", "3"],
+    "simulate-json": ["simulate", "--channel", "pl", "--seed", "3", "--format", "json"],
+    "fit": ["fit", "--input", "{spectrum}", "--kind", "odmr"],
+    "scenario-csv": ["scenario", "--config", "{ramp}"],
+    "scenario-json": ["scenario", "--config", "{ramp}", "--format", "json"],
+    "precision-csv": ["scenario", "--config", "{precision}"],
+    "precision-json": ["scenario", "--config", "{precision}", "--format", "json"],
+    "sensitivity": ["sensitivity"],
+    "crossval": ["crossval", "--input", "{records}", "--config", "{ramp}"],
+}
+
+
+@pytest.mark.parametrize("run", list(_PRINTED_RUNS))
+def test_stdout_bytes_equal_the_out_file_bytes(tmp_path, capsysbinary, run):
+    paths = {
+        "spectrum": str(tmp_path / "spectrum.csv"),
+        "ramp": _write_config(tmp_path, ramp={"n_steps": 3}),
+        "precision": _write_config(
+            tmp_path,
+            name="precision.json",
+            kind="precision_sweep",
+            precision={"integration_times_s": [0.1, 1.0], "repetitions": 2, "channels": ["nv", "siv"]},
+        ),
+        "records": str(tmp_path / "records.csv"),
+    }
+    assert main(["simulate", "--channel", "odmr", "--seed", "5", "--out", paths["spectrum"]]) == 0
+    assert main(["scenario", "--config", paths["ramp"], "--out", paths["records"]]) == 0
+    argv = [arg.format(**paths) for arg in _PRINTED_RUNS[run]]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed.err == b"" and printed.out
+    assert out.read_bytes() == printed.out
+    assert capsysbinary.readouterr() == (b"", b"")
+
+
+def test_a_refused_run_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    config = _write_config(tmp_path, duration_s=-1.0)
+    assert main(["scenario", "--config", config, "--out", str(out)]) == 3
+    records = tmp_path / "records.csv"
+    records.write_text(f"{CSV_HEADER}\nabc{',1' * 17}\n", encoding="utf-8")
+    assert main(["crossval", "--input", str(records), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: duration_s must be > 0, got -1.0",
+        "error: line 2, column time_s: expected a number, got 'abc'",
+    ]
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_sensitivity_reports_default_figure(capsys):

@@ -3,7 +3,7 @@
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,8 +13,6 @@ from dualtherm import (
     parse_records_csv,
     run_bfield_artifact,
     write_records,
-    write_records_csv,
-    write_records_json,
 )
 from dualtherm.cli import main
 from dualtherm.crossval import pair_z
@@ -28,6 +26,11 @@ def _records():
     return run_bfield_artifact(cfg)
 
 
+def _write_csv(records, path):
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_records(records, stream)
+
+
 def test_csv_header_is_pinned():
     # append-only schema: this exact string is a compatibility contract
     assert CSV_HEADER == (
@@ -35,6 +38,11 @@ def test_csv_header_is_pinned():
         "nv_contrast,nv_fwhm_MHz,siv_pos_nm,siv_pos_sigma_nm,siv_fwhm_nm,"
         "T_nv_C,T_nv_sigma_C,T_siv_C,T_siv_sigma_C,z_score,artifact_flag"
     )
+
+
+def test_lowercased_csv_header_is_the_record_fields():
+    # each column reads and writes the record attribute of its lowercased name
+    assert CSV_HEADER.lower().split(",") == [field.name for field in fields(ScenarioRecord)]
 
 
 def test_format_number_nine_significant_digits():
@@ -48,7 +56,7 @@ def test_format_number_nine_significant_digits():
 def test_csv_round_trip_preserves_nine_digits(tmp_path):
     records = _records()
     path = tmp_path / "records.csv"
-    write_records(records, path, "csv")
+    _write_csv(records, path)
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == CSV_HEADER
     parsed = parse_records_csv(path)
@@ -64,7 +72,7 @@ def test_csv_round_trip_preserves_nine_digits(tmp_path):
 
 def test_csv_flag_and_integer_rendering():
     stream = io.StringIO()
-    write_records_csv(_records()[:1], stream)
+    write_records(_records()[:1], stream)
     header, row = stream.getvalue().strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["artifact_flag"] in ("0", "1")
@@ -74,7 +82,7 @@ def test_csv_flag_and_integer_rendering():
 def test_json_matches_csv_schema():
     records = _records()[:3]
     stream = io.StringIO()
-    write_records_json(records, stream)
+    write_records(records, stream, "json")
     payload = json.loads(stream.getvalue())
     assert isinstance(payload, list) and len(payload) == 3
     assert list(payload[0]) == CSV_HEADER.split(",")
@@ -83,28 +91,30 @@ def test_json_matches_csv_schema():
     assert isinstance(payload[0]["nv_n_dips"], int)
 
 
-def test_empty_record_list_is_an_error(tmp_path):
-    with pytest.raises(ValueError):
-        write_records_csv([], io.StringIO())
-    with pytest.raises(ValueError):
-        write_records_json([], io.StringIO())
-    with pytest.raises(ValueError):
-        write_records([], tmp_path / "nothing.csv", "csv")
+def test_empty_record_list_is_an_error():
+    stream = io.StringIO()
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="empty"):
+            write_records([], stream, fmt)
+    assert stream.getvalue() == ""
 
 
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_records(_records()[:1], tmp_path / "records.xml", "xml")
-
-
-def test_precision_series_refusals_leave_an_existing_file_alone(tmp_path):
-    path = tmp_path / "precision.csv"
-    path.write_bytes(b"kept\n")
+def test_unknown_format_rejected():
+    stream = io.StringIO()
     with pytest.raises(ValueError, match="format"):
-        write_precision_series({"siv": [(0.1, 0.5)]}, path, "xml")
+        write_records(_records()[:1], stream, "xml")
+    assert stream.getvalue() == ""
+
+
+def test_precision_series_refusals_write_nothing():
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="format"):
+        write_precision_series({"siv": [(0.1, 0.5)]}, stream, "xml")
     with pytest.raises(ValueError, match="empty"):
-        write_precision_series({"siv": []}, path, "csv")
-    assert path.read_bytes() == b"kept\n"
+        write_precision_series({"siv": []}, stream, "csv")
+    with pytest.raises(ValueError, match="empty"):
+        write_precision_series({}, stream, "json")
+    assert stream.getvalue() == ""
 
 
 def test_parse_rejects_foreign_header(tmp_path):
@@ -120,12 +130,14 @@ def test_parse_rejects_foreign_header(tmp_path):
         ("artifact_flag", "yes", "line 2, column artifact_flag: expected 0 or 1, got 'yes'"),
         ("artifact_flag", "2", "line 2, column artifact_flag: expected 0 or 1, got '2'"),
         ("nv_n_dips", "7", "nv_n_dips must be 1 or 2, got 7"),
+        ("nv_f0_MHz", "abc", "line 2, column nv_f0_MHz: expected a number, got 'abc'"),
+        ("nv_n_dips", "2.5", "line 2, column nv_n_dips: expected an integer, got '2.5'"),
     ],
-    ids=["flag-yes", "flag-2", "n-dips-7"],
+    ids=["flag-yes", "flag-2", "n-dips-7", "f0-abc", "n-dips-2.5"],
 )
 def test_parse_refuses_cells_outside_their_values(tmp_path, capsys, column, cell, message):
     path = tmp_path / "records.csv"
-    write_records([_exact_record(0, 25.5)], path, "csv")
+    _write_csv([_exact_record(0, 25.5)], path)
     header, row = path.read_text(encoding="utf-8").splitlines()
     cells = row.split(",")
     cells[header.split(",").index(column)] = cell
@@ -138,11 +150,11 @@ def test_parse_refuses_cells_outside_their_values(tmp_path, capsys, column, cell
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_precision_series_output(tmp_path):
+def test_precision_series_output():
     series = {"siv": [(0.1, 0.5), (1.0, 0.155)]}
-    path = tmp_path / "precision.csv"
-    write_precision_series(series, path, "csv")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    stream = io.StringIO()
+    write_precision_series(series, stream)
+    lines = stream.getvalue().splitlines()
     assert lines[0] == "channel,integration_time_s,sigma_T_C"
     assert lines[1] == "siv,0.1,0.5"
     assert lines[2] == "siv,1,0.155"
@@ -174,13 +186,13 @@ def test_json_writes_an_infinite_z_as_null(tmp_path):
     record = _exact_record(0, 25.5)
     assert record.z_score == math.inf
     stream = io.StringIO()
-    write_records_json([record, replace(record, z_score=-math.inf)], stream)
+    write_records([record, replace(record, z_score=-math.inf)], stream, "json")
     rows = _strict_json(stream.getvalue())
     assert [row["z_score"] for row in rows] == [None, None]
     assert rows[0]["T_nv_C"] == 25.5
     # the CSV keeps the infinity, and reads it back
     path = tmp_path / "records.csv"
-    write_records([record], path, "csv")
+    _write_csv([record], path)
     assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[-2] == "inf"
     assert parse_records_csv(path) == [record]
 
@@ -188,15 +200,15 @@ def test_json_writes_an_infinite_z_as_null(tmp_path):
 def test_crossval_report_of_exact_disagreeing_records_is_strict_json(tmp_path, capsys):
     # one 20-record window: the SiV channel is constant, the NV one is not
     records = tmp_path / "records.csv"
-    write_records([_exact_record(k, 25.0 + 0.1 * k) for k in range(20)], records, "csv")
+    _write_csv([_exact_record(k, 25.0 + 0.1 * k) for k in range(20)], records)
     assert main(["crossval", "--input", str(records)]) == 0
     [verdict] = _strict_json(capsys.readouterr().out)["windows"]["verdicts"]
     assert verdict["variance_ratio"] is None and verdict["max_abs_z"] is None
     assert verdict["flagged"] is True
 
 
-def test_precision_series_json_is_strict(tmp_path):
-    path = tmp_path / "precision.json"
-    write_precision_series({"siv": [(0.1, 0.5), (1.0, math.inf)]}, path, "json")
-    payload = _strict_json(path.read_text(encoding="utf-8"))
+def test_precision_series_json_is_strict():
+    stream = io.StringIO()
+    write_precision_series({"siv": [(0.1, 0.5), (1.0, math.inf)]}, stream, "json")
+    payload = _strict_json(stream.getvalue())
     assert payload == {"siv": [{"integration_time_s": 0.1, "sigma_T_C": 0.5}, {"integration_time_s": 1.0, "sigma_T_C": None}]}

@@ -11,7 +11,7 @@ listings; identical listings mean identical bytes on every item::
 The script imports dualtherm from the ``src/`` directory next to it, so it
 always tests the tree it sits in.  Items:
 
-* the record CSV (``write_records_csv``) of 136 sessions, 8,127 records:
+* the record CSV (``records.write_records``) of 136 sessions, 8,127 records:
   field-off seeds 1000-1039 (120 s); 0.5 mT seeds 0-39 and 0.1, 0.2 and
   1.0 mT seeds 0-14 (60 s); three 300 s sessions at 0.5 mT and one
   field-off; a noisy and a noiseless ramp; a 600 s laser modulation run
@@ -58,7 +58,7 @@ from dualtherm.forward import (  # noqa: E402
     zeeman_resonances,
 )
 from dualtherm.noise import sample_poisson_counts  # noqa: E402
-from dualtherm.records import format_number, write_records_csv  # noqa: E402
+from dualtherm.records import format_number, write_records  # noqa: E402
 from dualtherm.scenarios import PlSettings, ScenarioConfig, run_scenario  # noqa: E402
 
 
@@ -181,7 +181,7 @@ def cli_items(tmp: Path) -> Iterator[str]:
 def main() -> int:
     for label, session in sessions():
         stream = io.StringIO()
-        write_records_csv(run_scenario(scenario_config_from_dict(session)), stream)
+        write_records(run_scenario(scenario_config_from_dict(session)), stream)
         print(f"{_digest(stream.getvalue().encode())}  records {label}")
     with tempfile.TemporaryDirectory() as tmp:
         for line in cli_items(Path(tmp)):
