@@ -439,17 +439,37 @@ def _check_trace(trace: SpectrumTrace, kind: AxisKind) -> None:
     _check_sample_count(trace.axis)
 
 
-def fit_pl_peak(trace: SpectrumTrace) -> FitResult:
+def fit_pl_peaks(axis: FloatArray, counts: FloatArray) -> list[FitResult]:
+    """Peak fits of every row of ``counts`` ``(B, n)`` on ``axis``, as one stack.
+
+    Row ``i`` gets ``fit_pl_peak`` of it alone, bit for bit.  Every row is
+    in flight at once, so the caller bounds the stack (the record pipeline
+    by ``scenarios.FIT_CHUNK_RECORDS``).  The spectra must pass
+    ``forward.check_spectra`` and have at least ``MIN_FIT_SAMPLES`` samples.
+    """
+    axis, counts = check_spectra(axis, counts, rows=True)
+    _check_sample_count(axis)
+    if not len(counts):
+        return []
+    p0 = np.array([_peak_init(axis, row) for row in counts])
+    return [_peak_result(*row) for row in _fit(_peak_model, _physical_peak, axis, counts, p0)]
+
+
+def fit_pl_peak(trace: SpectrumTrace, fit: FitResult | None = None) -> FitResult:
     """Fit one Lorentzian emission peak on a flat background.
 
     The trace needs at least ``MIN_FIT_SAMPLES`` samples.  The fit starts
     from the samples alone (``_peak_init``) and converges only on a physical
     line (``_physical_peak``).
+
+    ``fit`` is the trace's entry of ``fit_pl_peaks``; a caller that fitted a
+    run of records passes it and gets it back, unfitted.  Without it the
+    trace is checked and fitted here, as a stack of one.
     """
-    _check_trace(trace, AxisKind.WAVELENGTH_NM)
-    axis, counts = trace.axis, trace.counts
-    p0 = np.array([_peak_init(axis, counts)])
-    return _peak_result(*_fit(_peak_model, _physical_peak, axis, counts[None], p0)[0])
+    if fit is None:
+        _check_trace(trace, AxisKind.WAVELENGTH_NM)
+        [fit] = fit_pl_peaks(trace.axis, trace.counts[None])
+    return fit
 
 
 def _odmr_param_names(n_dips: int) -> tuple[str, ...]:

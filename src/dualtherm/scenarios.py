@@ -36,6 +36,7 @@ from .fitting import (
     fit_odmr_candidates,
     fit_odmr_dips,
     fit_pl_peak,
+    fit_pl_peaks,
     select_dip_count,
 )
 from .forward import (
@@ -77,8 +78,13 @@ FloatArray = NDArray[np.float64]
 #: records synthesised and fitted at a time: the bound on the spectra and
 #: fits a run holds at once, whatever its length, and on the rows of every
 #: count matrix and of every stack the pipeline hands ``fitting._fit``,
-#: which sets no bound of its own
-FIT_CHUNK_RECORDS = 64
+#: which sets no bound of its own.  A PL stack on the default 451-sample
+#: axis holds about 60-80 KB per row (model, Jacobian and their trial and
+#: weighted copies): 64 rows peaked at 4.9 MB of traced memory, and a
+#: 120 s field-off session at 5.7 MB, against 2.45 MB with PL fits of
+#: one.  At 16 rows the session peaks at 1.65 MB and the stacks keep
+#: their speed.
+FIT_CHUNK_RECORDS = 16
 
 
 class ScenarioKind(enum.Enum):
@@ -374,8 +380,9 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
     fits: the chunk's spectra as two count matrices (``_synthesise``), one
     ``fit_odmr_candidates`` call on the shared ODMR axis (a stack of one-dip
     fits, the score screen and a stack of the two-dip candidates it lets
-    through), then per record the dip-count choice, the PL fit and the
-    readouts.  Every record comes out as if handled alone.
+    through) and one ``fit_pl_peaks`` call on the PL axis (a stack of peak
+    fits), then per record the dip-count choice, its entry of the PL stack
+    and the readouts.  Every record comes out as if handled alone.
     The readouts of the whole run then go through the tumbling-window
     artifact monitor, and each record is built once, flagged if its window
     was.
@@ -387,7 +394,8 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
     rows = truth.tolist()
     for b_par, odmr_counts, pl_counts in _synthesise(config, truth, odmr_axis, pl_axis):
         candidates = fit_odmr_candidates(odmr_axis, odmr_counts)
-        for b_par_mt, odmr, pl, fits in zip(b_par.tolist(), odmr_counts, pl_counts, candidates):
+        peaks = fit_pl_peaks(pl_axis, pl_counts)
+        for b_par_mt, odmr, pl, fits, peak in zip(b_par.tolist(), odmr_counts, pl_counts, candidates, peaks):
             k = len(readouts)
             time_s = k * config.sample_period_s
             true_t_c, _, laser_mw = rows[k]
@@ -397,7 +405,7 @@ def _timeseries(config: ScenarioConfig, truth: FloatArray) -> list[ScenarioRecor
             nv_contrast, nv_fwhm = _nv_summary(nv_fit, n_dips)
             est_nv = odmr_readout(d_center, d_sigma, config.nv_cal, time_s)
 
-            pl_fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl))
+            pl_fit = fit_pl_peak(SpectrumTrace(AxisKind.WAVELENGTH_NM, pl_axis, pl), peak)
             est_siv = zpl_readout(pl_fit.params["center"], pl_fit.std_errors["center"], config.siv_cal, time_s)
             pairs.append((est_nv, est_siv))
             readouts.append(

@@ -47,6 +47,7 @@ from dualtherm.fitting import (
     _two_dip_starts,
     _weighted_cost,
     fit_odmr_candidates,
+    fit_pl_peaks,
 )
 from dip_reference import select_dip_count_unscreened
 
@@ -838,6 +839,44 @@ def test_fit_odmr_candidates_equal_fit_odmr_dips():
             _assert_same_fit(two, pair)
     # the corpus reaches both outcomes of the screen
     assert 0 < sum(two is None for _, two in candidates) < len(candidates)
+
+
+def test_fit_pl_peaks_equal_fit_pl_peak():
+    rng = np.random.default_rng(8103)
+    models = [PlModel(background_rate=2e4, peaks=((735.0 + 0.7 * k, 4.8, 1.3e5),)) for k in range(6)]
+    # a sparse spectrum of a few counts per bin
+    models.append(PlModel(background_rate=2.0, peaks=((737.0, 4.8, 6.0),)))
+    rows = [_pl_trace(model, 1.3, rng).counts for model in models]
+    # a weak peak that collapses onto one bin and reads not converged
+    weak = PlModel(background_rate=100.0, peaks=((737.0, 4.8, 30.0),))
+    rows.append(_pl_trace(weak, rng=np.random.default_rng(1)).counts)
+    counts = np.array(rows)
+    assert counts[-2].mean() < 5
+    fits = fit_pl_peaks(PL_AXIS, counts)
+    assert len(fits) == len(counts)
+    assert not fits[-1].converged and fits[0].converged
+    for fit, row in zip(fits, counts):
+        trace = SpectrumTrace(AxisKind.WAVELENGTH_NM, PL_AXIS, row)
+        _assert_same_fit(fit, fit_pl_peak(trace))
+        # given its entry of the stage, the trace is not fitted again
+        assert fit_pl_peak(trace, fit) is fit
+    for fit, ref in zip(fit_pl_peaks(PL_AXIS, counts[::-1]), fits[::-1]):
+        _assert_same_fit(fit, ref)
+
+
+def test_fit_pl_peaks_check_the_spectra():
+    counts = np.array([_pl_trace(PlModel(background_rate=2e4, peaks=((737.0, 4.8, 1.3e5),)), 1.3).counts] * 2)
+    assert fit_pl_peaks(PL_AXIS, counts[:0]) == []
+    with_nan = counts.copy()
+    with_nan[1, 5] = np.nan
+    cases = [
+        (PL_AXIS, counts[0], r"counts of shape \(451,\) are not \(B, n\) for an axis of n = 451 samples"),
+        (PL_AXIS, with_nan, "counts must be finite, got nan at sample 5"),
+        (PL_AXIS[:4], counts[:, :4], "need at least 8 samples, got 4"),
+    ]
+    for axis, rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            fit_pl_peaks(axis, rows)
 
 
 def test_two_dip_starts_do_not_depend_on_the_stack():

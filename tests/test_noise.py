@@ -1,6 +1,7 @@
 """Randomness layer: seed partitioning, photon sampling, drift, field process."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,50 @@ def test_bfield_sweep_matches_repeated_steps():
         assert projections.tolist() == expected
         assert swept == proc
         assert sweep_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _bfield_sweep_per_step(proc, dt_s, n_steps, rng):
+    """Reference field clock: one step at a time, one scalar draw at a time."""
+    elapsed = proc.time_since_resample_s
+    projection = proc.current_projection_mt
+    projections = np.empty(n_steps)
+    for i in range(n_steps):
+        elapsed += dt_s
+        while elapsed >= proc.dwell_s:
+            magnitude = rng.uniform(0.0, proc.b_max_mt)
+            projection = magnitude * rng.uniform(-1.0, 1.0)
+            elapsed -= proc.dwell_s
+        projections[i] = projection
+    return replace(proc, current_projection_mt=projection, time_since_resample_s=elapsed), projections
+
+
+@pytest.mark.parametrize(
+    "dt_s,dwell_s,phase_s,n_steps",
+    [
+        (1.5 / 201, 0.5, 0.0, 16 * 201),  # the pipeline's sweep step
+        (1.5 / 101, 0.5, 0.3, 2_000),  # a starting phase part way to a redraw
+        (1.1, 0.5, 0.0, 40),  # a step longer than the dwell redraws twice
+        (0.7, 0.5, 0.45, 40),
+        (0.125, 0.5, 0.0, 400),  # steps that divide the dwell exactly
+        (0.125, 0.5, 0.375, 400),
+        (0.1, 0.5, 0.0, 400),
+        (0.01, 0.5, 0.75, 300),  # a phase past the dwell redraws at once
+        (1e-4, 0.5, 0.0, 12_000),  # redraws far apart
+        (0.3, 0.5, 0.0, 0),
+    ],
+)
+def test_bfield_sweep_equals_the_per_step_clock(dt_s, dwell_s, phase_s, n_steps):
+    start = BFieldProcess(b_max_mt=0.5, dwell_s=dwell_s, current_projection_mt=-0.2, time_since_resample_s=phase_s)
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    proc, projections = bfield_sweep(start, dt_s, n_steps, rng)
+    ref, expected = _bfield_sweep_per_step(start, dt_s, n_steps, ref_rng)
+    assert projections.tobytes() == expected.tobytes()
+    assert proc == ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert n_steps == 0 or len(set(expected.tolist())) > 1
+    # a resample draws as the per-step clock does
+    resampled = bfield_resample(proc, rng)
+    assert resampled.current_projection_mt == ref_rng.uniform(0.0, 0.5) * ref_rng.uniform(-1.0, 1.0)
 
 
 def test_bfield_zero_amplitude_still_consumes_draws():

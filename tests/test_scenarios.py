@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from typing import get_type_hints
 
@@ -366,12 +367,32 @@ def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
 
     monkeypatch.setattr(fitting, "_fit", spy)
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=0, duration_s=300.0, bfield=BfieldSettings(b_max_mt=0.5))
-    assert len(run_bfield_artifact(cfg)) == 200
+    n_records = 200
+    assert len(run_bfield_artifact(cfg)) == n_records
     chunk = scenarios.FIT_CHUNK_RECORDS
     assert max(rows for _, (rows, _) in stacks) <= chunk
-    # one one-dip stack per chunk, the last one part full
-    assert [rows for model, (rows, k) in stacks if model is fitting._dips_model and k == 4] == [chunk] * 3 + [8]
+    # one one-dip stack and one PL stack per chunk, the last ones part full
+    full, part = divmod(n_records, chunk)
+    assert part > 0
+    assert [rows for model, (rows, k) in stacks if model is fitting._dips_model and k == 4] == [chunk] * full + [part]
+    assert [rows for model, (rows, _) in stacks if model is fitting._peak_model] == [chunk] * full + [part]
     assert any(k == 7 for _, (_, k) in stacks)
+
+
+def test_session_memory_stays_within_a_chunk_working_set():
+    # a 120 s field-off session of 80 records; a first session builds the
+    # score screen's cached candidate grid (about 7 MB) before measuring.
+    # PL fits of one peaked at 2.45 MB, stacks of 64 at 5.7 MB, and stacks
+    # of 16 at 1.65 MB
+    cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=1001, duration_s=120.0)
+    run_bfield_artifact(replace(cfg, seed=999, duration_s=30.0))
+    tracemalloc.start()
+    try:
+        assert len(run_bfield_artifact(cfg)) == 80
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"session peaked at {peak / 1e6:.2f} MB"
 
 
 _CHUNK_SESSIONS = {
@@ -390,19 +411,19 @@ _CHUNK_SESSIONS = {
 
 @pytest.mark.parametrize("name", list(_CHUNK_SESSIONS))
 def test_records_do_not_depend_on_the_chunk_size(monkeypatch, name):
-    """Synthesis and fits in chunks of 1, 7 or 64 records give the same records."""
+    """Synthesis and fits in chunks of 1, 7, ``FIT_CHUNK_RECORDS`` or 64 records give the same records."""
     runs = []
-    for chunk in (64, 7, 1):
+    for chunk in (64, scenarios.FIT_CHUNK_RECORDS, 7, 1):
         monkeypatch.setattr(scenarios, "FIT_CHUNK_RECORDS", chunk)
         runs.append(run_scenario(_CHUNK_SESSIONS[name]))
     # every session crosses a 64-record chunk boundary
     assert len(runs[0]) > 64
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
-@pytest.mark.parametrize("b_max_mt,field_draws", [(0.5, 2), (0.0, 0)])
-def test_synthesis_draws_each_stream_once_per_chunk(monkeypatch, b_max_mt, field_draws):
+@pytest.mark.parametrize("b_max_mt", [0.5, 0.0])
+def test_synthesis_draws_each_stream_once_per_chunk(monkeypatch, b_max_mt):
     """One Poisson draw per channel and one field sweep per chunk; drift steps per record."""
     calls = {"sample_poisson_counts": 0, "bfield_sweep": 0, "drift_step": 0}
     for name in calls:
@@ -415,9 +436,16 @@ def test_synthesis_draws_each_stream_once_per_chunk(monkeypatch, b_max_mt, field
     cfg = ScenarioConfig(
         kind=ScenarioKind.BFIELD_ARTIFACT, seed=4, duration_s=150.0, bfield=BfieldSettings(b_max_mt=b_max_mt)
     )
-    assert len(run_bfield_artifact(cfg)) == 100
-    # two chunks: 64 records, then 36; an inactive field draws nothing
-    assert calls == {"sample_poisson_counts": 4, "bfield_sweep": field_draws, "drift_step": 100}
+    n_records = 100
+    assert len(run_bfield_artifact(cfg)) == n_records
+    # full chunks, then one part chunk; an inactive field draws nothing
+    n_chunks = -(-n_records // scenarios.FIT_CHUNK_RECORDS)
+    assert n_chunks > 1 and n_records % scenarios.FIT_CHUNK_RECORDS
+    assert calls == {
+        "sample_poisson_counts": 2 * n_chunks,
+        "bfield_sweep": n_chunks if b_max_mt else 0,
+        "drift_step": n_records,
+    }
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ always tests the tree it sits in.  Items:
   field-off seeds 1000-1039 (120 s); 0.5 mT seeds 0-39 and 0.1, 0.2 and
   1.0 mT seeds 0-14 (60 s); three 300 s sessions at 0.5 mT and one
   field-off; a noisy and a noiseless ramp; a 600 s laser modulation run
-  and a noiseless 300 s one (200 records, four chunks); 45 s and 3 s
+  and a noiseless 300 s one (200 records, 13 chunks); 45 s and 3 s
   sessions at 0.5 mT, which end in part windows and part chunks; and a
   150 s session at 0.5 mT on a 101-point sweep every 2 s, whose 75 records
   cross a chunk boundary mid-field-clock;
