@@ -294,7 +294,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
-    except ValueError as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # a run too large to hold or to count is a runtime failure too
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
     return _EXIT_OK

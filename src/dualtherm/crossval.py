@@ -46,14 +46,15 @@ class ArtifactVerdict:
     window_end_s: float
     variance_ratio: float
     max_abs_z: float
-    flagged: bool
     reason: ArtifactReason
 
     def __post_init__(self) -> None:
         if self.variance_ratio < 0:
             raise ValueError(f"variance_ratio must be >= 0, got {self.variance_ratio}")
-        if self.flagged != (self.reason is not ArtifactReason.NONE):
-            raise ValueError("flagged must hold exactly when a reason is recorded")
+
+    @property
+    def flagged(self) -> bool:
+        return self.reason is not ArtifactReason.NONE
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,6 @@ def artifact_monitor(
         window_end_s=window[-1][0].timestamp_s,
         variance_ratio=ratio,
         max_abs_z=max_abs_z,
-        flagged=reason is not ArtifactReason.NONE,
         reason=reason,
     )
 

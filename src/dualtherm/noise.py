@@ -122,19 +122,16 @@ class BFieldProcess(Settings):
             )
 
 
-def _draw_projections(proc: BFieldProcess, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-    """``n`` projections drawn in turn, each its magnitude first, then its direction.
-
-    The draw order is part of the determinism contract.  One array draw
-    takes the same doubles, in the same order, as ``2 n`` scalar draws.
-    """
-    magnitude, direction = rng.uniform((0.0, -1.0), (proc.b_max_mt, 1.0), size=(n, 2)).T
-    return magnitude * direction
+def _draw_projection(proc: BFieldProcess, rng: np.random.Generator) -> float:
+    # magnitude first, then direction: the draw order is part of the
+    # determinism contract
+    magnitude = rng.uniform(0.0, proc.b_max_mt)
+    return magnitude * rng.uniform(-1.0, 1.0)
 
 
 def bfield_resample(proc: BFieldProcess, rng: np.random.Generator) -> BFieldProcess:
     """Redraw the field immediately, resetting the resample clock."""
-    return replace(proc, current_projection_mt=float(_draw_projections(proc, rng, 1)[0]), time_since_resample_s=0.0)
+    return replace(proc, current_projection_mt=_draw_projection(proc, rng), time_since_resample_s=0.0)
 
 
 def bfield_sweep(
@@ -148,46 +145,22 @@ def bfield_sweep(
     zero although the draws are still consumed, keeping the stream alignment
     of a run independent of the field amplitude.
 
-    The clock alone decides when the field is redrawn, so it runs first,
-    from one redraw instant to the next: the steps up to the next instant
-    are one ``np.cumsum`` segment, which adds ``dt_s`` one step at a time
-    and so keeps ``elapsed`` bit for bit as a per-step ``elapsed += dt_s``
-    would.  Every redraw is then drawn at once, in the order the instants
-    call for them.
+    The clock runs one step at a time: each step adds ``dt_s``, then takes
+    off every dwell that has ended, drawing the field once per dwell.  A
+    clock so far past the dwell that taking one off leaves it unchanged
+    would never run down, so it raises ``ValueError``.
     """
     if not dt_s > 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")
-    dwell = proc.dwell_s
     elapsed = proc.time_since_resample_s
-    # one clock increment per step; a segment's first slot takes the clock's
-    # value at its start, and no later segment reads that slot
-    steps = np.full(n_steps + 1, dt_s)
-    # the step of each redraw instant, and the dwells it ends
-    instants: list[int] = []
-    redraws: list[int] = []
-    i = 0
-    while i < n_steps:
-        # the steps to the next redraw instant, give or take the rounding of
-        # the estimate; a segment that falls short is continued
-        size = int(min(n_steps - i, max(1.0, (dwell - elapsed) / dt_s + 2.0)))
-        steps[i] = elapsed
-        clock = steps[i : i + size + 1].cumsum()[1:]
-        # the clock never runs back, so bisection finds the first step due
-        stop = int(clock.searchsorted(dwell))
-        i += stop
-        if stop == size:
-            elapsed = float(clock[-1])
-            continue
-        elapsed = float(clock[stop])
-        ended = 0
-        while elapsed >= dwell:
-            elapsed -= dwell
-            ended += 1
-        instants.append(i)
-        redraws.append(ended)
-        i += 1
-    drawn = _draw_projections(proc, rng, sum(redraws))
-    # each instant holds the last projection it drew until the next one
-    held = np.concatenate([[proc.current_projection_mt], drawn[np.cumsum(redraws, dtype=np.intp) - 1]])
-    projections = np.repeat(held, np.diff([0, *instants, n_steps]))
-    return replace(proc, current_projection_mt=float(held[-1]), time_since_resample_s=elapsed), projections
+    projection = proc.current_projection_mt
+    projections = np.empty(n_steps)
+    for i in range(n_steps):
+        elapsed += dt_s
+        while elapsed >= proc.dwell_s:
+            if elapsed - proc.dwell_s == elapsed:
+                raise ValueError(f"a {proc.dwell_s} s field dwell cannot be counted off a clock at {elapsed} s")
+            projection = _draw_projection(proc, rng)
+            elapsed -= proc.dwell_s
+        projections[i] = projection
+    return replace(proc, current_projection_mt=projection, time_since_resample_s=elapsed), projections

@@ -349,6 +349,30 @@ def test_a_refused_run_leaves_an_existing_out_file_alone(tmp_path, capsys):
     assert out.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        # a 5e297 s sweep step leaves the field clock unchanged when a 0.5 s
+        # dwell is taken off it; the clock used to loop for good
+        (
+            {"duration_s": 3, "odmr": {"sweep_time_s": 1e300}, "bfield": {"b_max_mt": 0.5}},
+            "error: a 0.5 s field dwell cannot be counted off a clock at ",
+        ),
+        ({"duration_s": 1e15}, "error: Unable to allocate 14.2 PiB"),  # 6.7e14 per-record rows
+        ({"sample_period_s": 1e-300}, "error: Python int too large"),  # more records than an index holds
+    ],
+    ids=["field_clock", "duration", "sample_period"],
+)
+def test_a_run_that_cannot_finish_is_a_runtime_error(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": "bfield_artifact", **config}), encoding="utf-8")
+    assert main(["scenario", "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(message)
+
+
 def test_sensitivity_reports_default_figure(capsys):
     assert main(["sensitivity"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -164,9 +164,11 @@ def test_monitor_rejects_short_windows():
 
 def test_verdict_invariant_enforced():
     with pytest.raises(ValueError):
-        ArtifactVerdict(0.0, 10.0, 1.0, 0.5, flagged=True, reason=ArtifactReason.NONE)
-    with pytest.raises(ValueError):
-        ArtifactVerdict(0.0, 10.0, -1.0, 0.5, flagged=False, reason=ArtifactReason.NONE)
+        ArtifactVerdict(0.0, 10.0, -1.0, 0.5, reason=ArtifactReason.NONE)
+    # flagged reads off the reason, so the two cannot disagree
+    assert [ArtifactVerdict(0.0, 10.0, 1.0, 0.5, reason).flagged for reason in ArtifactReason] == [
+        reason is not ArtifactReason.NONE for reason in ArtifactReason
+    ]
 
 
 def test_monitor_config_validation():

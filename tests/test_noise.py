@@ -1,7 +1,6 @@
 """Randomness layer: seed partitioning, photon sampling, drift, field process."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,44 +169,11 @@ def test_bfield_sweep_redraws_once_per_dwell():
     assert stepped.time_since_resample_s == pytest.approx(0.1)
 
 
-def test_bfield_sweep_matches_repeated_steps():
-    # n steps followed by m steps reproduce one sweep of n + m steps bit for
-    # bit, draws included; n = 1 repeated is the per-step process
-    start = bfield_resample(BFieldProcess(b_max_mt=0.5), np.random.default_rng(12))
-    sweep_rng = np.random.default_rng(13)
-    swept, projections = bfield_sweep(start, 1.5 / 201, 201, sweep_rng)
-    assert len(set(projections.tolist())) == 4
-    for splits in ((0, 201), (1, 200), (57, 144), (134, 67), (201, 0), (1,) * 201):
-        rng = np.random.default_rng(13)
-        proc = start
-        expected = []
-        for n in splits:
-            proc, part = bfield_sweep(proc, 1.5 / 201, n, rng)
-            expected += part.tolist()
-        assert projections.tolist() == expected
-        assert swept == proc
-        assert sweep_rng.bit_generator.state == rng.bit_generator.state
-
-
-def _bfield_sweep_per_step(proc, dt_s, n_steps, rng):
-    """Reference field clock: one step at a time, one scalar draw at a time."""
-    elapsed = proc.time_since_resample_s
-    projection = proc.current_projection_mt
-    projections = np.empty(n_steps)
-    for i in range(n_steps):
-        elapsed += dt_s
-        while elapsed >= proc.dwell_s:
-            magnitude = rng.uniform(0.0, proc.b_max_mt)
-            projection = magnitude * rng.uniform(-1.0, 1.0)
-            elapsed -= proc.dwell_s
-        projections[i] = projection
-    return replace(proc, current_projection_mt=projection, time_since_resample_s=elapsed), projections
-
-
 @pytest.mark.parametrize(
     "dt_s,dwell_s,phase_s,n_steps",
     [
-        (1.5 / 201, 0.5, 0.0, 16 * 201),  # the pipeline's sweep step
+        (1.5 / 201, 0.5, 0.0, 201),  # one sweep at the pipeline's sweep step
+        (1.5 / 201, 0.5, 0.0, 16 * 201),  # a chunk of sweeps
         (1.5 / 101, 0.5, 0.3, 2_000),  # a starting phase part way to a redraw
         (1.1, 0.5, 0.0, 40),  # a step longer than the dwell redraws twice
         (0.7, 0.5, 0.45, 40),
@@ -216,21 +182,48 @@ def _bfield_sweep_per_step(proc, dt_s, n_steps, rng):
         (0.1, 0.5, 0.0, 400),
         (0.01, 0.5, 0.75, 300),  # a phase past the dwell redraws at once
         (1e-4, 0.5, 0.0, 12_000),  # redraws far apart
-        (0.3, 0.5, 0.0, 0),
+        (0.3, 0.5, 0.0, 0),  # no steps
     ],
 )
-def test_bfield_sweep_equals_the_per_step_clock(dt_s, dwell_s, phase_s, n_steps):
+def test_bfield_sweep_matches_repeated_steps(dt_s, dwell_s, phase_s, n_steps):
+    # n steps followed by m steps reproduce one sweep of n + m steps bit for
+    # bit, draws included; n = 1 repeated is the per-step process
     start = BFieldProcess(b_max_mt=0.5, dwell_s=dwell_s, current_projection_mt=-0.2, time_since_resample_s=phase_s)
-    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-    proc, projections = bfield_sweep(start, dt_s, n_steps, rng)
-    ref, expected = _bfield_sweep_per_step(start, dt_s, n_steps, ref_rng)
-    assert projections.tobytes() == expected.tobytes()
-    assert proc == ref
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert n_steps == 0 or len(set(expected.tolist())) > 1
-    # a resample draws as the per-step clock does
-    resampled = bfield_resample(proc, rng)
-    assert resampled.current_projection_mt == ref_rng.uniform(0.0, 0.5) * ref_rng.uniform(-1.0, 1.0)
+    sweep_rng = np.random.default_rng(31)
+    swept, projections = bfield_sweep(start, dt_s, n_steps, sweep_rng)
+    assert n_steps == 0 or len(set(projections.tolist())) > 1
+    one, third = min(1, n_steps), n_steps // 3
+    for splits in ((0, n_steps), (one, n_steps - one), (third, n_steps - third), (n_steps, 0), (1,) * n_steps):
+        rng = np.random.default_rng(31)
+        proc = start
+        expected = []
+        for n in splits:
+            proc, part = bfield_sweep(proc, dt_s, n, rng)
+            expected += part.tolist()
+        assert projections.tolist() == expected
+        assert swept == proc
+        assert sweep_rng.bit_generator.state == rng.bit_generator.state
+    # the clock ends on the phase of the elapsed time past its last redraw,
+    # having drawn the field once per dwell it counted off
+    assert 0.0 <= swept.time_since_resample_s < dwell_s
+    dwells = round((phase_s + n_steps * dt_s - swept.time_since_resample_s) / dwell_s)
+    assert phase_s + n_steps * dt_s - swept.time_since_resample_s == pytest.approx(dwells * dwell_s, abs=1e-9)
+    ref = np.random.default_rng(31)
+    projection = start.current_projection_mt
+    for _ in range(dwells):
+        projection = ref.uniform(0.0, 0.5) * ref.uniform(-1.0, 1.0)
+    assert swept.current_projection_mt == projection
+    assert sweep_rng.bit_generator.state == ref.bit_generator.state
+    # a resample draws in the same order
+    resampled = bfield_resample(swept, sweep_rng)
+    assert resampled.current_projection_mt == ref.uniform(0.0, 0.5) * ref.uniform(-1.0, 1.0)
+
+
+def test_bfield_sweep_refuses_a_clock_that_cannot_run_down():
+    # a dwell taken off 1e300 s leaves the clock unchanged, so counting the
+    # dwells off one at a time would never end
+    with pytest.raises(ValueError, match="cannot be counted off a clock at 1e[+]300 s"):
+        bfield_sweep(BFieldProcess(b_max_mt=0.5), 1e300, 1, np.random.default_rng(0))
 
 
 def test_bfield_zero_amplitude_still_consumes_draws():

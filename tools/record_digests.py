@@ -11,14 +11,16 @@ listings; identical listings mean identical bytes on every item::
 The script imports dualtherm from the ``src/`` directory next to it, so it
 always tests the tree it sits in.  Items:
 
-* the record CSV (``records.write_records``) of 136 sessions, 8,127 records:
+* the record CSV (``records.write_records``) of 137 sessions, 8,167 records:
   field-off seeds 1000-1039 (120 s); 0.5 mT seeds 0-39 and 0.1, 0.2 and
   1.0 mT seeds 0-14 (60 s); three 300 s sessions at 0.5 mT and one
   field-off; a noisy and a noiseless ramp; a 600 s laser modulation run
   and a noiseless 300 s one (200 records, 13 chunks); 45 s and 3 s
-  sessions at 0.5 mT, which end in part windows and part chunks; and a
+  sessions at 0.5 mT, which end in part windows and part chunks; a
   150 s session at 0.5 mT on a 101-point sweep every 2 s, whose 75 records
-  cross a chunk boundary mid-field-clock;
+  cross a chunk boundary mid-field-clock; and a 60 s session at 0.5 mT whose
+  5 ms dwell is shorter than the 7.46 ms sweep step, so some steps end two
+  dwells;
 * ``cli.main`` outputs with their exit codes: ``scenario`` CSV and JSON and
   the ``crossval`` report of a few of those sessions, ``scenario`` CSV and
   JSON of two precision sweeps over both channels, ``simulate`` CSV and
@@ -28,7 +30,7 @@ always tests the tree it sits in.  Items:
   pl`` of simulated spectra and of a weak peak (30 cps at 737 nm on
   100 cps for 1 s).
 
-223 lines in all.
+224 lines in all.
 
 It takes about 10 s of CPU time.
 """
@@ -88,6 +90,7 @@ def sessions() -> Iterator[tuple[str, dict]]:
     yield "field 0.5 mT seed 6 150 s, 101-point sweep every 2 s", _session(
         artifact, 6, 150.0, 0.5, sample_period_s=2.0, odmr={"sweep_points": 101}
     )
+    yield "field 0.5 mT seed 7 60 s, 5 ms dwell", _session(artifact, 7, 60.0, bfield={"b_max_mt": 0.5, "dwell_s": 0.005})
 
 
 def _digest(data: bytes) -> str:
