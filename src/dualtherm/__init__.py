@@ -24,7 +24,6 @@ from .fitting import (
     RegressionResult,
     fit_odmr_dips,
     fit_pl_peak,
-    fit_power_law,
     linear_regression,
     select_dip_count,
 )

@@ -67,12 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="path to a JSON scenario configuration")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output path (default: stdout)")
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p_sim = sub.add_parser("simulate", help="emit one synthetic spectrum")
     add_common(p_sim)

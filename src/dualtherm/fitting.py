@@ -1,8 +1,8 @@
 """Nonlinear least-squares estimation for the two spectral channels.
 
 Lorentzian dip/peak fits with analytic Jacobians and Poisson-motivated
-weights, dip-count model selection by BIC, ordinary least-squares regression,
-and power-law fitting of precision-vs-integration-time curves.
+weights, dip-count model selection by BIC, and ordinary least-squares
+regression.
 
 Both line shapes use the unit-height Lorentzian
 ``L(x; c, w) = 1 / (1 + (2 (x - c) / w)^2)`` with ``w`` the full width at
@@ -223,14 +223,8 @@ def _weighted_cost(counts: FloatArray, model: FloatArray, weights: FloatArray) -
     return np.vecdot(weights * r, r)
 
 
-def _normal_equations(
-    jac: FloatArray, weights: FloatArray, resid: FloatArray | None = None
-) -> tuple[FloatArray, FloatArray | None]:
-    """Stacked weighted normal matrices ``J' W J`` and, given residuals, gradients ``J' W r``."""
-    wj = jac * weights[:, :, None]
-    nmat = np.matmul(jac.swapaxes(1, 2), wj)
-    grad = None if resid is None else np.matmul(wj.swapaxes(1, 2), resid[:, :, None])
-    return nmat, grad
+#: a line shape's model: its values and Jacobian at stacked parameter vectors
+_Model = Callable[[FloatArray, FloatArray], tuple[FloatArray, FloatArray]]
 
 
 def _diagonals(mats: FloatArray) -> FloatArray:
@@ -243,26 +237,35 @@ def _ridges(nmat: FloatArray) -> FloatArray:
     return 1e-14 * nmat.trace(axis1=1, axis2=2) / nmat.shape[-1] + 1e-300
 
 
+def _evaluate(
+    model: _Model, axis: FloatArray, counts: FloatArray, weights: FloatArray, p: FloatArray
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Model, weighted normal matrix ``J' W J``, gradient ``J' W r`` and cost of ``counts`` at stacked ``p``."""
+    m, jac = model(axis, p)
+    wj = jac * weights[:, :, None]
+    nmat = np.matmul(jac.swapaxes(1, 2), wj)
+    grad = np.matmul(wj.swapaxes(1, 2), (counts - m)[:, :, None])
+    return m, nmat, grad, _weighted_cost(counts, m, weights)
+
+
 def _solution_stats(
-    counts: FloatArray, weights: FloatArray, model: FloatArray, jac: FloatArray, cost: FloatArray, dof: int
+    counts: FloatArray, model: FloatArray, nmat: FloatArray, cost: FloatArray, dof: int
 ) -> tuple[FloatArray, list[float], list[float]]:
     """Covariances, residual RMS and reduced chi-squares of stacked solutions.
 
-    A covariance is the inverse of the ridged normal matrix, scaled by the
-    reduced chi-square when there are degrees of freedom left and that
-    chi-square is positive: a model that fits its counts exactly (a flat
-    spectrum) keeps the unscaled inverse rather than claiming zero
-    uncertainty.
+    ``nmat`` holds the weighted normal matrices at the solutions, as ``_fit``
+    carries them.  A covariance is the inverse of the ridged matrix, scaled
+    by the reduced chi-square when that is positive: a model that fits its
+    counts exactly (a flat spectrum) keeps the unscaled inverse rather than
+    claiming zero uncertainty.
     """
-    nmat, _ = _normal_equations(jac, weights)
-    diag = _diagonals(nmat)
+    ridged = nmat.copy()
+    diag = _diagonals(ridged)
     diag += _ridges(nmat)[:, None]
-    cov = np.linalg.inv(nmat)
-    if dof > 0:
-        chi2 = cost / dof
-        cov = cov * np.where(chi2 > 0.0, chi2, 1.0)[:, None, None]
-    else:
-        chi2 = np.full(cost.shape, math.inf)
+    cov = np.linalg.inv(ridged)
+    # MIN_FIT_SAMPLES (8) exceeds every model's parameter count (at most 7), so dof >= 1
+    chi2 = cost / dof
+    cov = cov * np.where(chi2 > 0.0, chi2, 1.0)[:, None, None]
     rms = np.sqrt(((counts - model) ** 2).sum(axis=1) / counts.shape[1])
     return 0.5 * (cov + cov.swapaxes(1, 2)), rms.tolist(), chi2.tolist()
 
@@ -273,7 +276,7 @@ _RowFit = tuple[FloatArray, FloatArray, float, float, int, bool]
 
 
 def _fit(
-    model: Callable[[FloatArray, FloatArray], tuple[FloatArray, FloatArray]],
+    model: _Model,
     physical: Callable[[FloatArray, FloatArray], NDArray[np.bool_]],
     axis: FloatArray,
     counts: FloatArray,
@@ -290,9 +293,10 @@ def _fit(
     Every row is in flight from the first step and keeps its own damping,
     iteration count and retries; a row that converges, stalls, reaches
     ``MAX_ITERATIONS`` or is retired takes its covariance and leaves, and
-    the stack shrinks.  Whenever any row steps, the normal equations of the whole
-    stack are recomputed: a row that did not step kept its Jacobian, so its
-    matrix comes out bit for bit as before.
+    the stack shrinks.  The start and every trial are evaluated once, in
+    one place (``_evaluate``), and each row carries ``(p, model, nmat,
+    grad, cost)`` at its accepted iterate: a rejected row takes its own
+    back.  The step and the covariance both read that carried matrix.
 
     ``physical(axis, p)``, the line shape's test of a stack of parameter
     vectors (``_physical_dips`` or ``_physical_peak``), ends every row by
@@ -316,34 +320,26 @@ def _fit(
         rows = list(range(n_rows))
         c, p = counts, p0
         w = _weights(c)
-        m, jac = model(axis, p)
-        cost = _weighted_cost(c, m, w)
+        m, nmat, grad, cost = _evaluate(model, axis, c, w, p)
         lam = [1e-3] * n_rows
         it = [1] * n_rows
-        stepped = True
         while rows:
-            if stepped:
-                nmat, grad = _normal_equations(jac, w, c - m)
-                ridge = _ridges(nmat)
-
             # one trial step per row at its current damping
             damped = nmat.copy()
             diag = _diagonals(damped)
             diag *= 1.0 + np.array(lam)[:, None]
-            diag += ridge[:, None]
+            diag += _ridges(nmat)[:, None]
             delta = np.linalg.solve(damped, grad)[:, :, 0]
             finite = np.isfinite(delta).all(axis=1).tolist()
             small = (~(np.abs(delta) > _STEP_XTOL * (np.abs(p) + _STEP_XTOL)).any(axis=1)).tolist()
             p_try = p + delta
-            m_try, jac_try = model(axis, p_try)
-            cost_try = _weighted_cost(c, m_try, w)
+            m_try, nmat_try, grad_try, cost_try = _evaluate(model, axis, c, w, p_try)
             if max(it) >= _PATIENCE:
                 hopeless = (~physical(axis, p_try)).tolist()
             else:
                 hopeless = [False] * len(rows)
 
             rejected = np.ones(len(rows), dtype=bool)
-            stepped = False
             done: list[tuple[int, bool]] = []
             for s, (now, trial) in enumerate(zip(cost.tolist(), cost_try.tolist())):
                 if finite[s] and trial < now:
@@ -355,7 +351,6 @@ def _fit(
                         done.append((s, False))
                     else:
                         it[s] += 1
-                        stepped = True
                 elif finite[s] and small[s]:
                     # no downhill direction and the proposed move is
                     # negligible: the row sits at the floor of its cost
@@ -365,16 +360,16 @@ def _fit(
                     if lam[s] > 1e14:
                         done.append((s, now == 0.0))
             # the trial arrays take the rejected rows back and become the state
-            for new, old in ((p_try, p), (m_try, m), (jac_try, jac), (cost_try, cost)):
+            for new, old in ((p_try, p), (m_try, m), (nmat_try, nmat), (grad_try, grad), (cost_try, cost)):
                 np.copyto(new, old, where=rejected.reshape((-1,) + (1,) * (old.ndim - 1)))
-            p, m, jac, cost = p_try, m_try, jac_try, cost_try
+            p, m, nmat, grad, cost = p_try, m_try, nmat_try, grad_try, cost_try
             if not done:
                 continue
 
             # finished rows take their covariance and leave the stack,
             # converged only on physical lines
             leave = [s for s, _ in done]
-            cov, rms, chi2 = _solution_stats(c[leave], w[leave], m[leave], jac[leave], cost[leave], dof)
+            cov, rms, chi2 = _solution_stats(c[leave], m[leave], nmat[leave], cost[leave], dof)
             ok = physical(axis, p[leave]).tolist()
             for i, (p_row, (s, stopped)) in enumerate(zip(p[leave], done)):
                 results[rows[s]] = (p_row, cov[i], rms[i], chi2[i], it[s], stopped and ok[i])
@@ -383,7 +378,7 @@ def _fit(
             gone = set(leave)
             keep = [s for s in range(len(rows)) if s not in gone]
             rows, lam, it = ([a[s] for s in keep] for a in (rows, lam, it))
-            c, w, p, m, jac, cost, nmat, grad, ridge = (a[keep] for a in (c, w, p, m, jac, cost, nmat, grad, ridge))
+            c, w, p, m, nmat, grad, cost = (a[keep] for a in (c, w, p, m, nmat, grad, cost))
     return results  # type: ignore[return-value]
 
 
@@ -636,8 +631,7 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     Widths run from one median sample step to twice the span in ratios of
     ``_SCREEN_WIDTH_RATIO``; centers cover the span at a quarter width apart,
     but never closer than half a step.  Returns ``(L, L**2)``, or ``None``
-    when the axis has no positive median step or the grid would exceed
-    ``_SCREEN_MAX_ELEMENTS``.
+    when the grid would exceed ``_SCREEN_MAX_ELEMENTS``.
 
     The ``(n, M)`` candidate columns are stored as contiguous slabs, in
     ``(n_slabs, n, width)`` arrays.  A slab is as wide as keeps its product
@@ -648,11 +642,10 @@ def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
     axis = np.frombuffer(axis_bytes, dtype=np.float64)
     step = _median_step(axis_bytes)
     lo, hi = float(axis[0]), float(axis[-1])
-    if not (step > 0.0 and hi > lo):
-        return None
     grid = []
     width = step
-    while width <= 2.0 * (hi - lo):
+    # the width halved, not the span doubled, so that the bound cannot overflow
+    while 0.5 * width <= hi - lo:
         n_centers = int(math.floor((hi - lo) / max(0.25 * width, 0.5 * step))) + 1
         grid.append((width, n_centers))
         width *= _SCREEN_WIDTH_RATIO
@@ -887,22 +880,3 @@ def linear_regression(xs: FloatArray, ys: FloatArray) -> RegressionResult:
         slope_std_error=math.sqrt(max(slope_var, 0.0)),
     )
 
-
-def fit_power_law(
-    integration_times_s: FloatArray, sigmas: FloatArray
-) -> tuple[float, float]:
-    """Fit ``sigma(t) = floor * t**exponent`` by least squares in log space.
-
-    Returns ``(floor, exponent)``; for shot-noise-limited data the exponent
-    comes out at -1/2 and the floor is the one-second precision.
-    """
-    t = np.asarray(integration_times_s, dtype=np.float64)
-    s = np.asarray(sigmas, dtype=np.float64)
-    if t.shape != s.shape or t.ndim != 1:
-        raise ValueError("times and sigmas must be 1-d sequences of equal length")
-    if t.size < 3:
-        raise ValueError(f"need at least 3 points, got {t.size}")
-    if np.any(t <= 0) or np.any(s <= 0):
-        raise ValueError("times and sigmas must all be > 0")
-    reg = linear_regression(np.log(t), np.log(s))
-    return math.exp(reg.intercept), reg.slope

@@ -245,9 +245,9 @@ def _check_axis(axis: FloatArray) -> FloatArray:
 def check_spectra(axis: FloatArray, counts: FloatArray, rows: bool = False) -> tuple[FloatArray, FloatArray]:
     """``axis`` and ``counts`` as float arrays, once they are valid spectra.
 
-    The axis is finite, strictly increasing and non-empty; the counts are
-    finite and non-negative, ``(n,)`` on ``n`` samples or, with ``rows``,
-    ``(B, n)``.
+    The axis is finite, strictly increasing and non-empty, and its span is
+    finite too; the counts are finite and non-negative, ``(n,)`` on ``n``
+    samples or, with ``rows``, ``(B, n)``.
     """
     axis = _check_axis(axis)
     counts = np.asarray(counts, dtype=np.float64)
@@ -260,6 +260,9 @@ def check_spectra(axis: FloatArray, counts: FloatArray, rows: bool = False) -> t
             raise ValueError(f"{name} must be finite, got {values.flat[bad[0]]} at sample {bad[0] % axis.size}")
     if not np.all(np.diff(axis) > 0):
         raise ValueError("axis must be strictly increasing")
+    # a difference of Python floats overflows to inf without a numpy warning
+    if not math.isfinite(float(axis[-1]) - float(axis[0])):
+        raise ValueError(f"axis span from {axis[0]} to {axis[-1]} is not finite")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     return axis, counts

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fitting import FitResult, fit_power_law
+from .fitting import FitResult, linear_regression
 from .forward import NvCalibration, SivCalibration
 
 
@@ -122,13 +122,16 @@ def estimate_noise_floor(
 ) -> tuple[float, float]:
     """Noise floor and exponent of a precision-vs-integration-time series.
 
-    Fits ``sigma(t) = eta * t**e``; for shot-noise-limited data ``e = -1/2``
-    and ``eta`` is the precision at one second, i.e. the floor in degC per
-    root Hz.
+    Fits ``sigma(t) = eta * t**e`` by least squares in log space; for
+    shot-noise-limited data ``e = -1/2`` and ``eta`` is the precision at one
+    second, i.e. the floor in degC per root Hz.
     """
     pairs = list(series)
-    if not pairs:
-        raise ValueError("empty precision series")
     times = np.array([t for t, _ in pairs], dtype=np.float64)
     sigmas = np.array([s for _, s in pairs], dtype=np.float64)
-    return fit_power_law(times, sigmas)
+    if times.size < 3:
+        raise ValueError(f"need at least 3 points, got {times.size}")
+    if np.any(times <= 0) or np.any(sigmas <= 0):
+        raise ValueError("times and sigmas must all be > 0")
+    reg = linear_regression(np.log(times), np.log(sigmas))
+    return math.exp(reg.intercept), reg.slope

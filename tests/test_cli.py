@@ -198,6 +198,33 @@ def test_fit_rejects_non_finite_or_empty_input(tmp_path, capsys, bad_count, mess
     assert "Traceback" not in captured.err
 
 
+def _huge_span_spectrum(tmp_path, scale: float) -> str:
+    """11 samples of 1000 counts, 800 at the centre, on ``scale * linspace(-1, 1, 11)``."""
+    counts = [1000.0] * 5 + [800.0] + [1000.0] * 5
+    spectrum = tmp_path / "huge_span.csv"
+    rows = zip((scale * np.linspace(-1.0, 1.0, 11)).tolist(), counts)
+    spectrum.write_text("axis,counts\n" + "".join(f"{a!r},{c!r}\n" for a, c in rows), encoding="utf-8")
+    return str(spectrum)
+
+
+def test_fit_on_an_axis_of_huge_finite_span_returns(tmp_path, capsys):
+    """A span of 1.6e308 is finite, so the score screen's width ladder must end below it."""
+    assert main(["fit", "--input", _huge_span_spectrum(tmp_path, 0.8e308), "--kind", "odmr"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["n_dips"] in (1, 2)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_dips", ["auto", "1"])
+def test_fit_on_an_axis_whose_span_overflows_is_refused(tmp_path, capsys, n_dips):
+    spectrum = _huge_span_spectrum(tmp_path, 1.7e308)
+    assert main(["fit", "--input", spectrum, "--kind", "odmr", "--n-dips", n_dips]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: axis span from -1.7e+308 to 1.7e+308 is not finite"]
+
+
 @pytest.mark.parametrize(
     "kind,axis,count",
     [

@@ -16,7 +16,6 @@ from dualtherm import (
     backend_name,
     fit_odmr_dips,
     fit_pl_peak,
-    fit_power_law,
     linear_regression,
     odmr_expected_counts,
     pl_expected_counts,
@@ -41,6 +40,7 @@ from dualtherm.fitting import (
     _peak_result,
     _physical_dips,
     _physical_peak,
+    _ridges,
     _screen_shapes,
     _screened_out,
     _second_dip_scores,
@@ -479,18 +479,6 @@ def test_linear_regression_edge_cases():
         linear_regression(x[:2], x[:2])
 
 
-def test_fit_power_law_matches_loglog_polyfit():
-    rng = np.random.default_rng(31)
-    t = np.array([0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
-    sigma = 0.155 * t**-0.5 * np.exp(rng.normal(0.0, 0.03, t.size))
-    amp, exponent = fit_power_law(t, sigma)
-    b, a = np.polyfit(np.log(t), np.log(sigma), 1)
-    assert amp == pytest.approx(np.exp(a), rel=1e-12)
-    assert exponent == pytest.approx(b, rel=1e-12)
-    with pytest.raises(ValueError):
-        fit_power_law(t, -sigma)
-
-
 @pytest.mark.parametrize("zero_counts", [False, True])
 def test_weighted_cost_matches_explicit_sum(zero_counts):
     rng = np.random.default_rng(4711)
@@ -791,18 +779,60 @@ def test_stacked_fit_rows_equal_fits_of_one(monkeypatch, n_dips, max_iterations)
     assert max_iterations > 3 or any(n == 3 and not converged for *_, n, converged in alone)
 
 
-def test_stacked_peak_fits_equal_fits_of_one(monkeypatch):
+def _peak_stack_corpus() -> tuple[np.ndarray, np.ndarray]:
+    """Counts and rough starts of a PL stack: nine bright peaks and a sparse one of a few counts per bin."""
     rng = np.random.default_rng(8102)
     peaks = [PlModel(background_rate=2e4, peaks=((735.0 + 0.5 * k, 4.8, 1.3e5),)) for k in range(9)]
-    # and a sparse spectrum of a few counts per bin
     peaks.append(PlModel(background_rate=2.0, peaks=((737.0, 4.8, 6.0),)))
     counts = np.array([_pl_trace(model, 1.3, rng).counts for model in peaks])
     starts = np.array([[c[:20].mean(), c.max() - c[:20].mean(), PL_AXIS[np.argmax(c)], 4.0] for c in counts])
+    return counts, starts
+
+
+def test_stacked_peak_fits_equal_fits_of_one(monkeypatch):
+    counts, starts = _peak_stack_corpus()
     tiled, tiled_starts = np.concatenate([counts, counts[::-1]]), np.concatenate([starts, starts[::-1]])
     for max_iterations in (200, 2):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", max_iterations)
         alone = _fitted_alone(_peak_model, _physical_peak, PL_AXIS, counts, starts)
         assert _fitted(_peak_model, _physical_peak, PL_AXIS, tiled, tiled_starts) == alone + alone[::-1]
+
+
+def _reported_covariance(model, axis: np.ndarray, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The covariance of a ``_fit`` row that returned ``p`` for ``counts``, rebuilt from the model at ``p``.
+
+    The symmetrised inverse of ``J' W J`` plus its ridge, scaled by the
+    reduced chi-square where that is positive.
+    """
+    m, jac = model(axis, p[None])
+    weights = 1.0 / np.maximum(counts, 1.0)[None]
+    nmat = np.matmul(jac.swapaxes(1, 2), jac * weights[:, :, None])
+    ridge = _ridges(nmat)[0]
+    nmat[0][np.diag_indices(p.size)] += ridge
+    chi2 = _weighted_cost(counts[None], m, weights)[0] / (axis.size - p.size)
+    cov = np.linalg.inv(nmat)[0] * (chi2 if chi2 > 0.0 else 1.0)
+    return 0.5 * (cov + cov.T)
+
+
+def test_fit_covariances_are_read_at_the_returned_parameters():
+    paths = {"left after a rejected trial": 0, "retired": 0, "zero cost": 0}
+    for model, physical, axis, (counts, starts) in (
+        (_dips_model, _physical_dips, ODMR_AXIS, _stack_corpus(1)),
+        (_dips_model, _physical_dips, ODMR_AXIS, _stack_corpus(2)),
+        (_peak_model, _physical_peak, PL_AXIS, _peak_stack_corpus()),
+    ):
+        # each spectrum again, restarted at its solution: a row whose every
+        # trial is rejected returns its start
+        fits = _fit(model, physical, axis, counts, starts)
+        restarts = np.array([p for p, *_ in fits])
+        fits += _fit(model, physical, axis, counts, restarts)
+        rows = zip(fits, np.concatenate([counts, counts]), np.concatenate([starts, restarts]))
+        for (p, cov, _, chi2, iterations, converged), row, start in rows:
+            assert cov.tobytes() == _reported_covariance(model, axis, row, p).tobytes()
+            paths["left after a rejected trial"] += p.tobytes() == start.tobytes()
+            paths["retired"] += p.size == 7 and iterations == fitting._PATIENCE and not converged
+            paths["zero cost"] += chi2 == 0.0
+    assert all(paths.values()), paths
 
 
 def _assert_same_fit(fit, ref):

@@ -20,6 +20,7 @@ from dualtherm import (
     unit_lorentzian,
     zeeman_resonances,
 )
+from dualtherm.forward import check_spectra
 
 
 def test_unit_lorentzian_peak_and_half_maximum():
@@ -204,6 +205,7 @@ def test_calibration_slope_must_not_vanish():
         SivCalibration(pos_slope_nm_per_c=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_trace_validation():
     axis = np.array([1.0, 2.0, 3.0])
     counts = np.array([1.0, 2.0, 3.0])
@@ -219,3 +221,8 @@ def test_trace_validation():
         SpectrumTrace(AxisKind.FREQUENCY_MHZ, np.array([1.0, np.nan, 3.0]), counts)
     with pytest.raises(ValueError, match="counts must be finite, got inf at sample 2"):
         SpectrumTrace(AxisKind.FREQUENCY_MHZ, axis, np.array([1.0, 2.0, np.inf]))
+    # every sample and step of both axes is finite, but only the first has a finite span
+    wide, flat = check_spectra(0.8e308 * np.linspace(-1.0, 1.0, 11), np.full(11, 1000.0))
+    assert wide[-1] - wide[0] == 1.6e308
+    with pytest.raises(ValueError, match=r"axis span from -1.7e\+308 to 1.7e\+308 is not finite"):
+        check_spectra(1.7e308 * np.linspace(-1.0, 1.0, 11), flat)

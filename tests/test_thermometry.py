@@ -129,3 +129,15 @@ def test_estimate_noise_floor():
     assert exponent == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(ValueError):
         estimate_noise_floor([])
+
+
+def test_estimate_noise_floor_matches_loglog_polyfit():
+    rng = np.random.default_rng(31)
+    t = np.array([0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
+    sigma = 0.155 * t**-0.5 * np.exp(rng.normal(0.0, 0.03, t.size))
+    floor, exponent = estimate_noise_floor(zip(t.tolist(), sigma.tolist()))
+    b, a = np.polyfit(np.log(t), np.log(sigma), 1)
+    assert floor == pytest.approx(np.exp(a), rel=1e-12)
+    assert exponent == pytest.approx(b, rel=1e-12)
+    with pytest.raises(ValueError, match="must all be > 0"):
+        estimate_noise_floor(zip(t.tolist(), (-sigma).tolist()))
