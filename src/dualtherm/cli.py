@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from typing import Any, Callable, Sequence, TextIO
@@ -281,12 +283,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         write = _DISPATCH[args.subcommand](args)
         # the one output path; the file is opened only once the result is
-        # ready, so a refused run leaves an existing file as it was
+        # ready, so a refused run leaves an existing file as it was.  It is
+        # written in place and then a regular file is cut at the end of this
+        # run's bytes, in a finally, so a writer that raises leaves only its
+        # own bytes too.  ``open(path, "w")`` truncates first, and ext4 (its
+        # ``auto_da_alloc`` heuristic for replace-via-truncate) then stalls
+        # the close by tens of milliseconds.  A symlink writes its target,
+        # and /dev/null or a FIFO is not cut.  Nothing is fsynced: identical
+        # invocations give identical bytes, so a rerun rebuilds whatever a
+        # crash midway loses.
         if args.out is None:
             write(sys.stdout)
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                write(stream)
+            with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as stream:
+                try:
+                    write(stream)
+                finally:
+                    if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                        stream.truncate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -625,46 +625,43 @@ def _median_step(axis_bytes: bytes) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _screen_shapes(axis_bytes: bytes) -> tuple[FloatArray, FloatArray] | None:
-    """Unit Lorentzians for every candidate second dip on one sample axis.
+def _screen_shapes(axis_bytes: bytes) -> FloatArray | None:
+    """Unit Lorentzians ``L`` for every candidate second dip on one sample axis.
 
     Widths run from one median sample step to twice the span in ratios of
     ``_SCREEN_WIDTH_RATIO``; centers cover the span at a quarter width apart,
-    but never closer than half a step.  Returns ``(L, L**2)``, or ``None``
-    when the grid would exceed ``_SCREEN_MAX_ELEMENTS``.
+    but never closer than half a step.  Returns ``None`` when the grid would
+    exceed ``_SCREEN_MAX_ELEMENTS``.  The squares ``L**2`` are not cached:
+    ``_block_scores`` squares one super-block at a time.
 
-    The ``(n, M)`` candidate columns are stored as contiguous slabs, in
-    ``(n_slabs, n, width)`` arrays.  A slab is as wide as keeps its product
-    with the ``5 * SCREEN_BLOCK_RECORDS`` rows of a full block within
-    ``_SCREEN_BLOCK_MADDS``.  The last slab is padded with zero columns,
-    which score no gain.
+    The ``(n, M)`` candidate columns are stored as contiguous slabs, in an
+    ``(n_slabs, n, width)`` array built one slab at a time.  A slab is as
+    wide as keeps its product with the ``5 * SCREEN_BLOCK_RECORDS`` rows of
+    a full block within ``_SCREEN_BLOCK_MADDS``.  The last slab is padded
+    with zero columns, which score no gain.
     """
     axis = np.frombuffer(axis_bytes, dtype=np.float64)
     step = _median_step(axis_bytes)
     lo, hi = float(axis[0]), float(axis[-1])
-    grid = []
+    centers, widths = [], []
     width = step
     # the width halved, not the span doubled, so that the bound cannot overflow
     while 0.5 * width <= hi - lo:
         n_centers = int(math.floor((hi - lo) / max(0.25 * width, 0.5 * step))) + 1
-        grid.append((width, n_centers))
+        centers.append(np.linspace(lo, hi, n_centers))
+        widths.append(np.full(n_centers, width))
         width *= _SCREEN_WIDTH_RATIO
-    n_candidates = sum(n_centers for _, n_centers in grid)
-    if axis.size * n_candidates > _SCREEN_MAX_ELEMENTS:
+    center, width = np.concatenate(centers), np.concatenate(widths)
+    if axis.size * center.size > _SCREEN_MAX_ELEMENTS:
         return None
     slab = max(1, _SCREEN_BLOCK_MADDS // (5 * SCREEN_BLOCK_RECORDS * axis.size))
-    n_slabs = -(-n_candidates // slab)
-    shapes = np.zeros((axis.size, n_slabs * slab))
-    j = 0
-    for width, n_centers in grid:
-        shapes[:, j : j + n_centers] = unit_lorentzian(axis[:, None], np.linspace(lo, hi, n_centers), width)
-        j += n_centers
-    shapes = np.ascontiguousarray(shapes.reshape(axis.size, n_slabs, slab).transpose(1, 0, 2))
-    squares = shapes * shapes
+    shapes = np.zeros((-(-center.size // slab), axis.size, slab))
+    for k in range(shapes.shape[0]):
+        columns = slice(k * slab, (k + 1) * slab)
+        shapes[k, :, : center[columns].size] = unit_lorentzian(axis[:, None], center[columns], width[columns])
     # cached and shared by every caller
     shapes.flags.writeable = False
-    squares.flags.writeable = False
-    return shapes, squares
+    return shapes
 
 
 def _second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult]) -> FloatArray:
@@ -708,14 +705,12 @@ def _second_dip_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitR
     ]
     for start in range(0, len(trusted), SCREEN_BLOCK_RECORDS):
         block = trusted[start : start + SCREEN_BLOCK_RECORDS]
-        scores[block] = _block_scores(axis, counts[block], [ones[i] for i in block], *shapes)
+        scores[block] = _block_scores(axis, counts[block], [ones[i] for i in block], shapes)
     return scores
 
 
-def _block_scores(
-    axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult], lor: FloatArray, lor2: FloatArray
-) -> FloatArray:
-    """``_second_dip_scores`` of one block of trusted records over the slabs ``lor``, ``lor2``."""
+def _block_scores(axis: FloatArray, counts: FloatArray, ones: Sequence[FitResult], lor: FloatArray) -> FloatArray:
+    """``_second_dip_scores`` of one block of trusted records over the slabs ``lor``."""
     n_records = len(ones)
     weights = _weights(counts)
     root_w = np.sqrt(weights)
@@ -737,8 +732,9 @@ def _block_scores(
         step = max(1, _SCREEN_SUPER_BLOCK // lor.shape[2])
         for k in range(0, lor.shape[0], step):
             # one BLAS product per slab: (slabs, records, 5, slab width)
-            proj = np.matmul(rows, lor[k : k + step]).reshape(-1, n_records, 5, lor.shape[2])
-            norm2 = np.matmul(weight_rows, lor2[k : k + step])[:, :n_records]
+            slabs = lor[k : k + step]
+            proj = np.matmul(rows, slabs).reshape(-1, n_records, 5, lor.shape[2])
+            norm2 = np.matmul(weight_rows, slabs * slabs)[:, :n_records]
             num = proj[:, :, 0]
             den = norm2 - np.einsum("sbij,sbij->sbj", proj[:, :, 1:], proj[:, :, 1:])
             # a candidate the one-dip Jacobian already spans adds nothing

@@ -121,7 +121,9 @@ class AxisKind(enum.Enum):
 
 def unit_lorentzian(axis: FloatArray, center: float, fwhm: float) -> FloatArray:
     """Unit-height Lorentzian ``1 / (1 + (2 (x - c) / w)^2)`` with FWHM ``w``."""
-    u = 2.0 * (np.asarray(axis, dtype=np.float64) - center) / fwhm
+    # (x - c) / (w / 2), not 2 (x - c) / w: the same bits, as both round
+    # once, but no overflow on an axis that spans more than half the range
+    u = (np.asarray(axis, dtype=np.float64) - center) / (0.5 * fwhm)
     return 1.0 / (1.0 + u * u)
 
 

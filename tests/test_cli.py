@@ -23,6 +23,7 @@ from dualtherm import (
     pl_expected_counts,
     siv_zpl_of_temperature,
 )
+from dualtherm import cli
 from dualtherm.cli import main
 from dualtherm.config import default_config_dict
 from dualtherm.records import CSV_HEADER, format_number, parse_records_csv
@@ -207,6 +208,7 @@ def _huge_span_spectrum(tmp_path, scale: float) -> str:
     return str(spectrum)
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_on_an_axis_of_huge_finite_span_returns(tmp_path, capsys):
     """A span of 1.6e308 is finite, so the score screen's width ladder must end below it."""
     assert main(["fit", "--input", _huge_span_spectrum(tmp_path, 0.8e308), "--kind", "odmr"]) == 0
@@ -374,6 +376,54 @@ def test_a_refused_run_leaves_an_existing_out_file_alone(tmp_path, capsys):
         "error: line 2, column time_s: expected a number, got 'abc'",
     ]
     assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("old_size", [1 << 20, 3], ids=["1MB", "3B"])
+def test_an_existing_out_file_ends_holding_exactly_the_printed_bytes(tmp_path, capsysbinary, old_size):
+    assert main(["sensitivity"]) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * old_size)
+    assert main(["sensitivity", "--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+
+
+def test_out_to_dev_null_succeeds(capsys):
+    assert main(["sensitivity", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsysbinary):
+    assert main(["sensitivity"]) == 0
+    printed = capsysbinary.readouterr().out
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"x" * 4096)
+    link.symlink_to(target)
+    assert main(["sensitivity", "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == printed
+
+
+def test_an_existing_out_file_keeps_its_inode_and_mode(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 4096)
+    out.chmod(0o640)
+    before = out.stat()
+    assert main(["sensitivity", "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_a_writer_that_raises_leaves_only_its_own_bytes(tmp_path, capsys, monkeypatch):
+    def write(stream):
+        stream.write("abc")
+        raise ValueError("no more")
+
+    monkeypatch.setitem(cli._DISPATCH, "sensitivity", lambda args: write)
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 4096)
+    assert main(["sensitivity", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: no more\n"
+    assert out.read_bytes() == b"abc"
 
 
 @pytest.mark.parametrize(

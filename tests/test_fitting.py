@@ -593,7 +593,7 @@ def _reference_score(trace: SpectrumTrace, one: FitResult) -> float:
     c, sigma = one.params["contrast_1"], one.std_errors["contrast_1"]
     if not (one.converged and c * c >= 100.0 * margin * sigma * sigma):
         return math.inf
-    lor, _ = _screen_shapes(trace.axis.tobytes())
+    lor = _screen_shapes(trace.axis.tobytes())
     candidates = lor.transpose(1, 0, 2).reshape(trace.axis.size, -1)
     weights = 1.0 / np.maximum(trace.counts, 1.0)
     root_w = np.sqrt(weights)
@@ -684,9 +684,23 @@ def test_block_scores_validate_their_inputs():
         _second_dip_scores(ODMR_AXIS, counts[:2], ones[:1])
 
 
+def test_screen_grid_build_holds_little_beyond_the_grid():
+    # the default 201-point grid is 3.5 MB of slabs; it is built one slab at
+    # a time, and no grid of squares is built beside it
+    fitting._screen_shapes.cache_clear()
+    tracemalloc.start()
+    try:
+        lor = _screen_shapes(ODMR_AXIS.tobytes())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, f"grid build peaked at {peak / 1e6:.2f} MB"
+    assert lor.nbytes > 3_000_000 and not lor.flags.writeable
+
+
 def test_block_score_memory_stays_small():
-    # the screen reduces the grid a few hundred candidates at a time; the
-    # cached grid itself (about 7 MB) is built before measuring
+    # the screen reduces the grid, and squares it, a few hundred candidates
+    # at a time; the cached grid itself (3.5 MB) is built before measuring
     traces, ones, kinds = _screen_corpus()
     trusted = [i for i, kind in enumerate(kinds) if kind in ("quiet", "split", "faint")][:8]
     block_counts, block_ones = np.array([traces[i].counts for i in trusted]), [ones[i] for i in trusted]

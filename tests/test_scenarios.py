@@ -381,7 +381,7 @@ def test_pipeline_stacks_no_more_rows_than_a_fit_chunk(monkeypatch):
 
 def test_session_memory_stays_within_a_chunk_working_set():
     # a 120 s field-off session of 80 records; a first session builds the
-    # score screen's cached candidate grid (about 7 MB) before measuring.
+    # score screen's cached candidate grid (3.5 MB) before measuring.
     # PL fits of one peaked at 2.45 MB, stacks of 64 at 5.7 MB, and stacks
     # of 16 at 1.65 MB
     cfg = ScenarioConfig(kind=ScenarioKind.BFIELD_ARTIFACT, seed=1001, duration_s=120.0)
